@@ -23,7 +23,6 @@
 // section; the "sim" section is a pure function of the seed.
 //
 // Full mode: 10240 instances. VMSTORM_QUICK=1: 256 (CI budget ~60 s).
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -55,7 +54,6 @@ struct ArmResult {
   std::uint64_t trace_recorded = 0;
   std::uint64_t trace_dropped_ring = 0;
   std::uint64_t trace_dropped_sampling = 0;
-  std::uint64_t trace_dropped_stray_end = 0;
 };
 
 /// sample_rate < 0: tracing off. 1.0: full. (0,1): sampled.
@@ -94,55 +92,11 @@ Result<ArmResult> run_arm(const std::string& name,
   r.trace_recorded = tr.recorded_total();
   r.trace_dropped_ring = tr.dropped_ring();
   r.trace_dropped_sampling = tr.dropped_sampling();
-  r.trace_dropped_stray_end = tr.dropped_stray_end();
   // VmHWM is a process-wide peak: arms run off -> sampled -> full so a
   // later arm's number includes everything before it. Comparisons between
   // arms are therefore one-sided (full >= sampled >= off by construction).
   r.peak_rss = obs::peak_rss_bytes();
   return r;
-}
-
-std::string config_fingerprint(
-    const std::vector<std::pair<std::string, std::string>>& entries) {
-  // Same FNV-1a-64 over "key=value;" scheme as bench::Report.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
-  };
-  for (const auto& [k, v] : entries) {
-    mix(k);
-    mix("=");
-    mix(v);
-    mix(";");
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-/// Bucket-averaged ASCII sparkline, at most `width` columns.
-std::string sparkline(const std::vector<double>& v, std::size_t width) {
-  static const char kRamp[] = " .:-=+*#%@";  // 10 levels
-  if (v.empty()) return "";
-  double hi = 0;
-  for (double x : v) hi = std::max(hi, x);
-  std::string out;
-  const std::size_t cols = std::min(width, v.size());
-  for (std::size_t c = 0; c < cols; ++c) {
-    const std::size_t b = c * v.size() / cols;
-    const std::size_t e = std::max(b + 1, (c + 1) * v.size() / cols);
-    double acc = 0;
-    for (std::size_t i = b; i < e; ++i) acc += v[i];
-    const double m = acc / static_cast<double>(e - b);
-    int idx = hi > 0 ? static_cast<int>(m / hi * 9.0 + 0.5) : 0;
-    idx = std::clamp(idx, 0, 9);
-    out.push_back(kRamp[idx]);
-  }
-  return out;
 }
 
 void write_phases(obs::JsonWriter& w, const obs::SelfProfiler& prof) {
@@ -249,15 +203,6 @@ int run() {
       return 1;
     }
     timeline_json = c.timeline_json();
-    const obs::Timeline& tl = c.obs().timeline;
-    const obs::Timeline::SeriesId id =
-        tl.find_series("net.throughput_bytes_per_sec");
-    if (id < tl.series_count()) {
-      std::printf("\naggregate throughput over sim time "
-                  "(%zu samples, %.2gs cadence):\n  |%s|\n",
-                  tl.samples_retained(), tl.cadence_seconds(),
-                  sparkline(tl.values(id), 64).c_str());
-    }
   }
 
   // ---- BENCH_engine.json (schema vmstorm-engine-v1) ----------------------
@@ -277,7 +222,7 @@ int run() {
   w.key("quick").value(quick);
   w.key("config").begin_object();
   for (const auto& [k, v] : fp_entries) w.key(k).raw(v);
-  w.key("fingerprint").value(config_fingerprint(fp_entries));
+  w.key("fingerprint").value(bench::config_fingerprint(fp_entries));
   w.end_object();
   // Deterministic section: same seed => same bytes (trace counters are
   // taken from the full arm, whose ring/sampling decisions are seeded).
@@ -292,7 +237,6 @@ int run() {
   w.key("recorded").value(full.trace_recorded);
   w.key("dropped_ring").value(full.trace_dropped_ring);
   w.key("dropped_sampling").value(full.trace_dropped_sampling);
-  w.key("dropped_stray_end").value(full.trace_dropped_stray_end);
   w.end_object();
   w.end_object();
   // Host section: wall clock and RSS, different every run by nature.
@@ -308,7 +252,6 @@ int run() {
     w.key("recorded").value(a.trace_recorded);
     w.key("dropped_ring").value(a.trace_dropped_ring);
     w.key("dropped_sampling").value(a.trace_dropped_sampling);
-    w.key("dropped_stray_end").value(a.trace_dropped_stray_end);
     w.end_object();
     w.key("phases");
     write_phases(w, a.prof);

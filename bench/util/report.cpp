@@ -65,8 +65,8 @@ void Report::config(const std::string& key, std::uint64_t value) {
   config_.emplace_back(key, obs::json_number(value));
 }
 
-std::string Report::fingerprint() const {
-  // FNV-1a 64-bit over "key=value;" in insertion order.
+std::string config_fingerprint(
+    const std::vector<std::pair<std::string, std::string>>& entries) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](const std::string& s) {
     for (char c : s) {
@@ -74,7 +74,7 @@ std::string Report::fingerprint() const {
       h *= 0x100000001b3ull;
     }
   };
-  for (const auto& [k, v] : config_) {
+  for (const auto& [k, v] : entries) {
     mix(k);
     mix("=");
     mix(v);
@@ -107,7 +107,7 @@ std::string Report::to_json() const {
       w.value(v);
     }
   }
-  w.key("fingerprint").value(fingerprint());
+  w.key("fingerprint").value(config_fingerprint(config_));
   w.end_object();
   w.key("panels").begin_array();
   for (const Panel& p : panels_) {

@@ -89,9 +89,6 @@ class Report {
     timeline_json_ = std::move(json);
   }
 
-  /// FNV-1a over the config entries; stable across runs of one build.
-  std::string fingerprint() const;
-
   std::string to_json() const;
 
   /// Writes BENCH_<name>.json under $VMSTORM_BENCH_DIR (default ".").
@@ -111,6 +108,11 @@ class Report {
   std::string attribution_json_;  ///< empty = "attribution": null
   std::string timeline_json_;     ///< empty = "timeline": null
 };
+
+/// FNV-1a 64-bit over "key=value;" in entry order, as 16 hex digits: the
+/// config fingerprint of every BENCH artifact.
+std::string config_fingerprint(
+    const std::vector<std::pair<std::string, std::string>>& entries);
 
 /// Captures the Cloud's metrics registry into the report (collect + JSON).
 /// When tracing is enabled it additionally runs the critical-path analyzer

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/recorder.hpp"
+#include "sim/causal.hpp"
 
 namespace vmstorm::blob {
 
@@ -31,7 +32,6 @@ SimCluster::SimCluster(sim::Engine& engine, net::Network& network,
     obs_commits_ = &rec->metrics.counter("blob.commits");
     obs_chunk_pushes_ = &rec->metrics.counter("blob.chunk_pushes");
     obs_clones_ = &rec->metrics.counter("blob.clones");
-    tracer_ = &rec->trace;
   }
 }
 
@@ -50,59 +50,40 @@ sim::Task<std::vector<ChunkLocation>> SimCluster::locate(
 }
 
 sim::Task<void> SimCluster::fetch(net::NodeId client, ChunkLocation loc,
-                                  Bytes offset, Bytes length) {
+                                  Bytes length) {
   if (loc.is_hole() || length == 0) co_return;
   if (obs_fetches_) obs_fetches_->add();
   if (obs_fetched_bytes_) obs_fetched_bytes_->add(length);
   // Fetch is a repository-hinted span: provider disk service underneath
   // buckets as repo_disk, NIC time as net_transfer.
-  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
-  const std::uint64_t parent = engine_->current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_->set_current_span(span);
-  }
-  const double start = engine_->now_seconds();
+  sim::SpanScope span(*engine_);
   storage::Disk& disk = disk_of(loc.provider);
   // Provider-side work: read the chunk bytes (page-cache key = chunk key).
   co_await network_->round_trip(client, node_of(loc.provider),
                                 cfg_.data_request_bytes, length,
                                 disk.read(loc.key, length));
-  if (tr) {
-    tr->complete_span(start, engine_->now_seconds() - start, client, "blob",
-                      "fetch", span, parent,
-                      {obs::TraceArg::str("bucket", "repo"),
-                       obs::TraceArg::uint("provider", loc.provider),
-                       obs::TraceArg::uint("bytes", length)});
-    engine_->set_current_span(parent);
+  if (span) {
+    span.finish(client, "blob", "fetch",
+                {obs::TraceArg::str("bucket", "repo"),
+                 obs::TraceArg::uint("provider", loc.provider),
+                 obs::TraceArg::uint("bytes", length)});
   }
-  (void)offset;
 }
 
 sim::Task<void> SimCluster::push_chunk(net::NodeId client, ProviderId provider,
                                        ChunkKey key, Bytes length) {
-  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
-  const std::uint64_t parent = engine_->current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_->set_current_span(span);
-  }
-  const double start = engine_->now_seconds();
+  sim::SpanScope span(*engine_);
   // Send the chunk, then wait only for write-back admission (BlobSeer's
   // asynchronous write ACK); the platter flush proceeds in the background.
   co_await network_->round_trip(client, node_of(provider),
                                 cfg_.data_request_bytes + length,
                                 /*response_bytes=*/64,
                                 disk_of(provider).write_async(length, key));
-  if (tr) {
-    tr->complete_span(start, engine_->now_seconds() - start, client, "blob",
-                      "push", span, parent,
-                      {obs::TraceArg::str("bucket", "repo"),
-                       obs::TraceArg::uint("provider", provider),
-                       obs::TraceArg::uint("bytes", length)});
-    engine_->set_current_span(parent);
+  if (span) {
+    span.finish(client, "blob", "push",
+                {obs::TraceArg::str("bucket", "repo"),
+                 obs::TraceArg::uint("provider", provider),
+                 obs::TraceArg::uint("bytes", length)});
   }
 }
 
@@ -110,14 +91,7 @@ sim::Task<Version> SimCluster::commit(net::NodeId client, BlobId blob,
                                       Version base,
                                       std::vector<ChunkWrite> writes) {
   if (obs_commits_) obs_commits_->add();
-  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
-  const std::uint64_t parent = engine_->current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_->set_current_span(span);
-  }
-  const double commit_start = engine_->now_seconds();
+  sim::SpanScope span(*engine_);
   // 1. Ticket + provider allocation from the version manager.
   co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
                                cfg_.metadata_rpc_bytes);
@@ -155,13 +129,11 @@ sim::Task<Version> SimCluster::commit(net::NodeId client, BlobId blob,
                                cfg_.metadata_rpc_bytes, cfg_.metadata_rpc_bytes);
   co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
                                cfg_.metadata_rpc_bytes);
-  if (tr) {
-    tr->complete_span(commit_start, engine_->now_seconds() - commit_start,
-                      client, "blob", "commit", span, parent,
-                      {obs::TraceArg::uint("blob", blob),
-                       obs::TraceArg::uint("version", version),
-                       obs::TraceArg::uint("chunks", indices.size())});
-    engine_->set_current_span(parent);
+  if (span) {
+    span.finish(client, "blob", "commit",
+                {obs::TraceArg::uint("blob", blob),
+                 obs::TraceArg::uint("version", version),
+                 obs::TraceArg::uint("chunks", indices.size())});
   }
   co_return version;
 }
@@ -171,21 +143,11 @@ sim::Task<BlobId> SimCluster::clone(net::NodeId client, BlobId blob,
   auto r = store_->clone(blob, version);
   if (!r.is_ok()) raise(r.status());
   if (obs_clones_) obs_clones_->add();
-  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
-  const std::uint64_t parent = engine_->current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_->set_current_span(span);
-  }
-  const double start = engine_->now_seconds();
+  sim::SpanScope span(*engine_);
   co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
                                cfg_.metadata_rpc_bytes);
-  if (tr) {
-    tr->complete_span(start, engine_->now_seconds() - start, client, "blob",
-                      "clone", span, parent,
-                      {obs::TraceArg::uint("src", blob)});
-    engine_->set_current_span(parent);
+  if (span) {
+    span.finish(client, "blob", "clone", {obs::TraceArg::uint("src", blob)});
   }
   co_return r.value();
 }

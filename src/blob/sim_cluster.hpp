@@ -25,7 +25,6 @@
 
 namespace vmstorm::obs {
 class Counter;
-class Tracer;
 }  // namespace vmstorm::obs
 
 namespace vmstorm::blob {
@@ -57,11 +56,10 @@ class SimCluster {
   sim::Task<std::vector<ChunkLocation>> locate(net::NodeId client, BlobId blob,
                                                Version version, ByteRange range);
 
-  /// Fetches [offset, offset+length) of a stored chunk from its provider:
-  /// request -> provider disk read (page-cache aware) -> data response.
-  /// Hole chunks cost nothing (zero-fill is local).
-  sim::Task<void> fetch(net::NodeId client, ChunkLocation loc, Bytes offset,
-                        Bytes length);
+  /// Fetches `length` bytes of a stored chunk from its provider: request ->
+  /// provider disk read (page-cache aware) -> data response. Hole chunks
+  /// cost nothing (zero-fill is local).
+  sim::Task<void> fetch(net::NodeId client, ChunkLocation loc, Bytes length);
 
   /// COMMIT: allocation/ticket RPC to the version manager, parallel chunk
   /// pushes (transfer + provider write-back admission), then metadata
@@ -95,7 +93,6 @@ class SimCluster {
   obs::Counter* obs_commits_ = nullptr;
   obs::Counter* obs_chunk_pushes_ = nullptr;
   obs::Counter* obs_clones_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace vmstorm::blob

@@ -127,11 +127,12 @@ void Cloud::upload_image() {
 }
 
 std::unique_ptr<Cloud::Instance> Cloud::make_instance(std::size_t node_index,
-                                                      std::uint64_t salt) {
+                                                      const Instance* from) {
   auto inst = std::make_unique<Instance>();
   inst->node_index = node_index;
   storage::Disk& local = *disks_.at(node_index);
   const net::NodeId node = compute_nodes_.at(node_index);
+  const std::uint64_t salt = next_salt_++;
   switch (strategy_) {
     case Strategy::kOurs: {
       mirror::MirrorConfig mc;
@@ -140,15 +141,23 @@ std::unique_ptr<Cloud::Instance> Cloud::make_instance(std::size_t node_index,
       mc.prefetch_whole_chunks = cfg_.mirror_prefetch_whole_chunks;
       mc.single_region_per_chunk = cfg_.mirror_single_region_per_chunk;
       inst->ours = std::make_unique<mirror::SimVirtualDisk>(
-          *cluster_, node, local, image_blob_, 1, mc, salt);
+          *cluster_, node, local,
+          from != nullptr ? from->ours->target_blob() : image_blob_,
+          from != nullptr ? from->ours->target_version() : 1, mc, salt);
       inst->ours->set_commit_shared_fraction(cfg_.snapshot_shared_fraction);
       inst->vmdisk = std::make_unique<vm::MirrorVmDisk>(*inst->ours);
+      // A resumed instance already mirrors its own snapshot blob.
+      inst->cloned = from != nullptr;
       break;
     }
     case Strategy::kQcowOverPvfs:
       inst->qcow = std::make_unique<qcow::SimImage>(
           *sim_dfs_, backing_file_, local, node, cfg_.image_size,
           cfg_.qcow_cluster_size, salt);
+      if (from != nullptr) {
+        inst->qcow->adopt_allocation(*from->qcow);
+        inst->snapshot_file = from->snapshot_file;
+      }
       inst->vmdisk = std::make_unique<vm::QcowVmDisk>(*inst->qcow);
       break;
     case Strategy::kPrepropagation:
@@ -166,14 +175,9 @@ MultideployMetrics Cloud::multideploy(std::size_t n,
   const Bytes traffic0 = network_->total_traffic();
   const double t0 = engine_.now_seconds();
 
-  // Phase span: allocated before any child spawns so every coroutine of
-  // this deployment inherits it (or a descendant) as parent.
-  obs::Tracer* tr = sim::live_tracer(engine_);
-  std::uint64_t phase_span = 0;
-  if (tr) {
-    phase_span = tr->new_span();
-    engine_.set_current_span(phase_span);
-  }
+  // Phase span: opened before any child spawns so every coroutine of this
+  // deployment inherits it (or a descendant) as parent.
+  sim::SpanScope span(engine_);
 
   // Initialization phase (prepropagation only): broadcast the raw image.
   if (strategy_ == Strategy::kPrepropagation) {
@@ -194,7 +198,7 @@ MultideployMetrics Cloud::multideploy(std::size_t n,
   const vm::BootTrace trace = vm::BootTrace::generate(tp, cfg_.seed);
   Rng root(cfg_.seed ^ 0xb007b007ull);
   for (std::size_t i = 0; i < n; ++i) {
-    instances_.push_back(make_instance(i, next_salt_++));
+    instances_.push_back(make_instance(i, nullptr));
   }
   for (std::size_t i = 0; i < n; ++i) {
     vm::BootParams bpi = bp;
@@ -219,27 +223,19 @@ MultideployMetrics Cloud::multideploy(std::size_t n,
   for (auto& inst : instances_) last = std::max(last, inst->boot.finished);
   m.completion_seconds = last - t0;
   m.network_traffic = network_->total_traffic() - traffic0;
-  if (tr) {
+  if (span) {
     // Per-instance attribution comes from the vm/boot root spans; the phase
     // span only groups them in the chrome view.
-    tr->complete_span(t0, m.completion_seconds, 0, "cloud", "multideploy",
-                      phase_span, 0, {obs::TraceArg::uint("instances", n)});
-    engine_.set_current_span(0);
+    span.finish_at(last, 0, "cloud", "multideploy",
+                   {obs::TraceArg::uint("instances", n)});
   }
   return m;
 }
 
-sim::Task<void> Cloud::snapshot_one(Instance& inst, double started,
-                                    double* finished) {
-  // Root span for this snapshot: the analyzer attributes [started, finished]
-  // of each instance's snapshot against it.
-  obs::Tracer* tr = sim::live_tracer(engine_);
-  const std::uint64_t parent = engine_.current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_.set_current_span(span);
-  }
+sim::Task<void> Cloud::snapshot_one(Instance& inst, double* finished) {
+  // Root span for this snapshot: spawned at the phase start, so the analyzer
+  // attributes [phase start, finished] of each instance's snapshot to it.
+  sim::SpanScope span(engine_);
   switch (strategy_) {
     case Strategy::kOurs: {
       if (!inst.cloned) {
@@ -269,12 +265,9 @@ sim::Task<void> Cloud::snapshot_one(Instance& inst, double started,
       break;
   }
   *finished = engine_.now_seconds();
-  if (tr) {
-    tr->complete_span(started, *finished - started,
-                      static_cast<std::uint32_t>(inst.node_index), "cloud",
-                      "snapshot", span, parent,
-                      {obs::TraceArg::uint("instance", inst.node_index)});
-    engine_.set_current_span(parent);
+  if (span) {
+    span.finish(static_cast<std::uint32_t>(inst.node_index), "cloud",
+                "snapshot", {obs::TraceArg::uint("instance", inst.node_index)});
   }
 }
 
@@ -288,15 +281,10 @@ Result<MultisnapshotMetrics> Cloud::multisnapshot() {
   const Bytes traffic0 = network_->total_traffic();
   const Bytes repo0 = repository_bytes();
   const double t0 = engine_.now_seconds();
-  obs::Tracer* tr = sim::live_tracer(engine_);
-  std::uint64_t phase_span = 0;
-  if (tr) {
-    phase_span = tr->new_span();
-    engine_.set_current_span(phase_span);
-  }
+  sim::SpanScope span(engine_);
   std::vector<double> finished(instances_.size(), 0.0);
   for (std::size_t i = 0; i < instances_.size(); ++i) {
-    engine_.spawn(snapshot_one(*instances_[i], t0, &finished[i]));
+    engine_.spawn(snapshot_one(*instances_[i], &finished[i]));
   }
   run_engine();
   double last = t0;
@@ -307,20 +295,17 @@ Result<MultisnapshotMetrics> Cloud::multisnapshot() {
   m.completion_seconds = last - t0;
   m.network_traffic = network_->total_traffic() - traffic0;
   m.repository_growth = repository_bytes() - repo0;
-  if (tr) {
-    tr->complete_span(t0, m.completion_seconds, 0, "cloud", "multisnapshot",
-                      phase_span, 0,
-                      {obs::TraceArg::uint("instances", instances_.size())});
-    engine_.set_current_span(0);
+  if (span) {
+    span.finish_at(last, 0, "cloud", "multisnapshot",
+                   {obs::TraceArg::uint("instances", instances_.size())});
   }
   return m;
 }
 
 namespace {
-sim::Task<void> copy_snapshot_to_node(Cloud* cloud, dfs::SimDfs* dfs,
-                                      dfs::FileId file, net::NodeId node,
-                                      storage::Disk* disk, Bytes bytes) {
-  (void)cloud;
+sim::Task<void> copy_snapshot_to_node(dfs::SimDfs* dfs, dfs::FileId file,
+                                      net::NodeId node, storage::Disk* disk,
+                                      Bytes bytes) {
   co_await dfs->read(node, file, 0, bytes);
   co_await disk->write_async(bytes);
 }
@@ -332,18 +317,19 @@ Result<MultideployMetrics> Cloud::resume_boot(const vm::BootTraceParams& tp,
   if (next_fresh_node_ + instances_.size() > disks_.size()) {
     return resource_exhausted("not enough fresh nodes to resume on");
   }
+  if (strategy_ == Strategy::kPrepropagation) {
+    return failed_precondition("prepropagation cannot resume");
+  }
+  if (strategy_ == Strategy::kOurs &&
+      std::any_of(instances_.begin(), instances_.end(),
+                  [](const auto& inst) { return !inst->cloned; })) {
+    return failed_precondition("resume requires a prior multisnapshot");
+  }
   MultideployMetrics m;
   const Bytes traffic0 = network_->total_traffic();
   const double t0 = engine_.now_seconds();
+  sim::SpanScope span(engine_);
 
-  obs::Tracer* tr = sim::live_tracer(engine_);
-  std::uint64_t phase_span = 0;
-  if (tr) {
-    phase_span = tr->new_span();
-    engine_.set_current_span(phase_span);
-  }
-
-  std::vector<std::unique_ptr<Instance>> resumed;
   const vm::BootTrace trace = vm::BootTrace::generate(tp, cfg_.seed ^ 0x5e5);
   Rng root(cfg_.seed ^ 0x4e5043ull);
 
@@ -352,49 +338,15 @@ Result<MultideployMetrics> Cloud::resume_boot(const vm::BootTraceParams& tp,
     for (std::size_t i = 0; i < instances_.size(); ++i) {
       const std::size_t fresh = next_fresh_node_ + i;
       engine_.spawn(copy_snapshot_to_node(
-          this, sim_dfs_.get(), instances_[i]->snapshot_file,
-          compute_nodes_[fresh], disks_[fresh].get(),
-          instances_[i]->qcow->host_file_bytes()));
+          sim_dfs_.get(), instances_[i]->snapshot_file, compute_nodes_[fresh],
+          disks_[fresh].get(), instances_[i]->qcow->host_file_bytes()));
     }
     run_engine();
   }
 
+  std::vector<std::unique_ptr<Instance>> resumed;
   for (std::size_t i = 0; i < instances_.size(); ++i) {
-    const std::size_t fresh = next_fresh_node_ + i;
-    auto inst = std::make_unique<Instance>();
-    inst->node_index = fresh;
-    storage::Disk& local = *disks_[fresh];
-    const net::NodeId node = compute_nodes_[fresh];
-    switch (strategy_) {
-      case Strategy::kOurs: {
-        if (!instances_[i]->cloned) {
-          return failed_precondition("resume requires a prior multisnapshot");
-        }
-        mirror::MirrorConfig mc;
-        mc.image_size = cfg_.image_size;
-        mc.chunk_size = cfg_.chunk_size;
-        mc.prefetch_whole_chunks = cfg_.mirror_prefetch_whole_chunks;
-        mc.single_region_per_chunk = cfg_.mirror_single_region_per_chunk;
-        inst->ours = std::make_unique<mirror::SimVirtualDisk>(
-            *cluster_, node, local, instances_[i]->ours->target_blob(),
-            instances_[i]->ours->target_version(), mc, next_salt_++);
-        inst->vmdisk = std::make_unique<vm::MirrorVmDisk>(*inst->ours);
-        inst->cloned = true;
-        break;
-      }
-      case Strategy::kQcowOverPvfs: {
-        inst->qcow = std::make_unique<qcow::SimImage>(
-            *sim_dfs_, backing_file_, local, node, cfg_.image_size,
-            cfg_.qcow_cluster_size, next_salt_++);
-        inst->qcow->adopt_allocation(*instances_[i]->qcow);
-        inst->snapshot_file = instances_[i]->snapshot_file;
-        inst->vmdisk = std::make_unique<vm::QcowVmDisk>(*inst->qcow);
-        break;
-      }
-      case Strategy::kPrepropagation:
-        return failed_precondition("prepropagation cannot resume");
-    }
-    resumed.push_back(std::move(inst));
+    resumed.push_back(make_instance(next_fresh_node_ + i, instances_[i].get()));
   }
   next_fresh_node_ += instances_.size();
 
@@ -414,11 +366,9 @@ Result<MultideployMetrics> Cloud::resume_boot(const vm::BootTraceParams& tp,
   for (auto& inst : instances_) last = std::max(last, inst->boot.finished);
   m.completion_seconds = last - t0;
   m.network_traffic = network_->total_traffic() - traffic0;
-  if (tr) {
-    tr->complete_span(t0, m.completion_seconds, 0, "cloud", "resume_boot",
-                      phase_span, 0,
-                      {obs::TraceArg::uint("instances", instances_.size())});
-    engine_.set_current_span(0);
+  if (span) {
+    span.finish_at(last, 0, "cloud", "resume_boot",
+                   {obs::TraceArg::uint("instances", instances_.size())});
   }
   return m;
 }
@@ -832,11 +782,6 @@ void Cloud::collect_metrics() {
   reg.gauge("cloud.instances").set(as_d(instances_.size()));
   reg.gauge("cloud.repository_bytes").set(as_d(repository_bytes()));
 
-  // Trace health: nonzero pairing errors or dangling begins mean the span
-  // instrumentation regressed somewhere.
-  reg.gauge("trace.pairing_errors").set(as_d(obs_.trace.pairing_errors()));
-  reg.gauge("trace.open_begins").set(as_d(obs_.trace.open_begins()));
-
   // Trace volume accounting: what was recorded vs dropped, by cause. The
   // ring/sampling decisions are deterministic (capacity + seed-derived),
   // so these stay in the fingerprinted export too.
@@ -844,13 +789,6 @@ void Cloud::collect_metrics() {
   reg.gauge("trace.dropped").set(as_d(obs_.trace.dropped_total()));
   reg.gauge("trace.dropped_ring").set(as_d(obs_.trace.dropped_ring()));
   reg.gauge("trace.dropped_sampling").set(as_d(obs_.trace.dropped_sampling()));
-  reg.gauge("trace.dropped_stray_end")
-      .set(as_d(obs_.trace.dropped_stray_end()));
-  // Lane of the first stray end() (-1 while the trace is pairing-clean):
-  // turns "a pairing bug exists" into "start looking at this lane".
-  reg.gauge("trace.first_stray_lane")
-      .set(obs_.trace.has_stray_end() ? as_d(obs_.trace.first_stray_lane())
-                                      : -1.0);
 
   if (obs_.timeline.enabled()) {
     reg.gauge("timeline.samples_taken")

@@ -182,9 +182,11 @@ class Cloud {
 
   void build_testbed();
   void upload_image();
+  /// Builds the instance on compute node `node_index` with the next salt:
+  /// booting the image, or, when `from` is set, resuming `from`'s snapshot.
   std::unique_ptr<Instance> make_instance(std::size_t node_index,
-                                          std::uint64_t salt);
-  sim::Task<void> snapshot_one(Instance& inst, double started, double* finished);
+                                          const Instance* from);
+  sim::Task<void> snapshot_one(Instance& inst, double* finished);
 
   // ---- Timeline sampling --------------------------------------------------
   // Cached series ids and previous cumulative counter values for the

@@ -32,14 +32,7 @@ sim::Task<void> SimDfs::read_piece(net::NodeId client, FileId file,
                                    StripePiece piece) {
   // Repository-hinted span: DFS server disk/CPU time under it buckets as
   // repo_disk, the wire time as net_transfer.
-  obs::Tracer* tr = sim::live_tracer(*engine_);
-  const std::uint64_t parent = engine_->current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_->set_current_span(span);
-  }
-  const double start = engine_->now_seconds();
+  sim::SpanScope span(*engine_);
   auto server_work = [](SimDfs* self, FileId f, StripePiece p) -> sim::Task<void> {
     co_await self->server_cpus_.at(p.server)->serve(0);
     co_await self->server_disks_.at(p.server)->read(
@@ -48,25 +41,16 @@ sim::Task<void> SimDfs::read_piece(net::NodeId client, FileId file,
   co_await network_->round_trip(client, server_nodes_.at(piece.server),
                                 cfg_.request_bytes, piece.length,
                                 std::move(server_work));
-  if (tr) {
-    tr->complete_span(start, engine_->now_seconds() - start, client, "dfs",
-                      "read", span, parent,
-                      {obs::TraceArg::str("bucket", "repo"),
-                       obs::TraceArg::uint("bytes", piece.length)});
-    engine_->set_current_span(parent);
+  if (span) {
+    span.finish(client, "dfs", "read",
+                {obs::TraceArg::str("bucket", "repo"),
+                 obs::TraceArg::uint("bytes", piece.length)});
   }
 }
 
 sim::Task<void> SimDfs::write_piece(net::NodeId client, FileId file,
                                     StripePiece piece) {
-  obs::Tracer* tr = sim::live_tracer(*engine_);
-  const std::uint64_t parent = engine_->current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_->set_current_span(span);
-  }
-  const double start = engine_->now_seconds();
+  sim::SpanScope span(*engine_);
   auto server_work = [](SimDfs* self, FileId /*file*/, StripePiece p) -> sim::Task<void> {
     co_await self->server_cpus_.at(p.server)->serve(0);
     // PVFS acks a write once it is on the platter (no server-side write
@@ -76,12 +60,10 @@ sim::Task<void> SimDfs::write_piece(net::NodeId client, FileId file,
   co_await network_->round_trip(client, server_nodes_.at(piece.server),
                                 cfg_.request_bytes + piece.length,
                                 /*response_bytes=*/64, std::move(server_work));
-  if (tr) {
-    tr->complete_span(start, engine_->now_seconds() - start, client, "dfs",
-                      "write", span, parent,
-                      {obs::TraceArg::str("bucket", "repo"),
-                       obs::TraceArg::uint("bytes", piece.length)});
-    engine_->set_current_span(parent);
+  if (span) {
+    span.finish(client, "dfs", "write",
+                {obs::TraceArg::str("bucket", "repo"),
+                 obs::TraceArg::uint("bytes", piece.length)});
   }
 }
 

@@ -61,8 +61,7 @@ sim::Task<void> SimVirtualDisk::fetch_ranges(std::vector<ByteRange> ranges,
         inflight_[ci] = std::make_shared<sim::Event>(engine, "mirror.inflight");
         registered.push_back(ci);
       }
-      fetches.push_back(cluster_->fetch(node_, it->second,
-                                        sub.lo - ci * chunk_size, sub.size()));
+      fetches.push_back(cluster_->fetch(node_, it->second, sub.size()));
       stats_.remote_bytes_fetched += sub.size();
       ++stats_.remote_fetches;
     }

@@ -11,7 +11,6 @@ Network::Network(sim::Engine& engine, std::size_t node_count, NetworkConfig cfg)
     obs_transfers_ = &rec->metrics.counter("net.transfers");
     obs_queue_wait_ = &rec->metrics.histogram("net.queue_wait_seconds");
     obs_transfer_time_ = &rec->metrics.histogram("net.transfer_seconds");
-    tracer_ = &rec->trace;
   }
   nodes_.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) add_node();
@@ -48,38 +47,32 @@ sim::Task<void> Network::transfer(NodeId src, NodeId dst, Bytes payload) {
   // Each transfer is a span: the NIC wait/svc events it generates parent
   // under it, and the propagation/handshake sleeps (invisible to any
   // FifoServer) are recorded as explicit cost events.
-  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
-  const std::uint64_t parent = engine_->current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_->set_current_span(span);
-  }
+  sim::SpanScope span(*engine_);
 
   if (cfg_.connection_setup > 0 && connections_.emplace(src, dst).second) {
     const double conn_start = engine_->now_seconds();
     co_await engine_->sleep(cfg_.connection_setup);
-    if (tr) {
+    if (obs::Tracer* tr = sim::live_tracer(*engine_)) {
       tr->complete_in(conn_start, engine_->now_seconds() - conn_start, src,
-                      "svc", "net.conn", span);
+                      "svc", "net.conn", span.id());
     }
   }
   co_await s.tx_.serve_with_overhead(wire, cfg_.per_message_cpu);
   const double lat_start = engine_->now_seconds();
   co_await engine_->sleep(cfg_.latency);
-  if (tr) {
+  if (obs::Tracer* tr = sim::live_tracer(*engine_)) {
     tr->complete_in(lat_start, engine_->now_seconds() - lat_start, src, "svc",
-                    "net.latency", span);
+                    "net.latency", span.id());
   }
   co_await d.rx_.serve_with_overhead(wire, cfg_.per_message_cpu);
 
-  const double elapsed = engine_->now_seconds() - start;
-  if (obs_transfer_time_) obs_transfer_time_->record(elapsed);
-  if (tr) {
-    tr->complete_span(start, elapsed, src, "net", "transfer", span, parent,
-                      {obs::TraceArg::uint("dst", dst),
-                       obs::TraceArg::uint("bytes", payload)});
-    engine_->set_current_span(parent);
+  if (obs_transfer_time_) {
+    obs_transfer_time_->record(engine_->now_seconds() - start);
+  }
+  if (span) {
+    span.finish(src, "net", "transfer",
+                {obs::TraceArg::uint("dst", dst),
+                 obs::TraceArg::uint("bytes", payload)});
   }
 }
 
@@ -99,20 +92,11 @@ sim::Task<void> Network::small_rpc(NodeId client, NodeId server,
                                    Bytes request_bytes, Bytes response_bytes) {
   // Metadata-sized RPC: everything underneath (transfers, NIC queueing)
   // buckets as metadata time in the critical-path attribution.
-  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
-  const std::uint64_t parent = engine_->current_span();
-  std::uint64_t span = 0;
-  const double start = engine_->now_seconds();
-  if (tr) {
-    span = tr->new_span(parent);
-    engine_->set_current_span(span);
-  }
+  sim::SpanScope span(*engine_);
   co_await round_trip(client, server, request_bytes, response_bytes, noop());
-  if (tr) {
-    tr->complete_span(start, engine_->now_seconds() - start, client, "net",
-                      "rpc", span, parent,
-                      {obs::TraceArg::str("bucket", "metadata")});
-    engine_->set_current_span(parent);
+  if (span) {
+    span.finish(client, "net", "rpc",
+                {obs::TraceArg::str("bucket", "metadata")});
   }
 }
 

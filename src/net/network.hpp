@@ -25,7 +25,6 @@
 namespace vmstorm::obs {
 class Counter;
 class ExpHistogram;
-class Tracer;
 }  // namespace vmstorm::obs
 
 namespace vmstorm::net {
@@ -127,7 +126,6 @@ class Network {
   obs::Counter* obs_transfers_ = nullptr;
   obs::ExpHistogram* obs_queue_wait_ = nullptr;
   obs::ExpHistogram* obs_transfer_time_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace vmstorm::net

@@ -124,13 +124,6 @@ void Tracer::set_sampling(double rate, std::uint64_t seed) {
   }
 }
 
-void Tracer::complete(double ts, double dur, std::uint32_t lane,
-                      std::string_view cat, std::string_view name,
-                      std::vector<TraceArg> args) {
-  if (!enabled_) return;
-  push(ts, dur, 'X', lane, cat, name, std::move(args));
-}
-
 void Tracer::complete_span(double ts, double dur, std::uint32_t lane,
                            std::string_view cat, std::string_view name,
                            SpanId id, SpanId parent,
@@ -155,33 +148,6 @@ void Tracer::complete_in(double ts, double dur, std::uint32_t lane,
   }
   TraceEvent& ev = push(ts, dur, 'X', lane, cat, name, std::move(args));
   ev.span = span;
-}
-
-void Tracer::begin(double ts, std::uint32_t lane, std::string_view cat,
-                   std::string_view name, std::vector<TraceArg> args) {
-  if (!enabled_) return;
-  ++begin_depth_[lane];
-  push(ts, -1, 'B', lane, cat, name, std::move(args));
-}
-
-void Tracer::end(double ts, std::uint32_t lane, std::string_view cat,
-                 std::string_view name) {
-  if (!enabled_) return;
-  auto it = begin_depth_.find(lane);
-  if (it == begin_depth_.end() || it->second == 0) {
-    // Unbalanced end: emitting it would produce a malformed Chrome trace, so
-    // count the error and drop the event. Surfaced as trace.dropped_stray_end
-    // (and the legacy trace.pairing_errors gauge); the first offender's lane
-    // is kept so the trace.first_stray_lane gauge can name the culprit.
-    if (!has_stray_end_) {
-      has_stray_end_ = true;
-      first_stray_lane_ = lane;
-    }
-    ++pairing_errors_;
-    return;
-  }
-  --it->second;
-  push(ts, -1, 'E', lane, cat, name, {});
 }
 
 void Tracer::instant(double ts, std::uint32_t lane, std::string_view cat,
@@ -210,12 +176,6 @@ void Tracer::flow_end(double ts, std::uint32_t lane, std::string_view name,
   push(ts, -1, 'f', lane, "flow", name, {}).id = id;
 }
 
-std::uint64_t Tracer::open_begins() const {
-  std::uint64_t n = 0;
-  for (const auto& [lane, depth] : begin_depth_) n += depth;
-  return n;
-}
-
 void Tracer::clear() {
   std::vector<TraceEvent> empty;
   ring_.swap(empty);
@@ -224,10 +184,6 @@ void Tracer::clear() {
   dropped_sampling_ = 0;
   std::vector<std::uint8_t> no_bits;
   sampled_bits_.swap(no_bits);
-  begin_depth_.clear();
-  pairing_errors_ = 0;
-  has_stray_end_ = false;
-  first_stray_lane_ = 0;
   last_id_ = 0;
 }
 

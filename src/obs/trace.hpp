@@ -8,19 +8,22 @@
 //
 // Causality: events can carry span identity. A *span* event (complete_span)
 // owns a fresh id and names its parent, forming the span DAG the critical-
-// path analyzer (obs/critpath.hpp) walks. A *cost* event (complete_in) is a
-// leaf interval — service time or queue wait — attributed to the enclosing
-// span. Cross-coroutine wakeups are tied together with Chrome flow events
-// ('s' at the releaser, 'f' at the resumed waiter, same id).
+// path analyzer (obs/critpath.hpp) walks. Simulated components open spans
+// through sim::SpanScope (sim/causal.hpp), which allocates the id, makes it
+// the engine's current span and, when finished, records the span and makes
+// the parent current again; any other exit only restores the parent. A
+// *cost* event (complete_in) is a leaf interval — service time or queue
+// wait — attributed to the enclosing span. Cross-coroutine wakeups are tied
+// together with Chrome flow events ('s' at the releaser, 'f' at the resumed
+// waiter, same id). Instant events mark milestones.
 //
 // Bounded recording: events live in a ring of ring_capacity() slots. The
 // backing store grows by amortized doubling up to the capacity (small runs
 // never pay for a big ring), then the oldest event is overwritten and
 // counted in dropped_ring(). Per-root-span sampling (set_sampling) keeps a
 // deterministic, seed-derived subset of span/cost events at scale; every
-// suppressed event is counted in dropped_sampling(). Stray end() calls are
-// counted in dropped_stray_end(). Together these are the trace.dropped_*
-// gauges exported by Cloud::collect_metrics().
+// suppressed event is counted in dropped_sampling(). Together these are the
+// trace.dropped_* gauges exported by Cloud::collect_metrics().
 //
 // Two export formats:
 //   * jsonl()        — one JSON object per line, for jq/scripts and
@@ -38,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,8 +71,8 @@ struct TraceArg {
 struct TraceEvent {
   double ts = 0;        ///< simulated seconds
   double dur = -1;      ///< >= 0 for complete ('X') events
-  char phase = 'i';     ///< 'X' complete, 'B' begin, 'E' end, 'i' instant,
-                        ///< 's'/'f' flow start/finish
+  char phase = 'i';     ///< 'X' complete, 'i' instant, 's'/'f' flow
+                        ///< start/finish
   std::uint32_t lane = 0;  ///< rendered as the Chrome tid (node/instance id)
   SpanId id = 0;        ///< span events: own id; flow events: arrow binding
   SpanId parent = 0;    ///< span events: enclosing span's id
@@ -117,11 +119,6 @@ class Tracer {
     return id >= sampled_bits_.size() || sampled_bits_[id] != 0;
   }
 
-  /// A span known only at completion: [ts, ts+dur).
-  void complete(double ts, double dur, std::uint32_t lane,
-                std::string_view cat, std::string_view name,
-                std::vector<TraceArg> args = {});
-
   /// A completed span with causal identity: carries its own id and its
   /// parent's, forming the span DAG critpath walks. Suppressed (and
   /// counted) when span `id` is sampled out.
@@ -136,10 +133,6 @@ class Tracer {
                    std::string_view cat, std::string_view name, SpanId span,
                    std::vector<TraceArg> args = {});
 
-  void begin(double ts, std::uint32_t lane, std::string_view cat,
-             std::string_view name, std::vector<TraceArg> args = {});
-  void end(double ts, std::uint32_t lane, std::string_view cat,
-           std::string_view name);
   void instant(double ts, std::uint32_t lane, std::string_view cat,
                std::string_view name, std::vector<TraceArg> args = {});
 
@@ -153,27 +146,13 @@ class Tracer {
   void flow_end(double ts, std::uint32_t lane, std::string_view name,
                 SpanId id);
 
-  /// Begin/end pairing health. An end() on a lane with no open begin is
-  /// counted here and *dropped* (it would render as a malformed Chrome
-  /// trace); open_begins() is the number of begins still unclosed.
-  std::uint64_t pairing_errors() const { return pairing_errors_; }
-  std::uint64_t open_begins() const;
-
-  /// Lane of the first stray end() this tracer dropped — the drop counter
-  /// alone says a pairing bug exists somewhere; the lane says where to
-  /// start looking. Valid only while has_stray_end() is true.
-  bool has_stray_end() const { return has_stray_end_; }
-  std::uint32_t first_stray_lane() const { return first_stray_lane_; }
-
   // ---- Drop accounting, by cause -----------------------------------------
   /// Oldest events overwritten because the ring was full.
   std::uint64_t dropped_ring() const { return dropped_ring_; }
   /// Span/cost/flow events suppressed by per-root-span sampling.
   std::uint64_t dropped_sampling() const { return dropped_sampling_; }
-  /// end() calls with no matching begin (same count as pairing_errors()).
-  std::uint64_t dropped_stray_end() const { return pairing_errors_; }
   std::uint64_t dropped_total() const {
-    return dropped_ring_ + dropped_sampling_ + pairing_errors_;
+    return dropped_ring_ + dropped_sampling_;
   }
   /// Events accepted into the ring over the tracer's lifetime, including
   /// any that were later overwritten.
@@ -185,7 +164,7 @@ class Tracer {
   std::size_t size() const {
     return count_ < capacity_ ? static_cast<std::size_t>(count_) : capacity_;
   }
-  /// Drops recorded events and resets drop/pairing counters and span ids.
+  /// Drops recorded events and resets drop counters and span ids.
   /// Ring capacity and the sampling config survive.
   void clear();
 
@@ -214,10 +193,6 @@ class Tracer {
 
   bool enabled_ = false;
   SpanId last_id_ = 0;
-  std::uint64_t pairing_errors_ = 0;
-  bool has_stray_end_ = false;
-  std::uint32_t first_stray_lane_ = 0;
-  std::map<std::uint32_t, std::uint64_t> begin_depth_;  ///< per-lane open begins
 
   // Ring sink. ring_.size() grows on demand up to capacity_; slot k of
   // event number n is n % capacity_.

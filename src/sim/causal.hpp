@@ -1,19 +1,23 @@
-// Causal-tracing hooks for the simulator: wait-edge recording and span
-// handoff at wake sites.
+// Causal-tracing hooks for the simulator: span scopes, wait-edge recording
+// and span handoff at wake sites.
 //
-// The primitives in sync.hpp / resource.hpp / storage::Disk call these
-// helpers when a coroutine blocks on a shared resource and when the holder
-// releases it. A resumed waiter leaves behind a "wait" cost event spanning
-// the blocked interval, annotated with the span that held the resource, and
-// a Chrome flow arrow from releaser to waiter when they belong to different
-// spans. With no Recorder attached (or tracing disabled) every hook reduces
-// to a null check — the simulation itself never branches on tracing, so
-// enabling a tracer cannot change event order.
+// Components open their spans with SpanScope. The primitives in sync.hpp /
+// resource.hpp / storage::Disk call the wait helpers when a coroutine blocks
+// on a shared resource and when the holder releases it. A resumed waiter
+// leaves behind a "wait" cost event spanning the blocked interval, annotated
+// with the span that held the resource, and a Chrome flow arrow from
+// releaser to waiter when they belong to different spans. With no Recorder
+// attached (or tracing disabled) every hook reduces to a null check — the
+// simulation itself never branches on tracing, so enabling a tracer cannot
+// change event order.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "obs/recorder.hpp"
 #include "sim/audit.hpp"
@@ -27,6 +31,66 @@ inline obs::Tracer* live_tracer(const Engine& engine) {
   obs::Recorder* rec = engine.recorder();
   return (rec != nullptr && rec->trace.enabled()) ? &rec->trace : nullptr;
 }
+
+/// The one way to open a span. Construction opens a child of the engine's
+/// current span and makes it current; finish() records it and makes the
+/// parent current again. Any other exit from the owning frame (an early
+/// return, an exception, destruction while suspended) records nothing and
+/// restores the parent only while this span is still current, so a frame
+/// destroyed from another coroutine leaves that coroutine's span alone.
+/// Nothing is needed across co_await: every resumption restores the span
+/// that was current when it was queued.
+///
+/// With tracing off no id is allocated, the engine's span is never written
+/// and the scope tests false. Sites write `if (span) span.finish(...)` so
+/// that they build no argument list either.
+class SpanScope {
+ public:
+  explicit SpanScope(Engine& engine)
+      : engine_(engine), tracer_(live_tracer(engine)) {
+    if (tracer_ == nullptr) return;
+    start_ = engine.now_seconds();
+    parent_ = engine.current_span();
+    id_ = tracer_->new_span(parent_);
+    engine.set_current_span(id_);
+  }
+  ~SpanScope() {
+    if (tracer_ != nullptr && engine_.current_span() == id_) {
+      engine_.set_current_span(parent_);
+    }
+  }
+  SpanScope(const SpanScope&) = delete;
+  SpanScope& operator=(const SpanScope&) = delete;
+
+  /// True while the span is open with tracing on.
+  explicit operator bool() const { return tracer_ != nullptr; }
+  obs::SpanId id() const { return id_; }
+
+  /// Records the span over [open time, now) and restores the parent.
+  void finish(std::uint32_t lane, std::string_view cat, std::string_view name,
+              std::vector<obs::TraceArg> args = {}) {
+    finish_at(engine_.now_seconds(), lane, cat, name, std::move(args));
+  }
+
+  /// Records the span over [open time, end) and restores the parent: a
+  /// phase ends with its slowest instance, not when run() has drained the
+  /// background flushers.
+  void finish_at(double end, std::uint32_t lane, std::string_view cat,
+                 std::string_view name, std::vector<obs::TraceArg> args = {}) {
+    if (tracer_ == nullptr) return;
+    tracer_->complete_span(start_, end - start_, lane, cat, name, id_, parent_,
+                           std::move(args));
+    engine_.set_current_span(parent_);
+    tracer_ = nullptr;
+  }
+
+ private:
+  Engine& engine_;
+  obs::Tracer* tracer_;
+  double start_ = 0;
+  obs::SpanId parent_ = 0;
+  obs::SpanId id_ = 0;
+};
 
 /// Creates a pooled wait record for handle `h`, capturing the suspending
 /// coroutine's span context and the time it blocked.

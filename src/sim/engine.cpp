@@ -102,7 +102,7 @@ JoinHandle Engine::spawn(Task<void> task) {
   DetachedTask d = detached_body(this, std::move(task), state, &live_tasks_);
   // The detached frame is engine-owned and self-destroys only on completion,
   // so its startup resumption needs no liveness guard.
-  // lint:allow(unguarded-waiter-schedule) detached frame cannot be destroyed externally
+  // vmlint:allow(unguarded-waiter-schedule) detached frame cannot be destroyed externally
   schedule_after(0, d.handle);
   return JoinHandle(state);
 }

@@ -11,13 +11,7 @@ sim::Task<void> run_boot(sim::Engine& engine, VmDisk& disk,
   result->started = engine.now_seconds();
   // Root span for this instance: the critical-path analyzer attributes
   // everything inside [started, finished] against it.
-  obs::Tracer* tr = sim::live_tracer(engine);
-  const std::uint64_t parent = engine.current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span(parent);
-    engine.set_current_span(span);
-  }
+  sim::SpanScope span(engine);
   for (const BootOp& op : trace.ops()) {
     switch (op.kind) {
       case BootOp::Kind::kRead:
@@ -36,11 +30,9 @@ sim::Task<void> run_boot(sim::Engine& engine, VmDisk& disk,
     }
   }
   result->finished = engine.now_seconds();
-  if (tr) {
-    tr->complete_span(result->started, result->finished - result->started,
-                      params.trace_lane, "vm", params.trace_kind, span, parent,
-                      {obs::TraceArg::uint("instance", params.trace_instance)});
-    engine.set_current_span(parent);
+  if (span) {
+    span.finish(params.trace_lane, "vm", params.trace_kind,
+                {obs::TraceArg::uint("instance", params.trace_instance)});
   }
 }
 

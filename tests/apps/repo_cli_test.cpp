@@ -230,7 +230,7 @@ std::string write_engine_artifact(const std::string& schema) {
       << R"("queue_depth_high_water":512,"wait_records_created":4000,)"
       << R"("wait_records_live_high_water":256,"cancelled_wakeups":3,)"
       << R"("trace":{"recorded":9000,"dropped_ring":100,)"
-      << R"("dropped_sampling":0,"dropped_stray_end":0}},)"
+      << R"("dropped_sampling":0}},)"
       << R"("overhead":{"arms":[)";
   for (int i = 0; i < 3; ++i) {
     if (i > 0) out << ",";
@@ -238,7 +238,7 @@ std::string write_engine_artifact(const std::string& schema) {
         << R"(,"events_per_sec":)" << 10000.0 / (1.0 + i * 0.25)
         << R"(,"peak_rss_bytes":1048576,)"
         << R"("trace":{"recorded":)" << i * 4500
-        << R"(,"dropped_ring":0,"dropped_sampling":0,"dropped_stray_end":0},)"
+        << R"(,"dropped_ring":0,"dropped_sampling":0},)"
         << R"("phases":{"queue_ops":0.2,"auditor":0.1,"resume":0.5,)"
         << R"("tracer":)" << i * 0.1
         << R"(,"dispatch":0.2,"user_work":0.4}})";

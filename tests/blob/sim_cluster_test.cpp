@@ -62,7 +62,7 @@ TEST(SimCluster, FetchChargesDiskAndNetwork) {
   rig.engine.spawn([](Rig& r, BlobId blob, double* out) -> Task<void> {
     auto locs = co_await r.cluster->locate(r.client, blob, 1, ByteRange{0, 500});
     EXPECT_EQ(locs.size(), 1u);
-    co_await r.cluster->fetch(r.client, locs[0], 0, 500);
+    co_await r.cluster->fetch(r.client, locs[0], 500);
     *out = r.engine.now_seconds();
   }(rig, b, &done));
   rig.engine.run();
@@ -80,9 +80,9 @@ TEST(SimCluster, SecondFetchHitsProviderPageCache) {
   double first = 0, second = 0;
   rig.engine.spawn([](Rig& r, BlobId blob, double* t1, double* t2) -> Task<void> {
     auto locs = co_await r.cluster->locate(r.client, blob, 1, ByteRange{0, 500});
-    co_await r.cluster->fetch(r.client, locs[0], 0, 500);
+    co_await r.cluster->fetch(r.client, locs[0], 500);
     *t1 = r.engine.now_seconds();
-    co_await r.cluster->fetch(r.client, locs[0], 0, 500);
+    co_await r.cluster->fetch(r.client, locs[0], 500);
     *t2 = r.engine.now_seconds();
   }(rig, b, &first, &second));
   rig.engine.run();
@@ -100,7 +100,7 @@ TEST(SimCluster, HoleFetchIsFree) {
   rig.engine.spawn([](Rig& r, BlobId blob, double* out) -> Task<void> {
     auto locs = co_await r.cluster->locate(r.client, blob, 0, ByteRange{0, 500});
     const Bytes before = r.network.total_traffic();
-    co_await r.cluster->fetch(r.client, locs[0], 0, 500);
+    co_await r.cluster->fetch(r.client, locs[0], 500);
     EXPECT_EQ(r.network.total_traffic(), before);
     *out = r.engine.now_seconds();
   }(rig, b, &done));
@@ -173,7 +173,7 @@ TEST(SimCluster, ManyClientsContendOnProvider) {
     rig.engine.spawn([](Rig& r, net::NodeId who, BlobId blob, double* out)
                          -> Task<void> {
       auto locs = co_await r.cluster->locate(who, blob, 1, ByteRange{0, 500});
-      co_await r.cluster->fetch(who, locs[0], 0, 500);
+      co_await r.cluster->fetch(who, locs[0], 500);
       *out = r.engine.now_seconds();
     }(rig, clients[i], b, &done[i]));
   }

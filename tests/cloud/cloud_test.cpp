@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 namespace vmstorm::cloud {
 namespace {
 
@@ -154,6 +157,68 @@ TEST(Cloud, DeterministicAcrossIdenticalRuns) {
     return std::make_pair(m.completion_seconds, m.network_traffic);
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(Cloud, FailedResumeLeavesNoSpanCurrent) {
+  // Both fail their precondition after a traced deploy: kOurs because no
+  // multisnapshot came first, kPrepropagation because it cannot resume.
+  for (Strategy s : {Strategy::kOurs, Strategy::kPrepropagation}) {
+    Cloud cloud(small_config(), s);
+    cloud.obs().trace.set_enabled(true);
+    cloud.multideploy(2, small_trace());
+    EXPECT_FALSE(cloud.resume_boot(small_trace()).is_ok());
+    EXPECT_EQ(cloud.engine().current_span(), 0u) << strategy_name(s);
+  }
+}
+
+std::string fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Same-seed exports are a contract: span plumbing must not change what
+// gets recorded. Per strategy: deploy 3 VMs, run the app phase, snapshot,
+// resume, with tracing and the timeline on (trace-volume knobs pinned
+// against the environment), then digest the trace, timeline and metrics
+// exports. Prepropagation fails the snapshot and the resume, which the
+// digests cover too. A change that moves a digest must say why.
+TEST(Cloud, ExportsArePinned) {
+  struct Pin {
+    Strategy strategy;
+    const char* trace;
+    const char* timeline;
+    const char* metrics;
+  };
+  for (const Pin& pin : {
+           Pin{Strategy::kOurs, "f16be9723ec51b61", "d4fc8c5a5efcff5a",
+               "ba94cc036a46df6e"},
+           Pin{Strategy::kQcowOverPvfs, "38c69e2b1dabf821", "2b4a36c2c7e093b5",
+               "d1a929694f7a2339"},
+           Pin{Strategy::kPrepropagation, "259c9dee181efb38",
+               "2b31f5c5f89599a5", "52c0bc4f2d140243"},
+       }) {
+    SCOPED_TRACE(strategy_name(pin.strategy));
+    Cloud cloud(small_config(), pin.strategy);
+    cloud.obs().trace.set_enabled(true);
+    cloud.obs().trace.set_ring_capacity(obs::Tracer::kDefaultRingCapacity);
+    cloud.obs().trace.set_sampling(1.0, 0);
+    cloud.enable_timeline();
+    cloud.multideploy(3, small_trace());
+    cloud.run_app_phase(1.0, 128_KiB);
+    const bool can_snapshot = pin.strategy != Strategy::kPrepropagation;
+    EXPECT_EQ(cloud.multisnapshot().is_ok(), can_snapshot);
+    EXPECT_EQ(cloud.resume_boot(small_trace()).is_ok(), can_snapshot);
+    EXPECT_EQ(fnv1a(cloud.trace_jsonl()), pin.trace);
+    EXPECT_EQ(fnv1a(cloud.timeline_json()), pin.timeline);
+    EXPECT_EQ(fnv1a(cloud.metrics_json()), pin.metrics);
+  }
 }
 
 TEST(Cloud, ReplicationIncreasesRepositoryFootprint) {

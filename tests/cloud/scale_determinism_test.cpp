@@ -38,7 +38,6 @@ struct SimSection {
   std::uint64_t trace_recorded = 0;
   std::uint64_t trace_dropped_ring = 0;
   std::uint64_t trace_dropped_sampling = 0;
-  std::uint64_t trace_dropped_stray_end = 0;
 
   bool operator==(const SimSection&) const = default;
 };
@@ -73,7 +72,6 @@ SimSection baseline_sim() {
   s.trace_recorded = u64_field(tr, "recorded");
   s.trace_dropped_ring = u64_field(tr, "dropped_ring");
   s.trace_dropped_sampling = u64_field(tr, "dropped_sampling");
-  s.trace_dropped_stray_end = u64_field(tr, "dropped_stray_end");
   return s;
 }
 
@@ -101,7 +99,6 @@ SimSection run_quick_workload() {
   s.trace_recorded = tr.recorded_total();
   s.trace_dropped_ring = tr.dropped_ring();
   s.trace_dropped_sampling = tr.dropped_sampling();
-  s.trace_dropped_stray_end = tr.dropped_stray_end();
   return s;
 }
 
@@ -118,7 +115,6 @@ void expect_sim_eq(const SimSection& got, const SimSection& want) {
   EXPECT_SIM_FIELD_EQ(got, want, trace_recorded);
   EXPECT_SIM_FIELD_EQ(got, want, trace_dropped_ring);
   EXPECT_SIM_FIELD_EQ(got, want, trace_dropped_sampling);
-  EXPECT_SIM_FIELD_EQ(got, want, trace_dropped_stray_end);
 }
 
 TEST(ScaleDeterminism, QuickSimSectionMatchesCommittedBaselineExactly) {

@@ -144,16 +144,5 @@ TEST(CloudTimeline, TimelineGaugesExportedWhenEnabled) {
   EXPECT_EQ(m.gauge("timeline.dropped_samples").value(), 0.0);
 }
 
-TEST(CloudTimeline, FirstStrayLaneGaugeDefaultsToSentinel) {
-  Cloud cloud(small_config(), Strategy::kOurs);
-  cloud.obs().trace.set_enabled(true);
-  cloud.multideploy(4, small_trace());
-  cloud.collect_metrics();
-  // A healthy run has no stray span ends: the gauge reports -1.
-  EXPECT_EQ(cloud.obs().metrics.gauge("trace.first_stray_lane").value(),
-            -1.0);
-  EXPECT_FALSE(cloud.obs().trace.has_stray_end());
-}
-
 }  // namespace
 }  // namespace vmstorm::cloud

@@ -126,7 +126,7 @@ TEST(Critpath, BackgroundWorkOutsideAnySpanIsIgnored) {
   const obs::SpanId root = t.new_span();
   t.complete_in(0.0, 1.0, 0, "svc", "disk", root);
   // span 0 = detached background work (e.g. the write-back flusher).
-  t.complete(0.0, 5.0, 0, "svc", "disk");
+  t.complete_in(0.0, 5.0, 0, "svc", "disk", 0);
   t.complete_span(0.0, 2.0, 0, "vm", "boot", root, 0);
   const obs::CritReport report = obs::analyze_critical_paths(t.events());
   ASSERT_EQ(report.rows.size(), 1u);
@@ -138,20 +138,11 @@ TEST(Critpath, BackgroundWorkOutsideAnySpanIsIgnored) {
 
 sim::Task<void> traced_boot(sim::Engine* engine, mirror::SimVirtualDisk* disk,
                             std::uint64_t instance, std::uint32_t lane) {
-  obs::Tracer* tr = sim::live_tracer(*engine);
-  const std::uint64_t parent = engine->current_span();
-  std::uint64_t span = 0;
-  if (tr) {
-    span = tr->new_span();
-    engine->set_current_span(span);
-  }
-  const double start = engine->now_seconds();
+  sim::SpanScope span(*engine);
   co_await disk->read(0, 512_KiB);
-  if (tr) {
-    tr->complete_span(start, engine->now_seconds() - start, lane, "vm", "boot",
-                      span, parent,
-                      {obs::TraceArg::uint("instance", instance)});
-    engine->set_current_span(parent);
+  if (span) {
+    span.finish(lane, "vm", "boot",
+                {obs::TraceArg::uint("instance", instance)});
   }
 }
 
@@ -159,7 +150,6 @@ struct ScenarioOut {
   obs::CritReport report;
   std::string attribution;
   std::string jsonl;
-  std::uint64_t pairing_errors = 0;
 };
 
 // Two VMs on nodes 2 and 3 concurrently fetch the same 512 KiB from a
@@ -206,7 +196,6 @@ ScenarioOut run_contention_scenario() {
   out.report = obs::analyze_critical_paths(rec.trace.events());
   out.attribution = obs::attribution_json(out.report);
   out.jsonl = rec.trace.jsonl();
-  out.pairing_errors = rec.trace.pairing_errors();
   return out;
 }
 
@@ -231,7 +220,6 @@ TEST(Critpath, TwoVmsContendingOnOneProviderDisk) {
             0.0);
   // A single provider serializes the two fetch streams: somebody waited.
   EXPECT_GT(total_wait, 0.0);
-  EXPECT_EQ(out.pairing_errors, 0u);
 }
 
 TEST(Critpath, SameSeedByteIdenticalAttribution) {

@@ -10,7 +10,7 @@ namespace {
 TEST(Tracer, DisabledRecordsNothing) {
   Tracer t;
   EXPECT_FALSE(t.enabled());
-  t.complete(1.0, 0.5, 0, "cat", "span");
+  t.complete_span(1.0, 0.5, 0, "cat", "span", t.new_span(), 0);
   t.instant(2.0, 0, "cat", "mark");
   EXPECT_EQ(t.size(), 0u);
 }
@@ -18,12 +18,12 @@ TEST(Tracer, DisabledRecordsNothing) {
 TEST(Tracer, RecordsEventsWhenEnabled) {
   Tracer t;
   t.set_enabled(true);
-  t.complete(1.0, 0.5, 3, "net", "transfer",
-             {TraceArg::uint("bytes", 1024), TraceArg::str("dst", "n2")});
-  t.begin(2.0, 1, "vm", "boot");
-  t.end(3.5, 1, "vm", "boot");
+  const SpanId root = t.new_span();
+  t.complete_span(1.0, 0.5, 3, "net", "transfer", root, 0,
+                  {TraceArg::uint("bytes", 1024), TraceArg::str("dst", "n2")});
+  t.complete_in(1.5, 0.25, 1, "svc", "disk", root);
   t.instant(4.0, 0, "cloud", "snapshot_start");
-  ASSERT_EQ(t.size(), 4u);
+  ASSERT_EQ(t.size(), 3u);
   const std::vector<TraceEvent> evs = t.events();
   const TraceEvent& e = evs[0];
   EXPECT_EQ(e.phase, 'X');
@@ -31,17 +31,18 @@ TEST(Tracer, RecordsEventsWhenEnabled) {
   EXPECT_DOUBLE_EQ(e.dur, 0.5);
   EXPECT_EQ(e.lane, 3u);
   EXPECT_EQ(e.name, "transfer");
+  EXPECT_EQ(e.id, root);
   ASSERT_EQ(e.args.size(), 2u);
   EXPECT_EQ(e.args[0].kind, TraceArg::Kind::kUint);
-  EXPECT_EQ(evs[1].phase, 'B');
-  EXPECT_EQ(evs[2].phase, 'E');
-  EXPECT_EQ(evs[3].phase, 'i');
+  EXPECT_EQ(evs[1].phase, 'X');
+  EXPECT_EQ(evs[1].span, root);
+  EXPECT_EQ(evs[2].phase, 'i');
 }
 
 TEST(Tracer, JsonlOneObjectPerLine) {
   Tracer t;
   t.set_enabled(true);
-  t.complete(1.0, 0.5, 0, "c", "a");
+  t.complete_span(1.0, 0.5, 0, "c", "a", t.new_span(), 0);
   t.instant(2.0, 0, "c", "b");
   const std::string jsonl = t.jsonl();
   std::size_t lines = 0;
@@ -56,7 +57,8 @@ TEST(Tracer, ChromeJsonShapeAndDeterminism) {
   const auto build = [] {
     Tracer t;
     t.set_enabled(true);
-    t.complete(1.0, 0.5, 2, "net", "transfer", {TraceArg::num("mb", 1.5)});
+    t.complete_span(1.0, 0.5, 2, "net", "transfer", t.new_span(), 0,
+                    {TraceArg::num("mb", 1.5)});
     return t.chrome_json();
   };
   const std::string j1 = build();
@@ -74,49 +76,12 @@ TEST(Tracer, ClearResets) {
   Tracer t;
   t.set_enabled(true);
   t.instant(1.0, 0, "c", "x");
-  t.begin(2.0, 0, "c", "y");
-  t.end(5.0, 1, "c", "z");  // unmatched: lane 1 never began
-  EXPECT_EQ(t.open_begins(), 1u);
-  EXPECT_EQ(t.pairing_errors(), 1u);
+  t.complete_span(2.0, 3.0, 0, "c", "y", t.new_span(), 0);
   t.clear();
   EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.open_begins(), 0u);
-  EXPECT_EQ(t.pairing_errors(), 0u);
-}
-
-TEST(Tracer, UnmatchedEndIsCountedAndDropped) {
-  Tracer t;
-  t.set_enabled(true);
-  t.end(1.0, 0, "vm", "boot");
-  EXPECT_EQ(t.size(), 0u);  // the stray 'E' never reaches the trace
-  EXPECT_EQ(t.pairing_errors(), 1u);
-  // Stray ends are a drop cause with their own counter.
-  EXPECT_EQ(t.dropped_stray_end(), 1u);
-  EXPECT_EQ(t.dropped_total(), 1u);
-  EXPECT_EQ(t.dropped_ring(), 0u);
-  EXPECT_EQ(t.dropped_sampling(), 0u);
-  // A proper pair on the same lane still works afterwards.
-  t.begin(2.0, 0, "vm", "boot");
-  t.end(3.0, 0, "vm", "boot");
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.pairing_errors(), 1u);
-  EXPECT_EQ(t.dropped_stray_end(), 1u);
-  EXPECT_EQ(t.recorded_total(), 2u);
-  EXPECT_EQ(t.open_begins(), 0u);
-}
-
-TEST(Tracer, FirstStrayLaneIsLatched) {
-  Tracer t;
-  t.set_enabled(true);
-  EXPECT_FALSE(t.has_stray_end());
-  t.end(1.0, 7, "vm", "boot");
-  t.end(2.0, 3, "vm", "boot");
-  EXPECT_TRUE(t.has_stray_end());
-  // The first offender is kept, later strays don't overwrite it.
-  EXPECT_EQ(t.first_stray_lane(), 7u);
-  t.clear();
-  EXPECT_FALSE(t.has_stray_end());
-  EXPECT_EQ(t.first_stray_lane(), 0u);
+  EXPECT_EQ(t.recorded_total(), 0u);
+  // Span ids restart: a cleared tracer replays a run's ids exactly.
+  EXPECT_EQ(t.new_span(), 1u);
 }
 
 TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
@@ -157,7 +122,6 @@ TEST(Tracer, ClearPreservesRingAndSamplingConfig) {
   EXPECT_EQ(t.recorded_total(), 0u);
   EXPECT_EQ(t.dropped_ring(), 0u);
   EXPECT_EQ(t.dropped_sampling(), 0u);
-  EXPECT_EQ(t.dropped_stray_end(), 0u);
   EXPECT_EQ(t.ring_capacity(), 8u);
   EXPECT_TRUE(t.sampling_active());
   EXPECT_DOUBLE_EQ(t.sample_rate(), 0.5);
@@ -208,21 +172,6 @@ TEST(Tracer, SamplingIsDeterministicSeededSubset) {
     EXPECT_TRUE(found) << "sampled event id " << e.id
                        << " missing from the full stream";
   }
-}
-
-TEST(Tracer, OpenBeginsTrackedPerLane) {
-  Tracer t;
-  t.set_enabled(true);
-  t.begin(1.0, 0, "a", "x");
-  t.begin(2.0, 0, "a", "y");  // nested on lane 0
-  t.begin(3.0, 7, "b", "z");
-  EXPECT_EQ(t.open_begins(), 3u);
-  t.end(4.0, 0, "a", "y");
-  EXPECT_EQ(t.open_begins(), 2u);
-  t.end(5.0, 0, "a", "x");
-  t.end(6.0, 7, "b", "z");
-  EXPECT_EQ(t.open_begins(), 0u);
-  EXPECT_EQ(t.pairing_errors(), 0u);
 }
 
 TEST(Tracer, FlowEventsCarrySharedId) {

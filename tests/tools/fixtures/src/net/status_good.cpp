@@ -1,5 +1,4 @@
-// Fixture: disciplined Status handling — zero findings, including via the
-// legacy lint:allow compatibility shim.
+// Fixture: disciplined Status handling — zero findings.
 #include "net/conn.hpp"
 
 namespace fixture {
@@ -10,12 +9,6 @@ struct Conn {
   int guarded() {
     auto r = recv_some(1);
     if (!r.is_ok()) return -1;
-    return r.value();
-  }
-
-  int legacy_escape() {
-    auto r = recv_some(2);
-    // lint:allow(naked-value) fixture exercises the legacy escape spelling
     return r.value();
   }
 

@@ -24,7 +24,16 @@ struct Registry {
 };
 
 struct Tracer {
-  void complete(const char* name, double ts) {}
+  void complete_span(const char* name, double ts) {}
+};
+
+// The span scope hands its args to complete_span when it finishes, so a
+// host value passed into a span's args reaches the trace through it.
+struct SpanScope {
+  void finish(const char* name, double arg) {
+    tracer_->complete_span(name, arg);  // taint-span-inside
+  }
+  Tracer* tracer_;
 };
 
 struct Report {
@@ -83,7 +92,11 @@ void hostsplit_regression(Registry& reg) {
 }
 
 void trace_leak(Tracer& tr) {
-  tr.complete("span", sample_wall());  // taint-trace-payload
+  tr.complete_span("span", sample_wall());  // taint-trace-payload
+}
+
+void span_args_leak(SpanScope& span) {
+  span.finish("span", sample_wall());  // taint-span-args
 }
 
 void fingerprint_leak(Report& rep) {

@@ -24,7 +24,7 @@ def engine_arm(name, tracer):
         "events_per_sec": 80000.0,
         "peak_rss_bytes": 1 << 20,
         "trace": {"recorded": 100, "dropped_ring": 0,
-                  "dropped_sampling": 0, "dropped_stray_end": 0},
+                  "dropped_sampling": 0},
         "phases": {"queue_ops": 0.2, "auditor": 0.1, "resume": 0.8,
                    "tracer": tracer, "dispatch": 0.2, "user_work": 0.6},
     }
@@ -46,7 +46,7 @@ def engine_doc(quick=False):
             "wait_records_live_high_water": 10240,
             "cancelled_wakeups": 17,
             "trace": {"recorded": 900000, "dropped_ring": 100000,
-                      "dropped_sampling": 0, "dropped_stray_end": 0},
+                      "dropped_sampling": 0},
         },
         "overhead": {
             "arms": [engine_arm("off", 0.0), engine_arm("sampled", 0.05),
@@ -122,11 +122,11 @@ class TimelineSchemaTest(unittest.TestCase):
         self.assertTrue(any("'timeline' key missing" in e
                             for e in check(doc)))
 
-    def test_v2_does_not_require_timeline(self):
-        doc = v3_doc()
-        doc["schema"] = "vmstorm-bench-v2"
-        del doc["timeline"]
-        self.assertEqual(check(doc), [])
+    def test_older_bench_schemas_rejected(self):
+        for old in ("vmstorm-bench-v1", "vmstorm-bench-v2"):
+            doc = v3_doc()
+            doc["schema"] = old
+            self.assertTrue(any("schema is" in e for e in check(doc)), old)
 
     def test_time_must_be_strictly_increasing(self):
         doc = v3_doc()
@@ -269,12 +269,10 @@ class EngineSchemaTest(unittest.TestCase):
         doc["overhead"]["arms"][1]["phases"]["tracer"] = 0.4
         self.assertEqual(check(doc), [])
 
-    def test_bench_v2_panels_still_checked(self):
-        # The engine schema must not loosen the pre-existing figure schema.
-        doc = {"schema": "vmstorm-bench-v2", "name": "x", "figure": "4",
-               "title": "t", "quick": False,
-               "config": {"fingerprint": "0123456789abcdef"},
-               "panels": [], "metrics": None, "attribution": None}
+    def test_bench_panels_still_checked(self):
+        # The engine schema must not loosen the figure schema.
+        doc = v3_doc()
+        doc["panels"] = []
         self.assertTrue(any("panels" in e for e in check(doc)))
 
     def test_independent_docs_do_not_share_state(self):

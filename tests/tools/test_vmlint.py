@@ -254,7 +254,7 @@ def test_status_discipline_rule():
         (bad, line_of(bad, "unguarded-waiter-schedule"),
          "status-discipline/unguarded-waiter-schedule"),
     }
-    assert got == want, (got, want)  # legacy lint:allow shim keeps working
+    assert got == want, (got, want)
 
 
 def test_header_hygiene_rule():
@@ -359,6 +359,12 @@ def test_determinism_taint_rule():
         (sink, line_of(sink, "taint-hostsplit-regress"),
          "determinism-taint/metric-write"),
         (sink, line_of(sink, "taint-trace-payload"),
+         "determinism-taint/trace-payload"),
+        # Through the callee: SpanScope::finish forwards to complete_span,
+        # so both the call and the entry-tainted forward are findings.
+        (sink, line_of(sink, "taint-span-args"),
+         "determinism-taint/trace-payload"),
+        (sink, line_of(sink, "taint-span-inside"),
          "determinism-taint/trace-payload"),
         (sink, line_of(sink, "taint-fingerprint"),
          "determinism-taint/fingerprint"),

@@ -3,15 +3,15 @@
 
 Usage:  check_bench_schema.py FILE_OR_DIR [FILE_OR_DIR ...]
 
-Accepts vmstorm-bench-v1, -v2, and -v3 artifacts. v2 adds the
-"attribution" key (critical-path analysis; null when tracing was off):
-each row's bucket values must come from the closed bucket enum and sum to
-the row's total seconds within 1e-6. v3 adds the "timeline" key (sampled
-time series; null when sampling was off): timestamps strictly increasing,
-every series exactly as long as the time axis, and — when the optional
-"phases" segmentation is present — regimes drawn from a closed enum with
-per-regime totals summing to the analyzed duration (the same closed-sum
-invariant the attribution rows obey).
+Accepts vmstorm-bench-v3 artifacts. The "attribution" key holds the
+critical-path analysis (null when tracing was off): each row's bucket
+values must come from the closed bucket enum and sum to the row's total
+seconds within 1e-6. The "timeline" key holds the sampled time series
+(null when sampling was off): timestamps strictly increasing, every series
+exactly as long as the time axis, and — when the optional "phases"
+segmentation is present — regimes drawn from a closed enum with per-regime
+totals summing to the analyzed duration (the same closed-sum invariant the
+attribution rows obey).
 
 Also accepts vmstorm-engine-v1 (the bench_scale self-telemetry artifact):
 deterministic "sim" counters plus an "overhead" ablation with exactly the
@@ -29,7 +29,7 @@ import json
 import pathlib
 import sys
 
-SCHEMAS = ("vmstorm-bench-v1", "vmstorm-bench-v2", "vmstorm-bench-v3")
+SCHEMA = "vmstorm-bench-v3"
 ENGINE_SCHEMA = "vmstorm-engine-v1"
 
 # Closed enum: obs::Regime names, in enum (= schema) order.
@@ -47,8 +47,7 @@ ENGINE_PHASES = ("queue_ops", "auditor", "resume", "tracer", "dispatch",
 ENGINE_SIM_KEYS = ("events_processed", "events_scheduled",
                    "queue_depth_high_water", "wait_records_created",
                    "wait_records_live_high_water", "cancelled_wakeups")
-ENGINE_TRACE_KEYS = ("recorded", "dropped_ring", "dropped_sampling",
-                     "dropped_stray_end")
+ENGINE_TRACE_KEYS = ("recorded", "dropped_ring", "dropped_sampling")
 
 
 def fail(path, errors, msg):
@@ -360,8 +359,8 @@ def check_report(path, errors, doc):
     schema = doc.get("schema")
     if schema == ENGINE_SCHEMA:
         return check_engine_report(path, errors, doc)
-    if schema not in SCHEMAS:
-        fail(path, errors, f"schema is {schema!r}, want one of {SCHEMAS!r}")
+    if schema != SCHEMA:
+        fail(path, errors, f"schema is {schema!r}, want {SCHEMA!r}")
     for key in ("name", "figure", "title"):
         if not isinstance(doc.get(key), str) or not doc.get(key):
             fail(path, errors, f"'{key}' must be a non-empty string")
@@ -410,19 +409,17 @@ def check_report(path, errors, doc):
     else:
         check_metrics(path, errors, doc["metrics"])
 
-    if schema in ("vmstorm-bench-v2", "vmstorm-bench-v3"):
-        if "attribution" not in doc:
-            fail(path, errors,
-                 "'attribution' key missing (may be null, not absent)")
-        else:
-            check_attribution(path, errors, doc["attribution"])
+    if "attribution" not in doc:
+        fail(path, errors,
+             "'attribution' key missing (may be null, not absent)")
+    else:
+        check_attribution(path, errors, doc["attribution"])
 
-    if schema == "vmstorm-bench-v3":
-        if "timeline" not in doc:
-            fail(path, errors,
-                 "'timeline' key missing (may be null, not absent)")
-        else:
-            check_timeline(path, errors, doc["timeline"])
+    if "timeline" not in doc:
+        fail(path, errors,
+             "'timeline' key missing (may be null, not absent)")
+    else:
+        check_timeline(path, errors, doc["timeline"])
 
 
 def collect(args):

@@ -11,8 +11,7 @@ Findings are suppressed three ways, in order:
 
   1. `// vmlint:allow(<rule>[, <rule>...]) <reason>` on the finding line or
      the line above. Sub-rule names (e.g. `naked-value`) and the parent rule
-     name both match. The legacy `lint:allow(...)` spelling is honored as a
-     compatibility shim for the rules ported from tools/lint_status.py.
+     name both match.
   2. The committed baseline file (grandfathered findings; see Baseline).
   3. Rules self-scope by path (e.g. determinism checks src/ only).
 
@@ -30,7 +29,7 @@ import time
 
 from tokenizer import tokenize, masked_lines
 
-RE_ALLOW = re.compile(r"(?:vm)?lint:allow\((?P<rules>[\w\-, /]+)\)")
+RE_ALLOW = re.compile(r"vmlint:allow\((?P<rules>[\w\-, /]+)\)")
 
 # Directories skipped while walking scan roots. `fixtures` holds deliberate
 # rule violations for the self-test; build trees hold generated TUs.

@@ -4,8 +4,7 @@ The compiler already enforces most Status discipline through [[nodiscard]]
 on Status/Result/Task; these sub-rules catch what slips through the type
 system. Ported verbatim in spirit from the retired tools/lint_status.py,
 now running on the shared tokenizer's masked lines (so block comments and
-raw strings can no longer false-positive). Legacy `// lint:allow(<rule>)`
-escapes keep working — the framework treats them as vmlint:allow.
+raw strings can no longer false-positive).
 
   raw-waiter-container   vector/deque of raw std::coroutine_handle<>.
                          Store std::shared_ptr<sim::WaitRecord> and wake

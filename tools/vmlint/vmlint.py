@@ -33,8 +33,7 @@ entries), 2 on usage/configuration errors.
 
 Suppress a deliberate finding with `// vmlint:allow(<rule>) <reason>` on
 the same line or the line above; sub-rule names (e.g. naked-value) work
-too, as does the legacy `lint:allow(...)` spelling. hot-path-alloc escapes
-are additionally reconciled against the committed budget file: an escape
+too. hot-path-alloc escapes are additionally reconciled against the committed budget file: an escape
 that is not in the budget is a finding (unbudgeted-allow), and a budget
 entry whose escape disappeared goes stale — the budget only ever shrinks.
 """
