@@ -2,32 +2,9 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace vmstorm {
-
-/// Welford's online mean/variance plus min/max.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  // sample variance (n-1)
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Retains all samples; supports exact percentiles.
 class SampleSet {
@@ -57,26 +34,6 @@ class SampleSet {
 
  private:
   std::vector<double> samples_;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::uint64_t total() const { return total_; }
-  /// p in [0,100]; walks the cumulative counts and interpolates linearly
-  /// within the bucket that crosses the target rank. Returns lo when empty.
-  double percentile(double p) const;
-  std::string to_string() const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace vmstorm

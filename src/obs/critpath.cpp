@@ -1,9 +1,7 @@
 #include "obs/critpath.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <map>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -22,13 +20,10 @@ constexpr const char* kBucketNames[kCritBucketCount] = {
 /// Ancestor hint propagated down the span DAG via the "bucket" span arg.
 enum class Hint { kNone = 0, kMetadata, kRepo };
 
+/// A span's parent, its root row (-1: none) and its effective hint, the
+/// nearest one on its chain up to that root.
 struct SpanInfo {
   SpanId parent = 0;
-  Hint hint = Hint::kNone;
-};
-
-/// Root-row index + effective (nearest-ancestor) hint for a span.
-struct Resolved {
   int row = -1;
   Hint hint = Hint::kNone;
 };
@@ -164,16 +159,15 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
 
   // Pass 1: span registry and root rows.
   std::map<SpanId, SpanInfo> spans;
-  std::map<SpanId, int> root_row;
   for (const TraceEvent& ev : events) {
     if (ev.phase != 'X' || ev.id == 0) continue;
-    SpanInfo info;
+    SpanInfo& info = spans[ev.id];
     info.parent = ev.parent;
+    info.hint = Hint::kNone;
     if (const TraceArg* a = find_arg(ev, "bucket")) {
       if (a->s == "metadata") info.hint = Hint::kMetadata;
       if (a->s == "repo") info.hint = Hint::kRepo;
     }
-    spans[ev.id] = info;
     ++report.spans_seen;
     if (!is_root_span(ev)) continue;
     CritRow row;
@@ -184,44 +178,21 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
     row.seconds = ev.dur;
     const TraceArg* inst = find_arg(ev, "instance");
     row.instance = inst != nullptr ? inst->u : ev.lane;
-    root_row[ev.id] = static_cast<int>(report.rows.size());
+    info.row = static_cast<int>(report.rows.size());
     report.rows.push_back(std::move(row));
   }
 
-  // Pass 2: resolve each span to its root row and nearest-ancestor hint,
-  // memoized along parent chains (iterative to keep the stack shallow).
-  std::map<SpanId, Resolved> resolved;
-  auto resolve = [&](SpanId id) -> Resolved {
-    std::vector<SpanId> chain;
-    Resolved res;
-    SpanId cur = id;
-    while (cur != 0) {
-      auto memo = resolved.find(cur);
-      if (memo != resolved.end()) {
-        res = memo->second;
-        break;
-      }
-      chain.push_back(cur);
-      auto it = spans.find(cur);
-      if (it == spans.end()) break;  // unknown span: no root, no hint
-      auto root = root_row.find(cur);
-      if (root != root_row.end()) {
-        res.row = root->second;
-        res.hint = it->second.hint;
-        break;
-      }
-      cur = it->second.parent;
-    }
-    // Unwind: fill hints nearest-first and memoize every visited span.
-    for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
-      auto it = spans.find(*rit);
-      if (it != spans.end() && it->second.hint != Hint::kNone) {
-        res.hint = it->second.hint;
-      }
-      resolved[*rit] = res;
-    }
-    return res;
-  };
+  // Pass 2: resolve each span to its root row and effective hint in one
+  // ascending-id pass. The tracer allocates a parent's id before its
+  // child's, so the parent is already resolved; a parent id that is not
+  // smaller (only possible in hand-written input) counts as no parent.
+  for (auto& [id, info] : spans) {
+    if (info.row >= 0 || info.parent == 0 || info.parent >= id) continue;
+    const auto parent = spans.find(info.parent);
+    if (parent == spans.end()) continue;  // unknown span: no root, no hint
+    info.row = parent->second.row;
+    if (info.hint == Hint::kNone) info.hint = parent->second.hint;
+  }
 
   // Pass 3: clip cost events into their root's window.
   std::vector<std::vector<Seg>> per_row(report.rows.size());
@@ -231,8 +202,11 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
     if (ev.cat != "wait" && ev.cat != "svc") continue;
     if (ev.span == 0) continue;
     ++report.cost_events;
-    const Resolved res = resolve(ev.span);
-    if (res.row < 0) continue;  // background or phase-level work
+    const auto span = spans.find(ev.span);
+    if (span == spans.end() || span->second.row < 0) {
+      continue;  // background or phase-level work
+    }
+    const SpanInfo& res = span->second;
     CritRow& row = report.rows[static_cast<std::size_t>(res.row)];
     Seg seg;
     seg.t0 = std::max(ev.ts, row.start);
@@ -403,215 +377,6 @@ std::string attribution_table(const CritReport& report) {
          " s) — largest critical-path segments\n";
   out += t.to_string();
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// JSONL parsing (the inverse of Tracer::jsonl()).
-
-namespace {
-
-/// Minimal JSON cursor for one jsonl line. Only the shapes the tracer emits
-/// are fully materialized (flat object, string/number scalars, one nested
-/// "args" object); anything else is skipped structurally.
-class LineParser {
- public:
-  explicit LineParser(std::string_view line)
-      : start_(line.data()), p_(line.data()), end_(line.data() + line.size()) {}
-
-  Status parse_event(TraceEvent* ev) {
-    skip_ws();
-    if (!consume('{')) return fail("expected '{'");
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (consume('}')) break;
-      if (!first && !consume(',')) return fail("expected ',' or '}'");
-      first = false;
-      skip_ws();
-      std::string key;
-      VMSTORM_RETURN_IF_ERROR(parse_string(&key));
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
-      skip_ws();
-      VMSTORM_RETURN_IF_ERROR(parse_field(key, ev));
-    }
-    skip_ws();
-    if (p_ != end_) return fail("trailing bytes after event object");
-    return Status::ok();
-  }
-
- private:
-  Status fail(const std::string& msg) const {
-    return invalid_argument("trace jsonl: " + msg + " at offset " +
-                            std::to_string(p_ - start_));
-  }
-
-  void skip_ws() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t')) ++p_;
-  }
-  bool consume(char c) {
-    if (p_ != end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-
-  Status parse_string(std::string* out) {
-    if (!consume('"')) return fail("expected string");
-    out->clear();
-    while (p_ != end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (p_ == end_) return fail("dangling escape");
-      char e = *p_++;
-      switch (e) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-          if (end_ - p_ < 4) return fail("short \\u escape");
-          unsigned code = 0;
-          auto [ptr, ec] = std::from_chars(p_, p_ + 4, code, 16);
-          if (ec != std::errc() || ptr != p_ + 4) {
-            return fail("bad \\u escape");
-          }
-          p_ += 4;
-          if (code > 0x7f) return fail("non-ASCII \\u escape unsupported");
-          *out += static_cast<char>(code);
-          break;
-        }
-        default: return fail("unknown escape");
-      }
-    }
-    if (!consume('"')) return fail("unterminated string");
-    return Status::ok();
-  }
-
-  /// Numbers are captured as a token; integer-looking tokens additionally
-  /// yield an exact uint64 so span ids survive the round trip.
-  Status parse_number(double* d, std::uint64_t* u, bool* is_uint) {
-    const char* start = p_;
-    while (p_ != end_ &&
-           (*p_ == '-' || *p_ == '+' || *p_ == '.' || *p_ == 'e' ||
-            *p_ == 'E' || (*p_ >= '0' && *p_ <= '9'))) {
-      ++p_;
-    }
-    if (p_ == start) return fail("expected number");
-    const std::string_view tok(start, static_cast<std::size_t>(p_ - start));
-    *is_uint = tok.find_first_not_of("0123456789") == std::string_view::npos;
-    if (*is_uint) {
-      auto [ptr, ec] = std::from_chars(start, p_, *u);
-      if (ec != std::errc() || ptr != p_) return fail("bad integer");
-      *d = static_cast<double>(*u);
-      return Status::ok();
-    }
-    auto [ptr, ec] = std::from_chars(start, p_, *d);
-    if (ec != std::errc() || ptr != p_) return fail("bad number");
-    *u = 0;
-    return Status::ok();
-  }
-
-  Status parse_field(const std::string& key, TraceEvent* ev) {
-    if (key == "name" || key == "cat" || key == "ph") {
-      std::string s;
-      VMSTORM_RETURN_IF_ERROR(parse_string(&s));
-      if (key == "name") {
-        ev->name = std::move(s);
-      } else if (key == "cat") {
-        ev->cat = std::move(s);
-      } else {
-        if (s.size() != 1) return fail("ph must be one character");
-        ev->phase = s[0];
-      }
-      return Status::ok();
-    }
-    if (key == "args") return parse_args(ev);
-    double d = 0;
-    std::uint64_t u = 0;
-    bool is_uint = false;
-    VMSTORM_RETURN_IF_ERROR(parse_number(&d, &u, &is_uint));
-    if (key == "ts") {
-      ev->ts = d;
-    } else if (key == "dur") {
-      ev->dur = d;
-    } else if (key == "lane") {
-      ev->lane = static_cast<std::uint32_t>(u);
-    } else if (key == "id") {
-      ev->id = u;
-    } else if (key == "parent") {
-      ev->parent = u;
-    } else if (key == "span") {
-      ev->span = u;
-    }
-    // Unknown numeric keys (e.g. chrome-only fields) are ignored.
-    return Status::ok();
-  }
-
-  Status parse_args(TraceEvent* ev) {
-    if (!consume('{')) return fail("args must be an object");
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (consume('}')) return Status::ok();
-      if (!first && !consume(',')) return fail("expected ',' or '}' in args");
-      first = false;
-      skip_ws();
-      std::string key;
-      VMSTORM_RETURN_IF_ERROR(parse_string(&key));
-      skip_ws();
-      if (!consume(':')) return fail("expected ':' in args");
-      skip_ws();
-      if (p_ != end_ && *p_ == '"') {
-        std::string s;
-        VMSTORM_RETURN_IF_ERROR(parse_string(&s));
-        ev->args.push_back(TraceArg::str(std::move(key), std::move(s)));
-        continue;
-      }
-      double d = 0;
-      std::uint64_t u = 0;
-      bool is_uint = false;
-      VMSTORM_RETURN_IF_ERROR(parse_number(&d, &u, &is_uint));
-      ev->args.push_back(is_uint ? TraceArg::uint(std::move(key), u)
-                                 : TraceArg::num(std::move(key), d));
-    }
-  }
-
-  const char* start_;
-  const char* p_;
-  const char* end_;
-};
-
-}  // namespace
-
-Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text) {
-  std::vector<TraceEvent> events;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string_view line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    TraceEvent ev;
-    Status st = LineParser(line).parse_event(&ev);
-    if (!st.is_ok()) {
-      return Status(st.code(), "line " + std::to_string(line_no) + ": " +
-                                   st.message());
-    }
-    events.push_back(std::move(ev));
-  }
-  return events;
 }
 
 }  // namespace vmstorm::obs

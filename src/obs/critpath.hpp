@@ -19,7 +19,10 @@
 // I/O) and `compute` otherwise.
 //
 // Everything here is pure post-processing: same trace in, byte-identical
-// attribution JSON out.
+// attribution JSON out. The input comes from Tracer::events() in process,
+// or from a jsonl() export read back by parse_trace_jsonl() (obs/trace.hpp,
+// next to the writer) for `vmstormctl critpath`; this module knows nothing
+// of the file format.
 #pragma once
 
 #include <array>
@@ -27,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.hpp"
 #include "obs/trace.hpp"
 
 namespace vmstorm::obs {
@@ -88,10 +90,5 @@ std::string attribution_json(const CritReport& report);
 /// Human-readable tables: per-kind summary, per-instance breakdown, and
 /// the slowest instance's largest critical-path segments.
 std::string attribution_table(const CritReport& report);
-
-/// Parses a tracer jsonl() export back into events, so `vmstormctl
-/// critpath` reproduces in-process attribution byte-for-byte (numbers are
-/// round-tripped through shortest-form representation on both sides).
-Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text);
 
 }  // namespace vmstorm::obs

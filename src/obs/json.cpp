@@ -142,7 +142,7 @@ JsonWriter& JsonWriter::raw(std::string_view json) {
   return *this;
 }
 
-// ---- JsonValue / parse_json ----------------------------------------------
+// ---- JsonValue ------------------------------------------------------------
 
 namespace {
 
@@ -213,202 +213,176 @@ JsonValue JsonValue::make_object(Members members) {
   return v;
 }
 
-namespace {
+// ---- JsonLexer ------------------------------------------------------------
 
-/// Recursive-descent JSON parser over a string_view. Strict: exactly the
-/// RFC 8259 grammar, bounded nesting, whole-input consumption.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+Status JsonLexer::fail(std::string_view what) const {
+  return invalid_argument("json parse error at byte " + std::to_string(pos_) +
+                          ": " + std::string(what));
+}
 
-  Result<JsonValue> parse() {
-    VMSTORM_ASSIGN_OR_RETURN(v, parse_value(0));
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters after document");
-    return v;
-  }
+bool JsonLexer::consume_word(std::string_view word) {
+  skip_ws();
+  if (text_.substr(pos_, word.size()) != word) return false;
+  pos_ += word.size();
+  return true;
+}
 
- private:
-  static constexpr int kMaxDepth = 64;
-
-  Status fail(const std::string& what) const {
-    return invalid_argument("json parse error at byte " +
-                            std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+Status JsonLexer::read_string(std::string* out) {
+  if (!consume('"')) return fail("expected string");
+  out->clear();
+  while (true) {
+    // Copy the run of plain bytes up to the next quote, escape or control
+    // character in one append.
+    std::size_t run = pos_;
+    while (run < text_.size()) {
+      const auto c = static_cast<unsigned char>(text_[run]);
+      if (c == '"' || c == '\\' || c < 0x20) break;
+      ++run;
+    }
+    out->append(text_.data() + pos_, run - pos_);
+    pos_ = run;
+    if (pos_ == text_.size()) return fail("unterminated string");
+    const char c = text_[pos_];
+    if (c == '"') {
       ++pos_;
+      return Status::ok();
     }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_word(std::string_view w) {
-    if (text_.substr(pos_, w.size()) != w) return false;
-    pos_ += w.size();
-    return true;
-  }
-
-  Result<JsonValue> parse_value(int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': {
-        VMSTORM_ASSIGN_OR_RETURN(s, parse_string());
-        return JsonValue::make_string(std::move(s));
-      }
-      case 't':
-        if (consume_word("true")) return JsonValue::make_bool(true);
-        return fail("invalid literal");
-      case 'f':
-        if (consume_word("false")) return JsonValue::make_bool(false);
-        return fail("invalid literal");
-      case 'n':
-        if (consume_word("null")) return JsonValue::make_null();
-        return fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Result<JsonValue> parse_object(int depth) {
-    ++pos_;  // '{'
-    JsonValue::Members members;
-    skip_ws();
-    if (consume('}')) return JsonValue::make_object(std::move(members));
-    while (true) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail("expected object key");
-      }
-      VMSTORM_ASSIGN_OR_RETURN(key, parse_string());
-      skip_ws();
-      if (!consume(':')) return fail("expected ':' after key");
-      VMSTORM_ASSIGN_OR_RETURN(v, parse_value(depth + 1));
-      members.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return JsonValue::make_object(std::move(members));
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  Result<JsonValue> parse_array(int depth) {
-    ++pos_;  // '['
-    std::vector<JsonValue> items;
-    skip_ws();
-    if (consume(']')) return JsonValue::make_array(std::move(items));
-    while (true) {
-      VMSTORM_ASSIGN_OR_RETURN(v, parse_value(depth + 1));
-      items.push_back(std::move(v));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return JsonValue::make_array(std::move(items));
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  Result<std::string> parse_string() {
-    ++pos_;  // opening '"'
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return out;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        ++pos_;
-        continue;
-      }
-      ++pos_;
-      if (pos_ >= text_.size()) return fail("truncated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return fail("invalid \\u escape");
-          }
-          // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-          // the writer only ever emits \u00XX control escapes).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
+    if (c != '\\') return fail("unescaped control character in string");
+    ++pos_;
+    if (pos_ == text_.size()) return fail("truncated escape");
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"': *out += '"'; break;
+      case '\\': *out += '\\'; break;
+      case '/': *out += '/'; break;
+      case 'b': *out += '\b'; break;
+      case 'f': *out += '\f'; break;
+      case 'n': *out += '\n'; break;
+      case 'r': *out += '\r'; break;
+      case 't': *out += '\t'; break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else return fail("invalid \\u escape");
         }
-        default: return fail("invalid escape character");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  Result<JsonValue> parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-          c == '+' || c == '-') {
-        ++pos_;
-      } else {
+        // UTF-8 encode the BMP code point (surrogate pairs unsupported —
+        // the writer only ever emits \u00XX control escapes).
+        if (code < 0x80) {
+          *out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          *out += static_cast<char>(0xc0 | (code >> 6));
+          *out += static_cast<char>(0x80 | (code & 0x3f));
+        } else {
+          *out += static_cast<char>(0xe0 | (code >> 12));
+          *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+          *out += static_cast<char>(0x80 | (code & 0x3f));
+        }
         break;
       }
+      default: return fail("invalid escape character");
     }
-    if (pos_ == start) return fail("expected a value");
-    double v = 0;
-    const auto [end, ec] =
-        std::from_chars(text_.data() + start, text_.data() + pos_, v);
-    if (ec != std::errc() || end != text_.data() + pos_) {
-      return fail("malformed number");
-    }
-    return JsonValue::make_number(v);
   }
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+Status JsonLexer::read_number(Number* out) {
+  skip_ws();
+  const std::size_t start = pos_;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  bool digits_only = pos_ == start;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c >= '0' && c <= '9') {
+      ++pos_;
+    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+      digits_only = false;
+      ++pos_;
+    } else {
+      break;
+    }
+  }
+  if (pos_ == start) return fail("expected a value");
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  *out = Number{};
+  if (digits_only &&
+      std::from_chars(first, last, out->uint).ec == std::errc()) {
+    // Correctly rounded, as from_chars on the same digits would give.
+    out->value = static_cast<double>(out->uint);
+    out->is_uint = true;
+    return Status::ok();
+  }
+  // Anything else, including an integer wider than 64 bits, is a double.
+  const auto [end, ec] = std::from_chars(first, last, out->value);
+  if (ec != std::errc() || end != last) return fail("malformed number");
+  return Status::ok();
+}
+
+// ---- parse_json -----------------------------------------------------------
+
+namespace {
+
+constexpr int kMaxDepth = 64;
+
+Result<JsonValue> read_value(JsonLexer& lx, int depth) {
+  if (depth > kMaxDepth) return lx.fail("nesting too deep");
+  switch (lx.peek()) {
+    case '{': {
+      lx.consume('{');
+      JsonValue::Members members;
+      if (lx.consume('}')) return JsonValue::make_object(std::move(members));
+      do {
+        std::string key;
+        VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
+        if (!lx.consume(':')) return lx.fail("expected ':' after key");
+        VMSTORM_ASSIGN_OR_RETURN(v, read_value(lx, depth + 1));
+        members.emplace_back(std::move(key), std::move(v));
+      } while (lx.consume(','));
+      if (!lx.consume('}')) return lx.fail("expected ',' or '}' in object");
+      return JsonValue::make_object(std::move(members));
+    }
+    case '[': {
+      lx.consume('[');
+      std::vector<JsonValue> items;
+      if (lx.consume(']')) return JsonValue::make_array(std::move(items));
+      do {
+        VMSTORM_ASSIGN_OR_RETURN(v, read_value(lx, depth + 1));
+        items.push_back(std::move(v));
+      } while (lx.consume(','));
+      if (!lx.consume(']')) return lx.fail("expected ',' or ']' in array");
+      return JsonValue::make_array(std::move(items));
+    }
+    case '"': {
+      std::string s;
+      VMSTORM_RETURN_IF_ERROR(lx.read_string(&s));
+      return JsonValue::make_string(std::move(s));
+    }
+    default: break;
+  }
+  if (lx.consume_word("true")) return JsonValue::make_bool(true);
+  if (lx.consume_word("false")) return JsonValue::make_bool(false);
+  if (lx.consume_word("null")) return JsonValue::make_null();
+  JsonLexer::Number n;
+  VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
+  return JsonValue::make_number(n.value);
+}
 
 }  // namespace
 
+Result<JsonValue> read_json_value(JsonLexer& lexer) {
+  return read_value(lexer, 0);
+}
+
 Result<JsonValue> parse_json(std::string_view text) {
-  return JsonParser(text).parse();
+  JsonLexer lx(text);
+  VMSTORM_ASSIGN_OR_RETURN(v, read_value(lx, 0));
+  if (!lx.at_end()) return lx.fail("trailing characters after document");
+  return v;
 }
 
 }  // namespace vmstorm::obs

@@ -1,4 +1,5 @@
-// Deterministic JSON emission for the observability subsystem.
+// JSON for the observability subsystem: the deterministic writer, and the
+// one JSON tokenizer in src/ with the readers built on it.
 //
 // The exported metric snapshots and traces double as regression oracles:
 // two runs with the same seed must produce byte-identical output. That
@@ -7,6 +8,11 @@
 // gives the caller full control of key order and formats numbers with
 // std::to_chars (shortest round-trip form), so equal inputs serialize to
 // equal bytes on a given toolchain.
+//
+// Reading goes through JsonLexer, the only JSON tokenizer in src/ (and the
+// only place string escapes are decoded). parse_json() builds a JsonValue
+// tree on it; parse_trace_jsonl() (obs/trace.hpp) streams each trace line
+// straight into a TraceEvent with it, which is the hot reader.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +71,61 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
+/// Tokenizer over one JSON text. Every read skips leading whitespace first;
+/// a failed read returns an invalid_argument status naming the byte offset
+/// where it stopped.
+class JsonLexer {
+ public:
+  /// A number token. A plain non-negative integer token that fits also
+  /// gives its exact value, so ids above 2^53 survive the double.
+  struct Number {
+    double value = 0;
+    std::uint64_t uint = 0;  ///< exact value when is_uint, else 0
+    bool is_uint = false;
+  };
+
+  explicit JsonLexer(std::string_view text) : text_(text) {}
+
+  /// The next non-whitespace byte, not consumed; '\0' at the end.
+  char peek() {
+    skip_ws();
+    return pos_ < text_.size() ? text_[pos_] : '\0';
+  }
+  /// Consumes `c` when it is the next non-whitespace byte.
+  bool consume(char c) {
+    skip_ws();
+    if (pos_ == text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  /// Consumes the literal `word` (true, false, null) when it comes next.
+  bool consume_word(std::string_view word);
+  /// True when nothing but whitespace is left.
+  bool at_end() {
+    skip_ws();
+    return pos_ == text_.size();
+  }
+
+  /// Reads a string token into *out (replacing its contents), decoding
+  /// escapes; \u escapes are UTF-8 encoded (BMP only).
+  Status read_string(std::string* out);
+  Status read_number(Number* out);
+
+  Status fail(std::string_view what) const;
+
+ private:
+  void skip_ws() {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+      ++pos_;
+    }
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
 /// Parsed JSON document node. The read-side complement of JsonWriter, used
 /// to load artifacts back (vmstormctl engine-stats over BENCH_engine.json).
 /// Object members keep source order; lookup is linear — artifacts are small.
@@ -114,6 +175,10 @@ class JsonValue {
   std::shared_ptr<Members> members_;  // shared_ptr: JsonValue stays copyable
                                       // without recursive value layout issues
 };
+
+/// Reads one value at the lexer's position (nesting bounded to 64 levels).
+/// Also how a streaming reader skips a value it has no use for.
+Result<JsonValue> read_json_value(JsonLexer& lexer);
 
 /// Strict recursive-descent parse of a complete JSON document (no trailing
 /// garbage, no comments, bounded nesting depth).

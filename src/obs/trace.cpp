@@ -1,24 +1,13 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
+#include "common/rng.hpp"
 #include "obs/json.hpp"
 #include "obs/selfprof.hpp"
 
 namespace vmstorm::obs {
-
-namespace {
-
-/// splitmix64 finalizer: the sampling decision must be a high-quality pure
-/// function of (seed, span id) so consecutive ids don't correlate.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 TraceArg TraceArg::str(std::string key, std::string value) {
   TraceArg a;
@@ -85,6 +74,7 @@ SpanId Tracer::new_span(SpanId parent) {
   const SpanId id = ++last_id_;
   if (sampling_active_) {
     ensure_sampled_slot(id);
+    // splitmix64 keeps consecutive root ids from correlating.
     const bool keep =
         parent == 0
             ? (static_cast<double>(mix64(sample_seed_ ^ id) >> 11) *
@@ -232,6 +222,70 @@ void write_event(JsonWriter& w, const TraceEvent& ev, bool chrome) {
   w.end_object();
 }
 
+Status read_args(JsonLexer& lx, std::vector<TraceArg>* args) {
+  if (!lx.consume('{')) return lx.fail("args must be an object");
+  if (lx.consume('}')) return Status::ok();
+  std::string key;
+  do {
+    VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
+    if (!lx.consume(':')) return lx.fail("expected ':' after key");
+    if (lx.peek() == '"') {
+      std::string s;
+      VMSTORM_RETURN_IF_ERROR(lx.read_string(&s));
+      args->push_back(TraceArg::str(std::move(key), std::move(s)));
+      continue;
+    }
+    JsonLexer::Number n;
+    VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
+    args->push_back(n.is_uint ? TraceArg::uint(std::move(key), n.uint)
+                              : TraceArg::num(std::move(key), n.value));
+  } while (lx.consume(','));
+  if (!lx.consume('}')) return lx.fail("expected ',' or '}' in args");
+  return Status::ok();
+}
+
+/// Reads one jsonl() line into *ev: the keys write_event() emits, with any
+/// other key's value skipped.
+Status read_event(JsonLexer& lx, TraceEvent* ev) {
+  if (!lx.consume('{')) return lx.fail("expected '{'");
+  if (!lx.consume('}')) {
+    std::string key;
+    JsonLexer::Number n;
+    do {
+      VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
+      if (!lx.consume(':')) return lx.fail("expected ':' after key");
+      if (key == "name") {
+        VMSTORM_RETURN_IF_ERROR(lx.read_string(&ev->name));
+      } else if (key == "cat") {
+        VMSTORM_RETURN_IF_ERROR(lx.read_string(&ev->cat));
+      } else if (key == "ph") {
+        VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
+        if (key.size() != 1) return lx.fail("ph must be one character");
+        ev->phase = key[0];
+      } else if (key == "args") {
+        VMSTORM_RETURN_IF_ERROR(read_args(lx, &ev->args));
+      } else if (key == "ts" || key == "dur" || key == "lane" || key == "id" ||
+                 key == "parent" || key == "span") {
+        VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
+        if (key == "lane" && n.uint > UINT32_MAX) {
+          return lx.fail("lane out of range");
+        }
+        if (key == "ts") ev->ts = n.value;
+        else if (key == "dur") ev->dur = n.value;
+        else if (key == "lane") ev->lane = static_cast<std::uint32_t>(n.uint);
+        else if (key == "id") ev->id = n.uint;
+        else if (key == "parent") ev->parent = n.uint;
+        else ev->span = n.uint;
+      } else {
+        VMSTORM_RETURN_IF_ERROR(read_json_value(lx).status());
+      }
+    } while (lx.consume(','));
+    if (!lx.consume('}')) return lx.fail("expected ',' or '}'");
+  }
+  if (!lx.at_end()) return lx.fail("trailing bytes after event object");
+  return Status::ok();
+}
+
 }  // namespace
 
 std::string Tracer::jsonl() const {
@@ -255,6 +309,28 @@ std::string Tracer::chrome_json() const {
   w.end_array();
   w.end_object();
   return w.take();
+}
+
+Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text) {
+  std::vector<TraceEvent> events;
+  std::size_t line_no = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    JsonLexer lx(line);
+    TraceEvent& ev = events.emplace_back();
+    Status st = read_event(lx, &ev);
+    if (!st.is_ok()) {
+      return Status(st.code(), "line " + std::to_string(line_no) + ": " +
+                                   st.message());
+    }
+  }
+  return events;
 }
 
 }  // namespace vmstorm::obs

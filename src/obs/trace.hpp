@@ -27,7 +27,9 @@
 //
 // Two export formats:
 //   * jsonl()        — one JSON object per line, for jq/scripts and
-//                      `vmstormctl critpath`;
+//                      `vmstormctl critpath`; parse_trace_jsonl() below
+//                      reads it back, so this module alone knows the line
+//                      format;
 //   * chrome_json()  — the Chrome trace_event array format, loadable in
 //                      chrome://tracing or https://ui.perfetto.dev (lanes
 //                      map to tids, simulated seconds to microseconds).
@@ -44,6 +46,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/status.hpp"
 
 namespace vmstorm::obs {
 
@@ -211,5 +215,13 @@ class Tracer {
 
   SelfProfiler* profiler_ = nullptr;
 };
+
+/// Reads a jsonl() export back into events, one per non-blank line, so
+/// `vmstormctl critpath` reproduces in-process attribution byte-for-byte
+/// (numbers round-trip through shortest-form representation; ids and uint
+/// args through their exact integer token). Streams each line through
+/// obs/json's JsonLexer, as strict as parse_json(); keys the writer does
+/// not emit are skipped. Errors start with "line N: ".
+Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text);
 
 }  // namespace vmstorm::obs

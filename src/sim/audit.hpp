@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -93,7 +94,7 @@ class InvariantAuditor final : public Auditor {
     // path (growth uses the sanctioned construct+move+swap idiom).
     if ((occupied_ + 1) * 2 > slots_.size()) rehash();
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(seq) & mask;
+    std::size_t i = mix64(seq) & mask;
     while (slots_[i].state == PendingSlot::kUsed) i = (i + 1) & mask;
     if (slots_[i].state != PendingSlot::kTombstone) ++occupied_;
     slots_[i].seq = seq;
@@ -141,6 +142,8 @@ class InvariantAuditor final : public Auditor {
   }
 
  private:
+  /// Slots are probed from mix64(seq): sequence numbers are consecutive, so
+  /// identity hashing would cluster linear probes.
   struct PendingSlot {
     static constexpr std::uint8_t kEmpty = 0;
     static constexpr std::uint8_t kUsed = 1;
@@ -150,15 +153,6 @@ class InvariantAuditor final : public Auditor {
     WaitRef rec;
   };
 
-  /// splitmix64 finalizer — sequence numbers are consecutive, so identity
-  /// hashing would cluster linear probes.
-  static std::uint64_t hash(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-
   /// Grows (power of two) and reinserts live entries, clearing tombstones.
   void rehash() {
     std::size_t next = slots_.empty() ? 64 : slots_.size();
@@ -167,7 +161,7 @@ class InvariantAuditor final : public Auditor {
     const std::size_t mask = next - 1;
     for (PendingSlot& s : slots_) {
       if (s.state != PendingSlot::kUsed) continue;
-      std::size_t i = hash(s.seq) & mask;
+      std::size_t i = mix64(s.seq) & mask;
       while (bigger[i].state == PendingSlot::kUsed) i = (i + 1) & mask;
       bigger[i].seq = s.seq;
       bigger[i].state = PendingSlot::kUsed;
@@ -182,7 +176,7 @@ class InvariantAuditor final : public Auditor {
   bool take(std::uint64_t seq, WaitRef& out) {
     if (slots_.empty()) return false;
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(seq) & mask;
+    std::size_t i = mix64(seq) & mask;
     while (slots_[i].state != PendingSlot::kEmpty) {
       if (slots_[i].state == PendingSlot::kUsed && slots_[i].seq == seq) {
         out = std::move(slots_[i].rec);

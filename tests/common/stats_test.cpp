@@ -5,24 +5,6 @@
 namespace vmstorm {
 namespace {
 
-TEST(OnlineStats, Empty) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(OnlineStats, KnownValues) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
 TEST(SampleSet, Percentiles) {
   SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
@@ -66,39 +48,6 @@ TEST(SampleSet, SummaryEmpty) {
   EXPECT_EQ(sum.count, 0u);
   EXPECT_EQ(sum.mean, 0.0);
   EXPECT_EQ(sum.p99, 0.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.9);   // bucket 4
-  h.add(-3.0);  // clamps to 0
-  h.add(50.0);  // clamps to 4
-  h.add(4.0);   // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-}
-
-TEST(Histogram, PercentileInterpolates) {
-  Histogram h(0.0, 10.0, 10);
-  // 100 samples spread uniformly: 10 per bucket.
-  for (int i = 0; i < 100; ++i) h.add((static_cast<double>(i) + 0.5) / 10.0);
-  // Uniform mass: percentile tracks the value axis within bucket width.
-  EXPECT_NEAR(h.percentile(50), 5.0, 1.0);
-  EXPECT_NEAR(h.percentile(95), 9.5, 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 10.0);
-}
-
-TEST(Histogram, PercentileEmptyAndSingle) {
-  Histogram empty(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(empty.percentile(50), 0.0);  // lo when empty
-  Histogram one(0.0, 10.0, 5);
-  one.add(3.0);
-  const double p50 = one.percentile(50);
-  EXPECT_GE(p50, 2.0);  // inside bucket [2,4)
-  EXPECT_LE(p50, 4.0);
 }
 
 }  // namespace

@@ -251,6 +251,28 @@ TEST(Critpath, AttributionTableRendersAllBuckets) {
   EXPECT_NE(table.find("boot"), std::string::npos);
 }
 
+TEST(Critpath, ParentCycleTerminates) {
+  // Hand-written input: spans 1 and 2 name each other as parent. The tracer
+  // always allocates a parent's id before its child's, so a parent id that
+  // is not smaller counts as no parent: neither span reaches a root, and
+  // the cost under span 1 is left out instead of chasing the cycle.
+  auto parsed = obs::parse_trace_jsonl(
+      R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":2,"lane":0,"id":3})"
+      "\n"
+      R"({"name":"a","cat":"blob","ph":"X","ts":0,"dur":1,"lane":0,"id":1,"parent":2})"
+      "\n"
+      R"({"name":"b","cat":"blob","ph":"X","ts":0,"dur":1,"lane":0,"id":2,"parent":1})"
+      "\n"
+      R"({"name":"disk","cat":"svc","ph":"X","ts":0,"dur":1,"lane":0,"span":1})"
+      "\n");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const obs::CritReport report = obs::analyze_critical_paths(*parsed);
+  EXPECT_EQ(report.spans_seen, 3u);
+  EXPECT_EQ(report.cost_events, 1u);
+  ASSERT_EQ(report.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(bucket_of(report.rows[0], obs::CritBucket::kBootInit), 2.0);
+}
+
 TEST(Critpath, EmptyTraceYieldsEmptyReport) {
   const obs::CritReport report = obs::analyze_critical_paths({});
   EXPECT_TRUE(report.rows.empty());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace vmstorm::obs {
 namespace {
@@ -190,6 +191,98 @@ TEST(Tracer, FlowEventsCarrySharedId) {
   EXPECT_NE(j.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(j.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(j.find("\"bp\":\"e\""), std::string::npos);
+}
+
+// ---- parse_trace_jsonl: the inverse of jsonl() ----------------------------
+
+void expect_same_events(const std::vector<TraceEvent>& got,
+                        const std::vector<TraceEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const TraceEvent& g = got[i];
+    const TraceEvent& w = want[i];
+    EXPECT_EQ(g.name, w.name) << i;
+    EXPECT_EQ(g.cat, w.cat) << i;
+    EXPECT_EQ(g.phase, w.phase) << i;
+    EXPECT_EQ(g.ts, w.ts) << i;
+    EXPECT_EQ(g.dur, w.dur) << i;
+    EXPECT_EQ(g.lane, w.lane) << i;
+    EXPECT_EQ(g.id, w.id) << i;
+    EXPECT_EQ(g.parent, w.parent) << i;
+    EXPECT_EQ(g.span, w.span) << i;
+    ASSERT_EQ(g.args.size(), w.args.size()) << i;
+    for (std::size_t a = 0; a < w.args.size(); ++a) {
+      EXPECT_EQ(g.args[a].key, w.args[a].key) << i;
+      EXPECT_EQ(g.args[a].kind, w.args[a].kind) << i;
+      EXPECT_EQ(g.args[a].s, w.args[a].s) << i;
+      EXPECT_EQ(g.args[a].u, w.args[a].u) << i;
+      EXPECT_EQ(g.args[a].d, w.args[a].d) << i;
+    }
+  }
+}
+
+TEST(TraceJsonl, RoundTripKeepsIdsAndUintArgsAbove2To53) {
+  // 2^53 + 1 is the first integer a double cannot hold: ids and uint args
+  // must come back from their own integer token, not through a double.
+  const SpanId big = (SpanId{1} << 53) + 1;
+  Tracer t;
+  t.set_enabled(true);
+  t.complete_span(0.1, 0.25, 7, "vm", "boot", big, big - 2,
+                  {TraceArg::uint("bytes", 18446744073709551615ull),
+                   TraceArg::num("ratio", 1.0 / 3.0),
+                   TraceArg::str("note", "q\"b\\s\n\t\x01")});
+  t.complete_in(0.2, 1e-7, 7, "wait", "disk", big,
+                {TraceArg::uint("holder", big + 2)});
+  t.instant(3.5, 1, "cloud", "mark");
+  const SpanId flow = t.flow_begin(4.0, 2, "wake");
+  t.flow_end(4.5, 3, "wake", flow);
+  auto parsed = parse_trace_jsonl(t.jsonl());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  expect_same_events(*parsed, t.events());
+  EXPECT_EQ((*parsed)[0].id, big);
+  EXPECT_EQ((*parsed)[1].args[0].u, big + 2);
+}
+
+TEST(TraceJsonl, MalformedLineFailsNamingTheLine) {
+  const std::string good = R"({"name":"a","cat":"c","ph":"i","ts":1})";
+  for (const char* bad : {
+           R"({"name":"abc)",              // unterminated string
+           R"({"name" "a"})",              // missing ':'
+           R"({"name":"a","ts":1.2.3})",   // malformed number
+           R"({"name":"a","ts":1} x)",     // trailing bytes
+       }) {
+    auto parsed = parse_trace_jsonl(good + "\n" + bad + "\n" + good + "\n");
+    ASSERT_FALSE(parsed.is_ok()) << "accepted: " << bad;
+    EXPECT_NE(parsed.status().message().find("line 2:"), std::string::npos)
+        << parsed.status().message();
+  }
+}
+
+TEST(TraceJsonl, RejectsRawControlCharactersAndOversizedLanes) {
+  for (const char* bad : {
+           "{\"name\":\"a\x01z\",\"ph\":\"i\"}",  // the writer escapes it
+           R"({"name":"a","ph":"i","lane":4294967296})",  // wider than 32 bits
+       }) {
+    auto parsed = parse_trace_jsonl(bad);
+    ASSERT_FALSE(parsed.is_ok()) << "accepted: " << bad;
+    EXPECT_NE(parsed.status().message().find("line 1:"), std::string::npos)
+        << parsed.status().message();
+  }
+}
+
+TEST(TraceJsonl, DecodesWideEscapesAndSkipsBlankLinesAndUnknownKeys) {
+  auto parsed = parse_trace_jsonl(
+      "\n"
+      R"({"name":"caf\u00e9","bp":"e","x":{"k":[1,true,null]},"ph":"f",)"
+      R"("pid":0,"tid":4,"id":3})"
+      "\n\n");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  ASSERT_EQ(parsed->size(), 1u);
+  const TraceEvent& e = (*parsed)[0];
+  EXPECT_EQ(e.name, "caf\xc3\xa9");  // UTF-8
+  EXPECT_EQ(e.phase, 'f');
+  EXPECT_EQ(e.lane, 0u);
+  EXPECT_EQ(e.id, 3u);
 }
 
 }  // namespace
