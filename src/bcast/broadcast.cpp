@@ -62,7 +62,7 @@ sim::Task<void> sf_send(Ctx& ctx, std::size_t holder, std::size_t target) {
     }(ctx, holder, target, c, sz);
     inflight.push_back(ctx.engine->spawn(std::move(wire)));
   }
-  for (auto& h : inflight) co_await h.join(*ctx.engine);
+  for (auto& h : inflight) co_await h.join();
   ctx.record(target);
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -133,6 +134,59 @@ inline void record_wait_edge(Engine& engine, const WaitRecord& rec,
                     {obs::TraceArg::uint("holder", rec.waker_span)});
   }
   if (rec.flow != 0) tr->flow_end(now, lane, "wake", rec.flow);
+}
+
+// ---- WaitQueue members that touch the engine (sim/wait_pool.hpp) ----------
+
+inline void WaitQueue::Awaiter::await_suspend(std::coroutine_handle<> h) {
+  rec_ = make_wait_record(*queue_->engine_, h);
+  // vmlint:allow(hot-path-alloc) one entry per parked coroutine, reused once
+  // the queue drains; an intrusive list through the pool is the exit path.
+  queue_->parked_.push_back({rec_, need_});
+}
+
+inline void WaitQueue::Awaiter::await_resume() noexcept {
+  if (!rec_) return;
+  rec_->resumed = true;
+  record_wait_edge(*queue_->engine_, *rec_, queue_->resource_);
+}
+
+template <typename Admit>
+void WaitQueue::wake_while(Admit admit) {
+  wake(admit, /*one=*/false);
+}
+
+inline void WaitQueue::wake_all() {
+  wake([](std::uint64_t) { return true; }, /*one=*/false);
+}
+
+inline bool WaitQueue::wake_one() {
+  return wake([](std::uint64_t) { return true; }, /*one=*/true);
+}
+
+template <typename Admit>
+bool WaitQueue::wake(Admit admit, bool one) {
+  bool woke = false;
+  while (head_ < parked_.size() && !(one && woke)) {
+    Parked& front = parked_[head_];
+    if (front.rec->alive) {
+      if (!admit(front.need)) break;
+      if (one) front.rec->granted = true;
+      wake_waiter(*engine_, front.rec);
+      woke = true;
+    }
+    front.rec.reset();  // the queue lets go now, so dead slots recycle here
+    ++head_;
+  }
+  if (head_ == parked_.size()) {
+    parked_.clear();
+    head_ = 0;
+  } else if (head_ * 2 >= parked_.size()) {
+    parked_.erase(parked_.begin(),
+                  parked_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return woke;
 }
 
 }  // namespace vmstorm::sim

@@ -27,8 +27,7 @@ struct DetachedTask {
   std::coroutine_handle<promise_type> handle;
 };
 
-DetachedTask detached_body(Engine* engine, Task<void> task,
-                           std::shared_ptr<JoinState> state,
+DetachedTask detached_body(Task<void> task, std::shared_ptr<JoinState> state,
                            std::size_t* live_tasks) {
   try {
     co_await std::move(task);
@@ -37,42 +36,14 @@ DetachedTask detached_body(Engine* engine, Task<void> task,
   }
   state->done = true;
   --*live_tasks;
-  for (auto& rec : state->waiters) {
-    if (rec->alive) wake_waiter(*engine, rec);
-  }
-  state->waiters.clear();
+  state->waiters.wake_all();
 }
 
 }  // namespace
 
-Task<void> JoinHandle::join(Engine& engine) {
-  struct JoinAwaiter {
-    Engine* engine;
-    JoinState* state;
-    WaitRef rec;
-    JoinAwaiter(Engine* e, JoinState* s) : engine(e), state(s) {}
-    JoinAwaiter(const JoinAwaiter&) = delete;
-    JoinAwaiter& operator=(const JoinAwaiter&) = delete;
-    ~JoinAwaiter() {
-      // Joiner destroyed while suspended: invalidate our record so the
-      // completion path and the engine never resume a dead frame.
-      if (rec && !rec->resumed) rec->alive = false;
-    }
-    bool await_ready() const noexcept { return state->done; }
-    void await_suspend(std::coroutine_handle<> h) {
-      rec = make_wait_record(*engine, h);
-      // vmlint:allow(hot-path-alloc) join waiter lists are short-lived and
-      // few; not worth an intrusive list.
-      state->waiters.push_back(rec);
-    }
-    void await_resume() noexcept {
-      if (!rec) return;
-      rec->resumed = true;
-      record_wait_edge(*engine, *rec, "sim.join");
-    }
-  };
+Task<void> JoinHandle::join() {
   assert(state_ && "joining an invalid handle");
-  co_await JoinAwaiter{&engine, state_.get()};
+  co_await state_->waiters.wait(state_->done);
   if (state_->exception) std::rethrow_exception(state_->exception);
 }
 
@@ -97,9 +68,9 @@ void Engine::SleepAwaiter::await_suspend(std::coroutine_handle<> h) {
 }
 
 JoinHandle Engine::spawn(Task<void> task) {
-  auto state = std::make_shared<JoinState>();
+  auto state = std::make_shared<JoinState>(*this);
   ++live_tasks_;
-  DetachedTask d = detached_body(this, std::move(task), state, &live_tasks_);
+  DetachedTask d = detached_body(std::move(task), state, &live_tasks_);
   // The detached frame is engine-owned and self-destroys only on completion,
   // so its startup resumption needs no liveness guard.
   // vmlint:allow(unguarded-waiter-schedule) detached frame cannot be destroyed externally

@@ -14,7 +14,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "sim/calendar_queue.hpp"
 #include "sim/task.hpp"
@@ -33,13 +32,14 @@ class Engine;
 
 /// Shared completion state of a spawned task.
 struct JoinState {
+  explicit JoinState(Engine& engine) : waiters(engine, "sim.join") {}
   bool done = false;
   std::exception_ptr exception;
-  std::vector<WaitRef> waiters;
+  WaitQueue waiters;
 };
 
-/// Handle returned by Engine::spawn. Join with `co_await handle.join(engine)`
-/// from inside the simulation, or poll done() from outside after run().
+/// Handle returned by Engine::spawn. Join with `co_await handle.join()` from
+/// inside the simulation, or poll done() from outside after run().
 class JoinHandle {
  public:
   JoinHandle() = default;
@@ -53,7 +53,7 @@ class JoinHandle {
     if (state_ && state_->exception) std::rethrow_exception(state_->exception);
   }
 
-  Task<void> join(Engine& engine);
+  Task<void> join();
 
  private:
   std::shared_ptr<JoinState> state_;

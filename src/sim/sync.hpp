@@ -6,20 +6,18 @@
 // simulated time rather than resumed inline, keeping execution order
 // deterministic and re-entrancy-free.
 //
-// Cancellation safety: waiter lists hold pooled WaitRecord handles (WaitRef,
-// sim/wait_pool.hpp), not raw coroutine handles. If a waiting coroutine is destroyed while suspended
-// (its Task dropped mid-wait), the awaiter's destructor marks the record
-// dead; wake paths skip dead records and the engine drops already-queued
-// wakeups whose guard went dead. A Semaphore permit or Channel item that was
-// already handed to a subsequently-destroyed waiter is passed on to the next
-// live waiter instead of being lost. Primitives must outlive their waiters.
+// Cancellation safety: every waiter list is a sim::WaitQueue
+// (sim/wait_pool.hpp) of pooled WaitRecord handles, not raw coroutine
+// handles. If a waiting coroutine is destroyed while suspended (its Task
+// dropped mid-wait), the queue's awaiter marks the record dead; wakes skip
+// dead records and the engine drops already-queued wakeups whose guard went
+// dead. A Semaphore permit or Channel item that was already handed to a
+// subsequently-destroyed waiter is passed on to the next live waiter instead
+// of being lost. Primitives must outlive their waiters.
 #pragma once
 
-#include <coroutine>
 #include <cstddef>
 #include <deque>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -29,80 +27,28 @@
 
 namespace vmstorm::sim {
 
-namespace detail {
-
-/// Creates a registered wait record for handle `h` at the back of `list`,
-/// capturing the suspending coroutine's span context and block time.
-template <typename List>
-inline WaitRef enlist_waiter(List& list, Engine& engine,
-                             std::coroutine_handle<> h) {
-  WaitRef rec = make_wait_record(engine, h);
-  // vmlint:allow(hot-path-alloc) waiter-list growth, one slot per blocked
-  // coroutine; an intrusive through-the-pool list is the escape's exit path.
-  list.push_back(rec);
-  return rec;
-}
-
-/// Live (non-abandoned) records in a waiter list.
-template <typename List>
-inline std::size_t live_waiters(const List& list) {
-  std::size_t n = 0;
-  for (const auto& rec : list) {
-    if (rec->alive) ++n;
-  }
-  return n;
-}
-
-}  // namespace detail
-
 /// One-shot broadcast event. set() wakes every current and future waiter.
 /// `trace_name` labels the wait edges this primitive records.
 class Event {
  public:
   explicit Event(Engine& engine, const char* trace_name = "sim.event")
-      : engine_(&engine), trace_name_(trace_name) {}
+      : waiters_(engine, trace_name) {}
 
   bool is_set() const { return set_; }
 
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto& rec : waiters_) {
-      if (rec->alive) wake_waiter(*engine_, rec);
-    }
-    waiters_.clear();
+    waiters_.wake_all();
   }
 
-  auto wait() {
-    struct Awaiter {
-      Event* ev;
-      WaitRef rec;
-      explicit Awaiter(Event* e) : ev(e) {}
-      Awaiter(const Awaiter&) = delete;
-      Awaiter& operator=(const Awaiter&) = delete;
-      ~Awaiter() {
-        if (rec && !rec->resumed) rec->alive = false;
-      }
-      bool await_ready() const noexcept { return ev->set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        rec = detail::enlist_waiter(ev->waiters_, *ev->engine_, h);
-      }
-      void await_resume() noexcept {
-        if (!rec) return;
-        rec->resumed = true;
-        record_wait_edge(*ev->engine_, *rec, ev->trace_name_);
-      }
-    };
-    return Awaiter{this};
-  }
+  auto wait() { return waiters_.wait(set_); }
 
-  std::size_t waiting() const { return detail::live_waiters(waiters_); }
+  std::size_t waiting() const { return waiters_.waiting(); }
 
  private:
-  Engine* engine_;
-  const char* trace_name_;
   bool set_ = false;
-  std::vector<WaitRef> waiters_;
+  WaitQueue waiters_;
 };
 
 /// Counting semaphore with FIFO wakeup order. A waiter destroyed while
@@ -112,61 +58,33 @@ class Semaphore {
  public:
   Semaphore(Engine& engine, std::size_t initial,
             const char* trace_name = "sim.semaphore")
-      : engine_(&engine), trace_name_(trace_name), count_(initial) {}
+      : count_(initial), waiters_(engine, trace_name) {}
 
   auto acquire() {
-    struct Awaiter {
+    struct Acquire : WaitQueue::Awaiter {
       Semaphore* sem;
-      WaitRef rec;
-      explicit Awaiter(Semaphore* s) : sem(s) {}
-      Awaiter(const Awaiter&) = delete;
-      Awaiter& operator=(const Awaiter&) = delete;
-      ~Awaiter() {
-        if (!rec || rec->resumed) return;
-        rec->alive = false;
+      Acquire(Semaphore* s, bool ready) : Awaiter(s->waiters_, ready), sem(s) {}
+      ~Acquire() {
         // Destroyed with a permit already in flight to us: hand it on.
-        if (rec->granted) sem->release();
-      }
-      bool await_ready() {
-        if (sem->count_ > 0) {
-          --sem->count_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        rec = detail::enlist_waiter(sem->waiters_, *sem->engine_, h);
-      }
-      void await_resume() noexcept {
-        if (!rec) return;
-        rec->resumed = true;
-        record_wait_edge(*sem->engine_, *rec, sem->trace_name_);
+        if (grant_abandoned()) sem->release();
       }
     };
-    return Awaiter{this};
+    const bool ready = count_ > 0;
+    if (ready) --count_;
+    return Acquire{this, ready};
   }
 
+  /// The permit is handed directly to the oldest live waiter, if any.
   void release() {
-    while (!waiters_.empty()) {
-      WaitRef rec = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (!rec->alive) continue;  // waiter abandoned while queued
-      // The permit is handed directly to the woken waiter.
-      rec->granted = true;
-      wake_waiter(*engine_, rec);
-      return;
-    }
-    ++count_;
+    if (!waiters_.wake_one()) ++count_;
   }
 
   std::size_t available() const { return count_; }
-  std::size_t waiting() const { return detail::live_waiters(waiters_); }
+  std::size_t waiting() const { return waiters_.waiting(); }
 
  private:
-  Engine* engine_;
-  const char* trace_name_;
   std::size_t count_;
-  std::deque<WaitRef> waiters_;
+  WaitQueue waiters_;
 };
 
 /// Unbounded single-direction channel of T. Multiple producers, multiple
@@ -175,41 +93,27 @@ template <typename T>
 class Channel {
  public:
   explicit Channel(Engine& engine, const char* trace_name = "sim.channel")
-      : engine_(&engine), trace_name_(trace_name) {}
+      : waiters_(engine, trace_name) {}
 
   void push(T value) {
     // vmlint:allow(hot-path-alloc) unbounded channel buffer by design;
     // a fixed-capacity ring variant is the escape's exit path.
     items_.push_back(std::move(value));
-    wake_one();
+    waiters_.wake_one();
   }
 
   /// Awaitable pop; suspends until an item is available.
   Task<T> pop() {
-    struct Awaiter {
+    struct Pop : WaitQueue::Awaiter {
       Channel* ch;
-      WaitRef rec;
-      explicit Awaiter(Channel* c) : ch(c) {}
-      Awaiter(const Awaiter&) = delete;
-      Awaiter& operator=(const Awaiter&) = delete;
-      ~Awaiter() {
-        if (!rec || rec->resumed) return;
-        rec->alive = false;
+      explicit Pop(Channel* c) : Awaiter(c->waiters_, /*ready=*/false), ch(c) {}
+      ~Pop() {
         // An item was already routed to us; wake another consumer for it.
-        if (rec->granted && !ch->items_.empty()) ch->wake_one();
-      }
-      bool await_ready() const noexcept { return !ch->items_.empty(); }
-      void await_suspend(std::coroutine_handle<> h) {
-        rec = detail::enlist_waiter(ch->waiters_, *ch->engine_, h);
-      }
-      void await_resume() noexcept {
-        if (!rec) return;
-        rec->resumed = true;
-        record_wait_edge(*ch->engine_, *rec, ch->trace_name_);
+        if (grant_abandoned() && !ch->items_.empty()) ch->waiters_.wake_one();
       }
     };
     // Under multiple consumers a wakeup can race with another consumer; loop.
-    while (items_.empty()) co_await Awaiter{this};
+    while (items_.empty()) co_await Pop{this};
     T v = std::move(items_.front());
     items_.pop_front();
     co_return v;
@@ -219,29 +123,12 @@ class Channel {
   bool empty() const { return items_.empty(); }
 
  private:
-  void wake_one() {
-    while (!waiters_.empty()) {
-      WaitRef rec = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (!rec->alive) continue;
-      rec->granted = true;
-      wake_waiter(*engine_, rec);
-      return;
-    }
-  }
-
-  Engine* engine_;
-  const char* trace_name_;
   std::deque<T> items_;
-  std::deque<WaitRef> waiters_;
+  WaitQueue waiters_;
 };
 
 /// Spawns all tasks and waits for every one to finish. Exceptions from
 /// children propagate (the first one encountered in join order).
 Task<void> when_all(Engine& engine, std::vector<Task<void>> tasks);
-
-/// Runs tasks with at most `limit` in flight at once (FIFO admission).
-Task<void> when_all_limited(Engine& engine, std::vector<Task<void>> tasks,
-                            std::size_t limit);
 
 }  // namespace vmstorm::sim

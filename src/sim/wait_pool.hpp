@@ -20,6 +20,8 @@
 //   WaitGuard  liveness guard passed to Engine::schedule_at. It owns a
 //              reference — pinning the slot while the wakeup is in flight —
 //              and additionally carries the slot's generation stamp.
+//   WaitQueue  the FIFO every blocking primitive parks its waiters on, and
+//              the one owner of the liveness protocol below.
 //
 // The generation stamp is the pool's core safety invariant: releasing a slot
 // back to the free list bumps its generation, so a stale guard can never read
@@ -29,21 +31,23 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace vmstorm::sim {
 
+class Engine;
 class WaitPool;
 class WaitRef;
 
-/// Liveness record for a suspended waiter. Waiter lists (Event, Semaphore,
-/// Channel, JoinState, storage::Disk) store WaitRefs to these instead of raw
-/// coroutine handles so a coroutine destroyed while suspended is never
-/// resumed: the awaiter's destructor flips `alive`, the wake path skips dead
-/// records, and the engine re-checks the guard before resuming an
-/// already-queued wakeup.
+/// Liveness record for a suspended waiter. Every waiter list (Event,
+/// Semaphore, Channel, JoinState, storage::Disk) is a WaitQueue of WaitRefs
+/// to these instead of raw coroutine handles, so a coroutine destroyed while
+/// suspended is never resumed: the awaiter's destructor flips `alive`, the
+/// wake path skips dead records, and the engine re-checks the guard before
+/// resuming an already-queued wakeup.
 struct WaitRecord {
   std::coroutine_handle<> handle{};
   bool alive = true;    ///< false once the waiting coroutine frame is gone
@@ -206,5 +210,95 @@ class WaitGuard {
 /// queued wakeup is consumed or dropped (the name is also the token vmlint's
 /// unguarded-waiter rule looks for at schedule sites).
 inline WaitGuard alive_guard(const WaitRef& rec) { return WaitGuard{rec}; }
+
+/// The one way a coroutine parks until another process wakes it: a FIFO of
+/// pooled WaitRecords plus the resource name its wait edges carry
+/// ("sim.join", "disk.dirty", ...). Event, Semaphore, Channel, JoinState and
+/// storage::Disk each hold one, so the liveness protocol lives here alone:
+/// an awaiter destroyed while parked marks its record dead, every wake skips
+/// dead records, and a resumed waiter records its wait edge. The members that
+/// touch the engine are defined in sim/causal.hpp.
+///
+/// Storage is a vector with an index past the already-woken prefix; a wake
+/// drops each passed record's reference at once (so pool slots recycle
+/// exactly when the waiter lets go) and compacts the prefix, so a queue that
+/// never fully drains stays bounded by the waiters still parked on it.
+class WaitQueue {
+ public:
+  /// Parks unless constructed ready. `need` is what wake_while's admit test
+  /// sees for this waiter (disk admission's byte count; 0 elsewhere).
+  class Awaiter {
+   public:
+    Awaiter(WaitQueue& queue, bool ready, std::uint64_t need = 0)
+        : queue_(&queue), ready_(ready), need_(need) {}
+    Awaiter(const Awaiter&) = delete;
+    Awaiter& operator=(const Awaiter&) = delete;
+    ~Awaiter() {
+      if (rec_ && !rec_->resumed) rec_->alive = false;
+    }
+    bool await_ready() const noexcept { return ready_; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() noexcept;
+
+   protected:
+    /// True while parked with a grant from wake_one() in flight: a waiter
+    /// destroyed now must pass its permit or item on.
+    bool grant_abandoned() const {
+      return rec_ && !rec_->resumed && rec_->granted;
+    }
+
+   private:
+    WaitQueue* queue_;
+    bool ready_;
+    std::uint64_t need_;
+    WaitRef rec_{};
+  };
+
+  WaitQueue(Engine& engine, const char* resource)
+      : engine_(&engine), resource_(resource) {}
+  WaitQueue(const WaitQueue&) = delete;
+  WaitQueue& operator=(const WaitQueue&) = delete;
+
+  Awaiter wait(bool ready, std::uint64_t need = 0) {
+    return Awaiter{*this, ready, need};
+  }
+
+  /// Wakes live waiters oldest first while admit(need) holds; dead ones on
+  /// the way are dropped.
+  template <typename Admit>
+  void wake_while(Admit admit);
+  void wake_all();
+  /// Wakes the oldest live waiter with `granted` set (a Semaphore permit or
+  /// Channel item rides on the wakeup). False when no live waiter was parked.
+  bool wake_one();
+
+  /// Live parked waiters.
+  std::size_t waiting() const {
+    std::size_t n = 0;
+    for (std::size_t i = head_; i < parked_.size(); ++i) {
+      if (parked_[i].rec->alive) ++n;
+    }
+    return n;
+  }
+  /// Allocated entries — storage telemetry for tests.
+  std::size_t capacity() const { return parked_.capacity(); }
+
+ private:
+  struct Parked {
+    WaitRef rec;
+    std::uint64_t need;
+  };
+
+  /// The wake loop. With `one` it marks its one wakeup granted and stops
+  /// right after it: dead records behind it stay until a later wake drops
+  /// them, so their pool slots recycle when they always have.
+  template <typename Admit>
+  bool wake(Admit admit, bool one);
+
+  Engine* engine_;
+  const char* resource_;
+  std::vector<Parked> parked_;
+  std::size_t head_ = 0;  ///< parked_[0, head_) is woken or dropped
+};
 
 }  // namespace vmstorm::sim

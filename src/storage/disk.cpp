@@ -9,7 +9,9 @@ namespace vmstorm::storage {
 
 Disk::Disk(sim::Engine& engine, DiskConfig cfg)
     : engine_(&engine), cfg_(cfg),
-      platter_(engine, cfg.rate, cfg.seek_overhead) {
+      platter_(engine, cfg.rate, cfg.seek_overhead),
+      dirty_waiters_(engine, "disk.dirty"),
+      flush_waiters_(engine, "disk.flush") {
   platter_.set_trace("disk", 0);
   if (obs::Recorder* rec = engine.recorder()) {
     obs_cache_hits_ = &rec->metrics.counter("disk.cache_hits");
@@ -51,38 +53,7 @@ sim::Task<void> Disk::write_sync(Bytes bytes) {
 }
 
 sim::Task<void> Disk::write_async(Bytes bytes, std::uint64_t cache_key) {
-  // Block while admission would exceed the dirty budget (a write larger than
-  // the whole budget is admitted alone once the buffer drains).
-  struct Admission {
-    Disk* disk;
-    Bytes need;
-    sim::WaitRef rec;
-    Admission(Disk* d, Bytes n) : disk(d), need(n) {}
-    Admission(const Admission&) = delete;
-    Admission& operator=(const Admission&) = delete;
-    ~Admission() {
-      if (rec && !rec->resumed) rec->alive = false;
-    }
-    bool await_ready() const {
-      return disk->dirty_bytes_ == 0 ||
-             disk->dirty_bytes_ + need <= disk->cfg_.dirty_limit;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      sim::WaitRef r = sim::make_wait_record(*disk->engine_, h);
-      rec = r;
-      // vmlint:allow(hot-path-alloc) admission queue growth is bounded by
-      // writers-in-flight; intrusive pool lists are the exit path.
-      disk->dirty_waiters_.push_back({need, std::move(r)});
-    }
-    void await_resume() noexcept {
-      if (!rec) return;
-      rec->resumed = true;
-      sim::record_wait_edge(*disk->engine_, *rec, "disk.dirty");
-    }
-  };
-  while (dirty_bytes_ != 0 && dirty_bytes_ + bytes > cfg_.dirty_limit) {
-    co_await Admission{this, bytes};
-  }
+  while (!admits(bytes)) co_await dirty_waiters_.wait(/*ready=*/false, bytes);
   dirty_bytes_ += bytes;
   if (cache_key != 0) cache_insert(cache_key, bytes);
   ++flushes_in_flight_;
@@ -100,53 +71,13 @@ sim::Task<void> Disk::flusher(Bytes bytes) {
   assert(dirty_bytes_ >= bytes);
   dirty_bytes_ -= bytes;
   --flushes_in_flight_;
-  wake_dirty_waiters();
-  if (flushes_in_flight_ == 0) {
-    for (auto& rec : flush_waiters_) {
-      if (rec->alive) sim::wake_waiter(*engine_, rec);
-    }
-    flush_waiters_.clear();
-  }
-}
-
-void Disk::wake_dirty_waiters() {
-  // Admit waiters FIFO while the budget allows; they re-check on resume.
-  while (!dirty_waiters_.empty()) {
-    DirtyWaiter& w = dirty_waiters_.front();
-    if (!w.rec->alive) {
-      dirty_waiters_.pop_front();
-      continue;
-    }
-    if (dirty_bytes_ != 0 && dirty_bytes_ + w.need > cfg_.dirty_limit) break;
-    sim::wake_waiter(*engine_, w.rec);
-    dirty_waiters_.pop_front();
-  }
+  // Admit writers FIFO while the budget allows; they re-check on resume.
+  dirty_waiters_.wake_while([this](Bytes need) { return admits(need); });
+  if (flushes_in_flight_ == 0) flush_waiters_.wake_all();
 }
 
 sim::Task<void> Disk::flush() {
-  struct FlushAwaiter {
-    Disk* disk;
-    sim::WaitRef rec;
-    explicit FlushAwaiter(Disk* d) : disk(d) {}
-    FlushAwaiter(const FlushAwaiter&) = delete;
-    FlushAwaiter& operator=(const FlushAwaiter&) = delete;
-    ~FlushAwaiter() {
-      if (rec && !rec->resumed) rec->alive = false;
-    }
-    bool await_ready() const { return disk->flushes_in_flight_ == 0; }
-    void await_suspend(std::coroutine_handle<> h) {
-      rec = sim::make_wait_record(*disk->engine_, h);
-      // vmlint:allow(hot-path-alloc) flush waiters are rare (one per
-      // explicit flush); intrusive pool lists are the exit path.
-      disk->flush_waiters_.push_back(rec);
-    }
-    void await_resume() noexcept {
-      if (!rec) return;
-      rec->resumed = true;
-      sim::record_wait_edge(*disk->engine_, *rec, "disk.flush");
-    }
-  };
-  while (flushes_in_flight_ != 0) co_await FlushAwaiter{this};
+  while (flushes_in_flight_ != 0) co_await flush_waiters_.wait(/*ready=*/false);
 }
 
 void Disk::cache_insert(std::uint64_t key, Bytes bytes) {

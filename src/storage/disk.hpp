@@ -15,13 +15,10 @@
 //    degrades as more concurrent instances generate more write pressure").
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <list>
-#include <memory>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "common/units.hpp"
 #include "sim/engine.hpp"
@@ -92,12 +89,11 @@ class Disk {
   void record_queue_wait();
   void cache_insert(std::uint64_t key, Bytes bytes);
   sim::Task<void> flusher(Bytes bytes);
-  void wake_dirty_waiters();
-
-  struct DirtyWaiter {
-    Bytes need;
-    sim::WaitRef rec;
-  };
+  /// True when a write-back of `bytes` fits the dirty budget now (a write
+  /// larger than the whole budget is admitted alone once the buffer drains).
+  bool admits(Bytes bytes) const {
+    return dirty_bytes_ == 0 || dirty_bytes_ + bytes <= cfg_.dirty_limit;
+  }
 
   sim::Engine* engine_;
   DiskConfig cfg_;
@@ -111,9 +107,9 @@ class Disk {
   Bytes cache_bytes_ = 0;
 
   Bytes dirty_bytes_ = 0;
-  std::deque<DirtyWaiter> dirty_waiters_;
+  sim::WaitQueue dirty_waiters_;  ///< writers awaiting admission, FIFO
   std::uint64_t flushes_in_flight_ = 0;
-  std::vector<sim::WaitRef> flush_waiters_;
+  sim::WaitQueue flush_waiters_;
 
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;

@@ -301,7 +301,7 @@ sim::Task<void> join_target_body(World* w, TaskState* st,
 }
 
 sim::Task<void> joiner_body(World* w, TaskState* st, sim::JoinHandle target) {
-  if (target.valid()) co_await target.join(w->engine);
+  if (target.valid()) co_await target.join();
   st->finished = true;
   w->mark(st->index, "done");
 }

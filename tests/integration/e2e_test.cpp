@@ -3,6 +3,7 @@
 // including failure injection and the §3.2 debugging workflow.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -17,11 +18,28 @@
 namespace vmstorm {
 namespace {
 
-std::string tmp_path(const std::string& tag) {
-  static int counter = 0;
-  return ::testing::TempDir() + "/e2e_" + tag + "_" + std::to_string(::getpid()) +
-         "_" + std::to_string(counter++) + ".img";
-}
+// Hands out mirror paths unique within the process and removes each image
+// and its sidecar when the test ends.
+class EndToEnd : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    for (const std::string& path : paths_) {
+      std::remove(path.c_str());
+      std::remove((path + ".meta").c_str());
+    }
+  }
+
+  std::string tmp_path(const std::string& tag) {
+    static int counter = 0;
+    paths_.push_back(::testing::TempDir() + "/e2e_" + tag + "_" +
+                     std::to_string(::getpid()) + "_" +
+                     std::to_string(counter++) + ".img");
+    return paths_.back();
+  }
+
+ private:
+  std::vector<std::string> paths_;
+};
 
 std::vector<std::byte> to_bytes(const std::string& s) {
   std::vector<std::byte> v(s.size());
@@ -38,7 +56,7 @@ std::string read_file(imgfs::FileSystem& fs, const std::string& name) {
   return std::string(reinterpret_cast<const char*>(buf.data()), buf.size());
 }
 
-TEST(EndToEnd, GuestFilesystemOverMirroredImage) {
+TEST_F(EndToEnd, GuestFilesystemOverMirroredImage) {
   blob::BlobStore store(blob::StoreConfig{.providers = 4});
   blob::BlobId image = store.create(16_MiB, 256_KiB).value();
   store.write_pattern(image, 0, 0, 16_MiB, 1).check();
@@ -76,7 +94,7 @@ TEST(EndToEnd, GuestFilesystemOverMirroredImage) {
   EXPECT_EQ(got, payload);
 }
 
-TEST(EndToEnd, DebuggingWorkflowClonesAreIndependent) {
+TEST_F(EndToEnd, DebuggingWorkflowClonesAreIndependent) {
   blob::BlobStore store(blob::StoreConfig{.providers = 4});
   blob::BlobId image = store.create(8_MiB, 256_KiB).value();
   store.write_pattern(image, 0, 0, 8_MiB, 1).check();
@@ -126,7 +144,7 @@ TEST(EndToEnd, DebuggingWorkflowClonesAreIndependent) {
   EXPECT_EQ(read_file(*sfs, "app.conf"), "threads=0");
 }
 
-TEST(EndToEnd, ReplicatedStoreSurvivesProviderLossUnderMirror) {
+TEST_F(EndToEnd, ReplicatedStoreSurvivesProviderLossUnderMirror) {
   blob::BlobStore store(blob::StoreConfig{.providers = 4, .replication = 2});
   blob::BlobId image = store.create(4_MiB, 256_KiB).value();
   store.write_pattern(image, 0, 0, 4_MiB, 3).check();
@@ -147,7 +165,7 @@ TEST(EndToEnd, ReplicatedStoreSurvivesProviderLossUnderMirror) {
   }
 }
 
-TEST(EndToEnd, ChainOfCommitsReadsBackExactly) {
+TEST_F(EndToEnd, ChainOfCommitsReadsBackExactly) {
   // A long history of snapshots on one clone: every version stays intact.
   blob::BlobStore store(blob::StoreConfig{.providers = 4});
   const Bytes size = 2_MiB, chunk = 128_KiB;
@@ -184,7 +202,7 @@ TEST(EndToEnd, ChainOfCommitsReadsBackExactly) {
   }
 }
 
-TEST(EndToEnd, MonteCarloPiOnVirtualCluster) {
+TEST_F(EndToEnd, MonteCarloPiOnVirtualCluster) {
   // The π workers save tallies inside mirrored images; a "collector" later
   // reads every snapshot and merges. Validates data flow through the full
   // snapshot path, and that π comes out right.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "blob/chunk.hpp"
 #include "common/rng.hpp"
@@ -21,18 +23,27 @@ constexpr std::uint64_t kSeed = 77;
 struct Fixture {
   BlobStore store{blob::StoreConfig{.providers = 4}};
   BlobId image = 0;
-  std::string dir;
-  int file_counter = 0;
+  std::vector<std::string> paths;  ///< images handed out, removed at the end
 
   Fixture() {
-    dir = ::testing::TempDir();
     image = store.create(kImage, kChunk).value();
     EXPECT_TRUE(store.write_pattern(image, 0, 0, kImage, kSeed).is_ok());
   }
+  ~Fixture() {
+    for (const std::string& path : paths) {
+      std::remove(path.c_str());
+      std::remove((path + ".meta").c_str());
+    }
+  }
 
+  /// A mirror path no other test in this process has used, so no test
+  /// reopens another's image or restores its sidecar.
   std::string fresh_path() {
-    return dir + "/mirror_" + std::to_string(::getpid()) + "_" +
-           std::to_string(file_counter++) + ".img";
+    static int counter = 0;
+    paths.push_back(::testing::TempDir() + "/mirror_" +
+                    std::to_string(::getpid()) + "_" +
+                    std::to_string(counter++) + ".img");
+    return paths.back();
   }
 
   std::unique_ptr<VirtualDisk> open_disk(const std::string& path,

@@ -124,7 +124,7 @@ TEST(Engine, SpawnedExceptionCapturedInJoinHandle) {
 }
 
 Task<void> join_waiter(Engine& e, JoinHandle h, std::vector<double>* log) {
-  co_await h.join(e);
+  co_await h.join();
   log->push_back(e.now_seconds());
 }
 

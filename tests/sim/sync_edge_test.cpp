@@ -153,10 +153,10 @@ TEST(JoinEdge, JoinerDestroyedBeforeTargetCompletes) {
   JoinHandle target = e.spawn(join_target(e));
   bool joined = false;
   auto victim = start_detached(
-      [](Engine& eng, JoinHandle h, bool* flag) -> Task<void> {
-        co_await h.join(eng);
+      [](JoinHandle h, bool* flag) -> Task<void> {
+        co_await h.join();
         *flag = true;
-      }(e, target, &joined));
+      }(target, &joined));
   victim.destroy();  // joiner dies while parked on the join list
   e.run();           // target completes; must not resume the dead joiner
   EXPECT_TRUE(target.done());

@@ -140,22 +140,6 @@ TEST(WhenAll, WaitsForSlowest) {
   EXPECT_DOUBLE_EQ(finished_at, 4.0);
 }
 
-Task<void> run_when_all_limited(Engine& e, double* finished_at) {
-  std::vector<Task<void>> tasks;
-  for (int i = 0; i < 6; ++i) tasks.push_back(delay_task(e, from_seconds(1)));
-  co_await when_all_limited(e, std::move(tasks), 2);
-  *finished_at = e.now_seconds();
-}
-
-TEST(WhenAllLimited, ThrottlesConcurrency) {
-  Engine e;
-  double finished_at = 0;
-  e.spawn(run_when_all_limited(e, &finished_at));
-  e.run();
-  // 6 tasks of 1s each, 2 at a time -> 3s.
-  EXPECT_DOUBLE_EQ(finished_at, 3.0);
-}
-
 TEST(WhenAll, EmptyVectorCompletesImmediately) {
   Engine e;
   double finished_at = -1;

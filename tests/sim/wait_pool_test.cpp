@@ -1,6 +1,7 @@
 // WaitPool lifecycle tests: slot recycling, generation-stamp rejection of
 // stale guards, and agreement between the pool's high-water accounting and
-// the engine's sim.wait_records_live_high_water gauge.
+// the engine's sim.wait_records_live_high_water gauge; plus WaitQueue's
+// bounded storage.
 #include <gtest/gtest.h>
 
 #include "sim/engine.hpp"
@@ -145,6 +146,32 @@ TEST(WaitPool, MidSleepDestructionRecyclesOnlyAfterTheDrop) {
   EXPECT_EQ(e.wait_records_live(), 1u);
   e.run();  // dispatches the wakeup -> guarded drop -> slot recycles
   EXPECT_EQ(e.cancelled_wakeups(), 1u);
+  EXPECT_EQ(e.wait_records_live(), 0u);
+}
+
+Task<void> park(WaitQueue& q) { co_await q.wait(/*ready=*/false); }
+
+// A queue that never fully drains (disk admission under sustained write
+// pressure) compacts its woken prefix: its storage stays bounded by the
+// waiters still parked, not by every waiter that ever passed through.
+TEST(WaitQueue, NeverDrainedQueueStaysBoundedByLiveWaiters) {
+  constexpr std::size_t kLive = 8;
+  Engine e;
+  WaitQueue q(e, "test.queue");
+  for (std::size_t i = 0; i < kLive; ++i) e.spawn(park(q));
+  e.run();
+  for (int round = 0; round < 5000; ++round) {
+    e.spawn(park(q));
+    e.run();  // the newcomer parks behind the others
+    ASSERT_TRUE(q.wake_one());
+    e.run();  // the oldest resumes and finishes
+    ASSERT_EQ(q.waiting(), kLive);
+  }
+  EXPECT_LE(q.capacity(), 4 * kLive);
+  EXPECT_EQ(e.wait_records_live(), kLive);
+  q.wake_all();
+  e.run();
+  EXPECT_EQ(e.live_tasks(), 0u);
   EXPECT_EQ(e.wait_records_live(), 0u);
 }
 

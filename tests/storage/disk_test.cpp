@@ -129,6 +129,28 @@ TEST(Disk, AsyncWriteThrottledOverDirtyLimit) {
   e.run();
 }
 
+Task<void> timed_write(Engine& e, Disk& d, Bytes n, double* admitted_at) {
+  co_await d.write_async(n);
+  *admitted_at = e.now_seconds();
+}
+
+TEST(Disk, ThrottledWritersAdmittedInArrivalOrder) {
+  Engine e;
+  Disk d(e, simple_config());
+  double large_at = -1, small_at = -1;
+  e.spawn([](Disk& disk) -> Task<void> {
+    // Fill the 500 B budget; the flushes land at 2.5 s and 5.0 s.
+    co_await disk.write_async(250);
+    co_await disk.write_async(250);
+  }(d));
+  e.spawn(timed_write(e, d, 300, &large_at));
+  e.spawn(timed_write(e, d, 100, &small_at));
+  e.run();
+  EXPECT_DOUBLE_EQ(large_at, 5.0);
+  // The 100 B writer fits at 2.5 s, but not ahead of the 300 B one.
+  EXPECT_DOUBLE_EQ(small_at, 5.0);
+}
+
 TEST(Disk, HugeAsyncWriteAdmittedWhenBufferEmpty) {
   Engine e;
   Disk d(e, simple_config());

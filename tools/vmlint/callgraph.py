@@ -631,14 +631,14 @@ class CallGraph:
 
 
 def creates_wait_record(toks, fn):
-    """True when fn's signature+body creates or enlists a WaitRecord:
-    a make_wait_record(...)/enlist_waiter(...) call or a make_shared
-    with WaitRecord in its template arguments."""
+    """True when fn's signature+body creates a WaitRecord: a
+    make_wait_record(...) call or a make_shared with WaitRecord in its
+    template arguments."""
     k = fn.params_start
     while k < fn.body_end:
         t = toks[k]
         if t.kind == "id":
-            if t.text in ("make_wait_record", "enlist_waiter") \
+            if t.text == "make_wait_record" \
                     and k + 1 < fn.body_end and toks[k + 1].text == "(":
                 return True
             if t.text == "make_shared" and any(

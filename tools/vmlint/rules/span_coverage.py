@@ -5,14 +5,14 @@ primitives emit: a blocking awaiter that registers a WaitRecord but never
 calls record_wait_edge (sim/causal.hpp) produces waits the tracer cannot
 attribute, and the critical path silently routes around them. This rule
 closes the loop structurally: for every awaiter class whose await_suspend
-creates or enlists a WaitRecord, *some* method of that class (in practice
+creates a WaitRecord, *some* method of that class (in practice
 await_resume, where the wait duration is known) must call record_wait_edge.
 
-The check groups methods by their namespace-stripped class key, so the
-local-`struct Awaiter`-inside-a-method idiom (sync.hpp, disk.cpp) and
-out-of-line definitions (engine.cpp's Engine::SleepAwaiter::await_suspend)
-both resolve to the same class. Findings anchor at the await_suspend
-definition. Scoped to src/.
+The check groups methods by their namespace-stripped class key, so a
+local `struct Awaiter` inside a method and out-of-line definitions
+(causal.hpp's WaitQueue::Awaiter members, engine.cpp's
+Engine::SleepAwaiter::await_suspend) both resolve to the same class.
+Findings anchor at the await_suspend definition. Scoped to src/.
 """
 
 import collections

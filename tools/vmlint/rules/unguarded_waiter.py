@@ -9,7 +9,7 @@ visible in the call graph. This rule makes the shape a lint error so the
 next blocking primitive is caught at lint time, not fuzz time.
 
 A function is in scope when it is an `await_suspend` or its signature/body
-touches `WaitRecord` (creation via make_wait_record / enlist_waiter /
+touches `WaitRecord` (creation via make_wait_record /
 make_shared<WaitRecord> included). Two subrules:
 
   unguarded-schedule   a schedule_at/schedule_after call whose argument list
