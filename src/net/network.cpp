@@ -16,12 +16,25 @@ Network::Network(sim::Engine& engine, std::size_t node_count, NetworkConfig cfg)
   for (std::size_t i = 0; i < node_count; ++i) add_node();
 }
 
+bool Network::open_connection(NetNode& src, NodeId dst) {
+  if (dst >= src.connected_.size()) src.connected_.resize(nodes_.size());
+  if (src.connected_[dst]) return false;
+  src.connected_[dst] = true;
+  ++connections_opened_;
+  return true;
+}
+
 NodeId Network::add_node() {
   nodes_.push_back(std::make_unique<NetNode>(*engine_, cfg_));
   const NodeId id = static_cast<NodeId>(nodes_.size() - 1);
   nodes_.back()->tx_.set_trace("net.tx", id);
   nodes_.back()->rx_.set_trace("net.rx", id);
   return id;
+}
+
+void Network::reset_connections() {
+  for (auto& n : nodes_) n->connected_.clear();
+  connections_opened_ = 0;
 }
 
 sim::Task<void> Network::transfer(NodeId src, NodeId dst, Bytes payload) {
@@ -49,7 +62,7 @@ sim::Task<void> Network::transfer(NodeId src, NodeId dst, Bytes payload) {
   // FifoServer) are recorded as explicit cost events.
   sim::SpanScope span(*engine_);
 
-  if (cfg_.connection_setup > 0 && connections_.emplace(src, dst).second) {
+  if (cfg_.connection_setup > 0 && open_connection(s, dst)) {
     const double conn_start = engine_->now_seconds();
     co_await engine_->sleep(cfg_.connection_setup);
     if (obs::Tracer* tr = sim::live_tracer(*engine_)) {

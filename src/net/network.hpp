@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -69,6 +67,9 @@ class NetNode {
   sim::FifoServer rx_;
   Bytes bytes_sent_ = 0;
   Bytes bytes_received_ = 0;
+  /// connected_[dst]: a connection to dst is open. Sized to the node count
+  /// on first use, and again when a node added later is first reached.
+  std::vector<bool> connected_;
 };
 
 class Network {
@@ -108,16 +109,21 @@ class Network {
   Bytes total_payload() const { return total_payload_; }
 
   std::uint64_t total_messages() const { return total_messages_; }
-  std::uint64_t connections_opened() const { return connections_.size(); }
+  /// Distinct (src, dst) pairs connected since construction or the last
+  /// reset_connections(); always 0 when connection_setup is 0.
+  std::uint64_t connections_opened() const { return connections_opened_; }
 
   /// Forgets established connections (e.g. between benchmark repetitions).
-  void reset_connections() { connections_.clear(); }
+  void reset_connections();
 
  private:
+  /// Records the connection src -> dst; true when it was not yet open.
+  bool open_connection(NetNode& src, NodeId dst);
+
   sim::Engine* engine_;
   NetworkConfig cfg_;
   std::vector<std::unique_ptr<NetNode>> nodes_;
-  std::set<std::pair<NodeId, NodeId>> connections_;
+  std::uint64_t connections_opened_ = 0;
   Bytes total_traffic_ = 0;
   Bytes total_payload_ = 0;
   std::uint64_t total_messages_ = 0;

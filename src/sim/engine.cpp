@@ -15,7 +15,7 @@ namespace {
 /// (so spawn() can enqueue its start deterministically); the frame
 /// self-destroys after completion (final_suspend = suspend_never).
 struct DetachedTask {
-  struct promise_type {
+  struct promise_type : detail::PooledFrame {
     DetachedTask get_return_object() {
       return {std::coroutine_handle<promise_type>::from_promise(*this)};
     }

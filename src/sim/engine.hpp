@@ -160,10 +160,10 @@ class Engine {
   Auditor* auditor() const { return auditor_; }
   void set_auditor(Auditor* auditor) { auditor_ = auditor; }
 
- private:
-  /// Awaiter for sleep()/sleep_until(). Holds a liveness-guarded WaitRecord
-  /// like every other blocking site: a coroutine destroyed mid-sleep marks
-  /// the record dead and the engine drops the queued wakeup instead of
+  /// Awaiter for sleep()/sleep_until(), and the base of FifoServer's serve
+  /// awaiter (sim/resource.hpp). Holds a liveness-guarded WaitRecord like
+  /// every other blocking site: a coroutine destroyed mid-sleep marks the
+  /// record dead and the engine drops the queued wakeup instead of
   /// resuming a freed frame (counted in cancelled_wakeups()).
   struct SleepAwaiter {
     Engine* engine;
@@ -182,6 +182,7 @@ class Engine {
     }
   };
 
+ private:
   friend class JoinHandle;
 
   SimTime now_ = 0;

@@ -5,6 +5,12 @@
 // starts at max(t, busy_until) and holds the server for overhead + n/rate.
 // With chunk-sized requests this is a store-and-forward model — exactly the
 // granularity at which the paper's transfers contend (256 KB chunks).
+//
+// serve() is not a coroutine. The call books the request (busy time,
+// counters, trace events) at the current instant and returns an awaiter
+// that sleeps until the request's completion time, so `co_await
+// srv.serve(n)` costs one guarded sleep and no coroutine frame. Call sites
+// co_await the call in the same expression.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +18,6 @@
 #include "common/units.hpp"
 #include "sim/causal.hpp"
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace vmstorm::sim {
@@ -34,10 +39,35 @@ class FifoServer {
     trace_lane_ = lane;
   }
 
-  /// Serves a request of `bytes`; completes when the transfer would finish.
-  Task<void> serve(Bytes bytes) { return serve_with_overhead(bytes, fixed_overhead_); }
+  /// Awaiter returned by serve(): a guarded sleep until the request's
+  /// completion. The request stops counting toward inflight() when the
+  /// wakeup is delivered or, if that never happens (the awaiting frame was
+  /// destroyed, or the awaiter was never awaited), when it is destroyed.
+  class [[nodiscard]] ServeAwaiter : public Engine::SleepAwaiter {
+   public:
+    ~ServeAwaiter() {
+      if (server_ != nullptr) --server_->inflight_;
+    }
+    void await_resume() noexcept {
+      SleepAwaiter::await_resume();
+      --server_->inflight_;
+      server_ = nullptr;
+    }
 
-  Task<void> serve_with_overhead(Bytes bytes, SimTime overhead) {
+   private:
+    friend class FifoServer;  // only a booked request makes one
+    ServeAwaiter(FifoServer* server, SimTime done)
+        : SleepAwaiter(server->engine_, done), server_(server) {}
+
+    FifoServer* server_;
+  };
+
+  /// Serves a request of `bytes`; completes when the transfer would finish.
+  ServeAwaiter serve(Bytes bytes) {
+    return serve_with_overhead(bytes, fixed_overhead_);
+  }
+
+  ServeAwaiter serve_with_overhead(Bytes bytes, SimTime overhead) {
     const SimTime arrival = engine_->now();
     const SimTime start = busy_until_ > arrival ? busy_until_ : arrival;
     const SimTime wait = start - arrival;
@@ -64,8 +94,7 @@ class FifoServer {
         last_holder_ = span;
       }
     }
-    co_await engine_->sleep_until(busy_until_);
-    --inflight_;
+    return ServeAwaiter{this, busy_until_};
   }
 
   /// Service time for n bytes, excluding queueing and overhead.
@@ -95,7 +124,8 @@ class FifoServer {
   /// service) and the high-water mark over the server's lifetime — the
   /// queue-depth signal the timeline sampler and the per-provider skew
   /// gauges read. Pure arithmetic on the existing analytic model: no
-  /// request objects are materialized.
+  /// request objects are materialized. A request whose waiter is destroyed
+  /// before its completion stops counting then.
   std::uint64_t inflight() const { return inflight_; }
   std::uint64_t inflight_high_water() const { return inflight_hw_; }
 

@@ -483,6 +483,13 @@ void World::check_quiescent(Outcome& out) {
     violation(std::move(msg));
   }
 
+  // Server accounting: a request stops counting as in flight when it
+  // completes or when its waiter is destroyed.
+  if (server.inflight() != 0) {
+    violation("server-inflight: " + std::to_string(server.inflight()) +
+              " request(s) still in flight at quiescence");
+  }
+
   // Channel conservation: nothing is lost when consumers are destroyed —
   // an item routed to a dead consumer is redelivered or stays queued.
   if (pushed != popped + chan.size()) {

@@ -100,5 +100,26 @@ TEST(FifoServer, UtilizationAccounting) {
   EXPECT_EQ(srv.bytes_served(), 1000u);
 }
 
+TEST(FifoServer, CancelledRequestLeavesNoInflight) {
+  Engine e;
+  FifoServer srv(e, 100.0);
+  std::vector<double> done;
+  // Started by hand rather than spawned, so the test owns the frame and can
+  // destroy it while its request is in service.
+  auto first = client(e, srv, 100, &done).release();
+  first.resume();                        // served over [0, 1)
+  e.spawn(client(e, srv, 100, &done));  // queued behind it: [1, 2)
+  e.run(from_seconds(0.5));
+  EXPECT_EQ(srv.inflight(), 2u);
+  first.destroy();
+  EXPECT_EQ(srv.inflight(), 1u);
+  e.run();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_DOUBLE_EQ(done[0], 2.0);
+  EXPECT_EQ(e.cancelled_wakeups(), 1u);
+  EXPECT_EQ(srv.inflight(), 0u);
+  EXPECT_EQ(srv.inflight_high_water(), 2u);
+}
+
 }  // namespace
 }  // namespace vmstorm::sim
