@@ -91,16 +91,32 @@ void BM_MirrorPlanRead(benchmark::State& state) {
 }
 BENCHMARK(BM_MirrorPlanRead);
 
+// Args: bytes read, offset. Offset 3 puts a ragged head and tail around
+// the whole words, the path a read at an unaligned byte takes.
 void BM_ChunkPayloadPattern(benchmark::State& state) {
-  auto payload = blob::ChunkPayload::pattern(42, 256_KiB);
+  const Bytes offset = static_cast<Bytes>(state.range(1));
   std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  auto payload = blob::ChunkPayload::pattern(42, offset + buf.size());
   for (auto _ : state) {
-    payload.read(0, buf);
+    payload.read(offset, buf);
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ChunkPayloadPattern)->Arg(4096)->Arg(262144);
+BENCHMARK(BM_ChunkPayloadPattern)
+    ->Args({4096, 0})
+    ->Args({262144, 0})
+    ->Args({262144, 3});
+
+// FNV-1a over a synthetic chunk: what dedup pays per stored chunk.
+void BM_ChunkPayloadContentHash(benchmark::State& state) {
+  auto payload = blob::ChunkPayload::pattern(42, 256_KiB);
+  for (auto _ : state) benchmark::DoNotOptimize(payload.content_hash());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_ChunkPayloadContentHash);
 
 void BM_BlobStoreReadThrough(benchmark::State& state) {
   blob::BlobStore store(blob::StoreConfig{.providers = 8});

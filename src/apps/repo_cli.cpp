@@ -1,9 +1,12 @@
 #include "apps/repo_cli.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <fstream>
 #include <sstream>
@@ -41,11 +44,16 @@ Status write_file(const std::string& path, std::span<const std::byte> data) {
 }
 
 Result<std::uint64_t> parse_u64(const std::string& text) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
+  // Digits only: strtoull would also skip blanks and negate a '-'.
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
     return invalid_argument("not a number: " + text);
   }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (*end != '\0') return invalid_argument("not a number: " + text);
+  // strtoull saturates at 2^64-1 rather than fail.
+  if (errno == ERANGE) return out_of_range("number too large: " + text);
   return static_cast<std::uint64_t>(v);
 }
 
@@ -504,20 +512,19 @@ Result<std::string> cmd_timeline(const Parsed& p) {
 
 Result<Bytes> parse_size(const std::string& text) {
   if (text.empty()) return invalid_argument("empty size");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str()) return invalid_argument("not a size: " + text);
   Bytes mult = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'K': case 'k': mult = kKiB; break;
-      case 'M': case 'm': mult = kMiB; break;
-      case 'G': case 'g': mult = kGiB; break;
-      default: return invalid_argument("bad size suffix in: " + text);
-    }
-    if (*(end + 1) != '\0') return invalid_argument("bad size: " + text);
+  switch (text.back()) {
+    case 'K': case 'k': mult = kKiB; break;
+    case 'M': case 'm': mult = kMiB; break;
+    case 'G': case 'g': mult = kGiB; break;
+    default: break;
   }
-  return static_cast<Bytes>(v) * mult;
+  VMSTORM_ASSIGN_OR_RETURN(
+      v, parse_u64(mult == 1 ? text : text.substr(0, text.size() - 1)));
+  if (v > std::numeric_limits<Bytes>::max() / mult) {
+    return out_of_range("size too large: " + text);
+  }
+  return v * mult;
 }
 
 std::string repo_cli_usage() {

@@ -1,9 +1,40 @@
 #include "blob/chunk.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace vmstorm::blob {
+
+namespace {
+
+/// Reverses the byte order of a word (std::byteswap is C++23).
+constexpr std::uint64_t byteswap64(std::uint64_t x) {
+  std::uint64_t r = 0;
+  for (int k = 0; k < 8; ++k) r = (r << 8) | ((x >> (k * 8)) & 0xff);
+  return r;
+}
+static_assert(byteswap64(0x0102030405060708ull) == 0x0807060504030201ull);
+
+}  // namespace
+
+void fill_pattern(std::uint64_t seed, std::uint64_t offset,
+                  std::span<std::byte> out) {
+  const std::size_t n = out.size();
+  // Ragged head, up to the next 8-byte boundary of the absolute offset.
+  std::size_t i = std::min<std::size_t>(n, (8 - (offset & 7)) & 7);
+  for (std::size_t j = 0; j < i; ++j) out[j] = pattern_byte(seed, offset + j);
+  // Whole words: pattern_byte takes byte k of a word from bits [8k, 8k+8)
+  // of its mix64, which is the word's memory order on a little-endian host.
+  for (; n - i >= 8; i += 8) {
+    std::uint64_t word = mix64(seed ^ ((offset + i) >> 3));
+    if constexpr (std::endian::native == std::endian::big) {
+      word = byteswap64(word);
+    }
+    std::memcpy(out.data() + i, &word, sizeof(word));
+  }
+  for (; i < n; ++i) out[i] = pattern_byte(seed, offset + i);
+}
 
 void ChunkPayload::read(Bytes offset, std::span<std::byte> out) const {
   if (out.empty()) return;  // memset/memcpy forbid null even for n == 0
@@ -14,9 +45,7 @@ void ChunkPayload::read(Bytes offset, std::span<std::byte> out) const {
       if (n > 0) std::memset(out.data(), 0, n);
       break;
     case Kind::kPattern:
-      for (Bytes i = 0; i < n; ++i) {
-        out[i] = pattern_byte(seed_, bias_ + offset + i);
-      }
+      fill_pattern(seed_, bias_ + offset, out.first(n));
       break;
     case Kind::kBytes:
       if (n > 0) std::memcpy(out.data(), bytes_.data() + offset, n);

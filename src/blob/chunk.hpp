@@ -21,12 +21,18 @@
 
 namespace vmstorm::blob {
 
-/// Deterministic content byte for (seed, absolute offset). Used by synthetic
-/// payloads and by tests that verify end-to-end data integrity.
+/// Deterministic content byte for (seed, absolute offset). It defines
+/// synthetic content, and tests verify data integrity against it.
 inline std::byte pattern_byte(std::uint64_t seed, std::uint64_t offset) {
   const std::uint64_t word = mix64(seed ^ (offset >> 3));
   return static_cast<std::byte>((word >> ((offset & 7) * 8)) & 0xff);
 }
+
+/// Writes the pattern bytes for [offset, offset + out.size()) into out, the
+/// same bytes pattern_byte gives one at a time, at one mix64 per 8-byte word.
+/// The only bulk generator: every synthetic-byte read and write goes here.
+void fill_pattern(std::uint64_t seed, std::uint64_t offset,
+                  std::span<std::byte> out);
 
 class ChunkPayload {
  public:
@@ -41,7 +47,7 @@ class ChunkPayload {
     return p;
   }
 
-  /// Synthetic payload: byte j reads as pattern_byte(seed, bias + j).
+  /// Synthetic payload: byte j reads as the pattern byte at (seed, bias + j).
   /// With bias = the chunk's base offset in the image, content is a pure
   /// function of (seed, absolute offset) — so reads verify across chunk
   /// boundaries without storing anything.

@@ -154,7 +154,9 @@ Status BlobStore::read(BlobId blob, Version version, Bytes offset,
     const BlobRecord* rec = find_locked(blob);
     if (rec == nullptr) return not_found("blob " + std::to_string(blob));
     if (version >= rec->roots.size()) return out_of_range("version");
-    if (offset + out.size() > rec->size) return out_of_range("read past end");
+    if (offset > rec->size || out.size() > rec->size - offset) {
+      return out_of_range("read past end");
+    }
     if (out.empty()) return Status::ok();
     chunk_size = rec->chunk_size;
     const std::uint64_t lo_chunk = offset / chunk_size;
@@ -216,8 +218,8 @@ Result<CommitOutcome> BlobStore::commit_chunks_detailed(
     }
   }
   for (ChunkWrite& w : writes) {
+    const std::uint64_t h = cfg_.dedup ? w.payload.content_hash() : 0;
     if (cfg_.dedup) {
-      const std::uint64_t h = w.payload.content_hash();
       std::unique_lock lock(mutex_);
       auto it = dedup_map_.find(h);
       if (it != dedup_map_.end() && it->second.second == w.payload.size()) {
@@ -239,7 +241,6 @@ Result<CommitOutcome> BlobStore::commit_chunks_detailed(
     std::vector<ProviderId> reps =
         providers_.allocate_replicas(w.payload.size(), cfg_.replication);
     if (cfg_.dedup) {
-      const std::uint64_t h = w.payload.content_hash();
       std::unique_lock lock(mutex_);
       dedup_map_[h] = {key, w.payload.size()};
     }
@@ -297,7 +298,9 @@ Result<Version> BlobStore::write(BlobId blob, Version base, Bytes offset,
     const BlobRecord* rec = find_locked(blob);
     if (rec == nullptr) return not_found("blob " + std::to_string(blob));
     if (base >= rec->roots.size()) return out_of_range("version");
-    if (offset + data.size() > rec->size) return out_of_range("write past end");
+    if (offset > rec->size || data.size() > rec->size - offset) {
+      return out_of_range("write past end");
+    }
     chunk_size = rec->chunk_size;
     size = rec->size;
     base_root = rec->roots[base];
@@ -342,7 +345,9 @@ Result<Version> BlobStore::write_pattern(BlobId blob, Version base,
     const BlobRecord* rec = find_locked(blob);
     if (rec == nullptr) return not_found("blob " + std::to_string(blob));
     if (base >= rec->roots.size()) return out_of_range("version");
-    if (offset + length > rec->size) return out_of_range("write past end");
+    if (offset > rec->size || length > rec->size - offset) {
+      return out_of_range("write past end");
+    }
     chunk_size = rec->chunk_size;
     size = rec->size;
     base_root = rec->roots[base];
@@ -366,9 +371,7 @@ Result<Version> BlobStore::write_pattern(BlobId blob, Version base,
         const ChunkLocation loc = arena_.locate_one(base_root, ci);
         VMSTORM_RETURN_IF_ERROR(read_leaf(loc, 0, buf));
       }
-      for (Bytes b = lo; b < hi; ++b) {
-        buf[b - chunk_base] = pattern_byte(seed, b);
-      }
+      fill_pattern(seed, lo, std::span(buf).subspan(lo - chunk_base, hi - lo));
       w.payload = ChunkPayload::own(std::move(buf));
     }
     writes.push_back(std::move(w));

@@ -94,8 +94,8 @@ class BlobStore {
   Result<Version> write(BlobId blob, Version base, Bytes offset,
                         std::span<const std::byte> data);
 
-  /// Like write(), but fills the range with synthetic pattern content
-  /// (pattern_byte(seed, absolute offset)) without materializing bytes —
+  /// Like write(), but fills the range with synthetic pattern content (the
+  /// pattern byte at (seed, absolute offset)) without materializing bytes —
   /// used to "upload" multi-GB images in simulations.
   Result<Version> write_pattern(BlobId blob, Version base, Bytes offset,
                                 Bytes length, std::uint64_t seed);

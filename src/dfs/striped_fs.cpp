@@ -91,7 +91,7 @@ Status StripedFs::write_pattern(FileId file, Bytes offset, Bytes length,
     } else {
       auto [sit, ins] = rec.stripes.try_emplace(si, blob::ChunkPayload::zeros(0));
       std::vector<std::byte> buf(hi - lo);
-      for (Bytes b = lo; b < hi; ++b) buf[b - lo] = blob::pattern_byte(seed, b);
+      blob::fill_pattern(seed, lo, buf);
       sit->second.write(lo - base, buf);
     }
   }
@@ -106,7 +106,7 @@ Status StripedFs::read(FileId file, Bytes offset,
   auto it = files_.find(file);
   if (it == files_.end()) return not_found("file " + std::to_string(file));
   const FileRecord& rec = it->second;
-  if (offset + out.size() > rec.info.size) {
+  if (offset > rec.info.size || out.size() > rec.info.size - offset) {
     return out_of_range("read past EOF");
   }
   const Bytes stripe = rec.info.stripe_size;

@@ -47,7 +47,9 @@ Status VirtualDisk::fetch(ByteRange r) {
 }
 
 Status VirtualDisk::pread(Bytes offset, std::span<std::byte> out) {
-  if (offset + out.size() > size()) return out_of_range("read past end");
+  if (offset > size() || out.size() > size() - offset) {
+    return out_of_range("read past end");
+  }
   if (out.empty()) return Status::ok();
   const ByteRange req{offset, offset + out.size()};
   for (const ByteRange& r : state_.plan_read(req)) {
@@ -60,7 +62,9 @@ Status VirtualDisk::pread(Bytes offset, std::span<std::byte> out) {
 }
 
 Status VirtualDisk::pwrite(Bytes offset, std::span<const std::byte> in) {
-  if (offset + in.size() > size()) return out_of_range("write past end");
+  if (offset > size() || in.size() > size() - offset) {
+    return out_of_range("write past end");
+  }
   if (in.empty()) return Status::ok();
   const ByteRange req{offset, offset + in.size()};
   // Strategy 2: fill any gap this write would create inside a chunk.

@@ -205,6 +205,28 @@ TEST(CliParse, Sizes) {
   EXPECT_FALSE(parse_size("abc").is_ok());
   EXPECT_FALSE(parse_size("5X").is_ok());
   EXPECT_FALSE(parse_size("5KB").is_ok());
+  EXPECT_FALSE(parse_size("K").is_ok());
+  EXPECT_EQ(parse_size("18446744073709551615").value(), ~Bytes{0});
+  // strtoull saturates these at 2^64-1; "-1" negates to it.
+  EXPECT_FALSE(parse_size("18446744073709551616").is_ok());
+  EXPECT_FALSE(parse_size("99999999999999999999").is_ok());
+  EXPECT_FALSE(parse_size("-1").is_ok());
+  EXPECT_FALSE(parse_size(" 1").is_ok());
+  // The product wraps: 2^34 GiB is 2^64 bytes, which is 0.
+  EXPECT_EQ(parse_size("17179869183G").value(), 17179869183ull * kGiB);
+  EXPECT_FALSE(parse_size("17179869184G").is_ok());
+  EXPECT_FALSE(parse_size("18014398509481984K").is_ok());
+}
+
+TEST_F(CliFixture, PatchAtWrappedOffsetFails) {
+  const std::string src = make_file(4096, 1);
+  ASSERT_TRUE(run_repo_cli({"upload", repo, src, "--chunk", "1K"}).is_ok());
+  const std::string patch = make_file(100, 9);
+  EXPECT_FALSE(run_repo_cli({"patch", repo, "1", "17179869184G", patch}).is_ok());
+  auto stat = run_repo_cli({"stat", repo, "1"});
+  ASSERT_TRUE(stat.is_ok());
+  EXPECT_NE(stat->find("versions 0..1\n"), std::string::npos) << *stat;
+  for (const auto& f : {src, patch}) std::remove(f.c_str());
 }
 
 TEST(CliInit, DedupAndReplicationFlags) {

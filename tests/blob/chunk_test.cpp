@@ -37,6 +37,34 @@ TEST(ChunkPayload, PatternBiasMatchesAbsoluteOffset) {
   }
 }
 
+TEST(ChunkPayload, PatternReadMatchesPatternByteAtEveryAlignment) {
+  // Reads generate a ragged head and tail byte by byte and the whole words
+  // between in one store each. Every split must give pattern_byte's bytes,
+  // and zeros past the end; the 0xee fill shows any byte left unwritten.
+  constexpr std::uint64_t kSeed = 0x5eed;
+  for (const Bytes bias : {Bytes{0}, Bytes{5}}) {
+    const auto p = ChunkPayload::pattern(kSeed, 64, bias);
+    for (Bytes offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 24; ++len) {
+        std::vector<std::byte> out(len, std::byte{0xee});
+        p.read(offset, out);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(out[i], pattern_byte(kSeed, bias + offset + i))
+              << "bias " << bias << " offset " << offset << " len " << len
+              << " byte " << i;
+        }
+      }
+    }
+    std::vector<std::byte> out(40, std::byte{0xee});
+    p.read(37, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::byte want =
+          37 + i < 64 ? pattern_byte(kSeed, bias + 37 + i) : std::byte{0};
+      ASSERT_EQ(out[i], want) << "bias " << bias << " byte " << i;
+    }
+  }
+}
+
 TEST(ChunkPayload, SubrangeReadMatchesFullRead) {
   auto p = ChunkPayload::pattern(9, 256);
   auto full = read_all(p);

@@ -105,6 +105,12 @@ TEST(BlobStore, WritePastEndRejected) {
   BlobId b = s.create(1024, 512).value();
   auto d = make_bytes(100, 1);
   EXPECT_EQ(s.write(b, 0, 1000, d).status().code(), StatusCode::kOutOfRange);
+  // offset + size wraps past 2^64 to 90, inside the blob: still rejected.
+  const Bytes wraps = ~Bytes{0} - 9;
+  EXPECT_EQ(s.write(b, 0, wraps, d).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(s.write_pattern(b, 0, wraps, 100, 1).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(s.info(b)->latest, 0u);
 }
 
 TEST(BlobStore, ReadPastEndRejected) {
@@ -112,6 +118,7 @@ TEST(BlobStore, ReadPastEndRejected) {
   BlobId b = s.create(1024, 512).value();
   std::vector<std::byte> out(100);
   EXPECT_EQ(s.read(b, 0, 1000, out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(s.read(b, 0, ~Bytes{0} - 9, out).code(), StatusCode::kOutOfRange);
 }
 
 TEST(BlobStore, UnknownBlobAndVersion) {
@@ -175,13 +182,21 @@ TEST(BlobStore, MultisnapshottingStoresOnlyDiffs) {
 }
 
 TEST(BlobStore, WritePatternMatchesExplicitBytes) {
-  BlobStore s;
-  BlobId a = s.create(4096, 512).value();
-  ASSERT_TRUE(s.write_pattern(a, 0, 100, 2000, 11).is_ok());
-  auto got = read_range(s, a, 1, 0, 4096);
-  for (std::size_t i = 0; i < 4096; ++i) {
-    std::byte want = (i >= 100 && i < 2100) ? pattern_byte(11, i) : std::byte{0};
-    ASSERT_EQ(got[i], want) << i;
+  // Boundary chunks generate [lo, hi) of a chunk. Over these ranges lo and
+  // hi take every residue mod 8; one range stays inside a single chunk.
+  struct Range { Bytes offset, length; };
+  for (const Range r : {Range{100, 2000}, Range{1, 1022}, Range{515, 6},
+                        Range{1030, 1000}, Range{2565, 1000}, Range{7, 3067},
+                        Range{1538, 2001}, Range{8, 4000}}) {
+    BlobStore s;
+    BlobId a = s.create(4096, 512).value();
+    ASSERT_TRUE(s.write_pattern(a, 0, r.offset, r.length, 11).is_ok());
+    auto got = read_range(s, a, 1, 0, 4096);
+    for (std::size_t i = 0; i < 4096; ++i) {
+      const bool in = i >= r.offset && i < r.offset + r.length;
+      ASSERT_EQ(got[i], in ? pattern_byte(11, i) : std::byte{0})
+          << r.offset << "+" << r.length << " @" << i;
+    }
   }
 }
 

@@ -52,6 +52,8 @@ TEST(StripedFs, ReadPastEofFails) {
   ASSERT_TRUE(fs.write(f, 0, make_bytes(50, 1)).is_ok());
   std::vector<std::byte> out(100);
   EXPECT_EQ(fs.read(f, 0, out).code(), StatusCode::kOutOfRange);
+  // offset + size wraps past 2^64 to 40, inside the file: still rejected.
+  EXPECT_EQ(fs.read(f, ~Bytes{0} - 59, out).code(), StatusCode::kOutOfRange);
 }
 
 TEST(StripedFs, RoundRobinLayout) {
@@ -81,13 +83,21 @@ TEST(StripedFs, LayoutPartialPieces) {
 }
 
 TEST(StripedFs, WritePatternMatchesExplicit) {
+  // Partial stripes generate [lo, hi) of a stripe. Over these ranges lo and
+  // hi take every residue mod 8; one range stays inside a single stripe.
+  struct Range { Bytes offset, length; };
   StripedFs fs(4, 128);
-  FileId f = fs.create("a").value();
-  ASSERT_TRUE(fs.write_pattern(f, 50, 1000, 9).is_ok());
-  std::vector<std::byte> out(1000);
-  ASSERT_TRUE(fs.read(f, 50, out).is_ok());
-  for (std::size_t i = 0; i < 1000; ++i) {
-    ASSERT_EQ(out[i], blob::pattern_byte(9, 50 + i)) << i;
+  for (const Range r : {Range{50, 1000}, Range{1, 1022}, Range{515, 6},
+                        Range{1030, 1000}, Range{2565, 1000}, Range{7, 3067},
+                        Range{1538, 2001}, Range{8, 4000}}) {
+    FileId f = fs.create(std::to_string(r.offset)).value();
+    ASSERT_TRUE(fs.write_pattern(f, r.offset, r.length, 9).is_ok());
+    std::vector<std::byte> out(r.length);
+    ASSERT_TRUE(fs.read(f, r.offset, out).is_ok());
+    for (std::size_t i = 0; i < r.length; ++i) {
+      ASSERT_EQ(out[i], blob::pattern_byte(9, r.offset + i))
+          << r.offset << "+" << r.length << " @" << i;
+    }
   }
 }
 

@@ -220,6 +220,11 @@ TEST(VirtualDisk, BoundsChecked) {
   std::vector<std::byte> buf(100);
   EXPECT_EQ(disk->pread(kImage - 50, buf).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(disk->pwrite(kImage - 50, buf).code(), StatusCode::kOutOfRange);
+  // offset + size wraps past 2^64 to 90, inside the image: still rejected,
+  // or the copy would address memory outside the mirror mapping.
+  EXPECT_EQ(disk->pread(~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(disk->pwrite(~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(disk->stats().remote_fetches, 0u);
 }
 
 TEST(VirtualDisk, RandomOpsMatchReferenceModel) {
