@@ -101,17 +101,8 @@ Result<std::vector<ChunkLocation>> BlobStore::locate(BlobId blob,
   return out;
 }
 
-Status BlobStore::read_leaf(const ChunkLocation& loc, Bytes offset,
-                            std::span<std::byte> out) const {
-  if (loc.is_hole()) {
-    std::memset(out.data(), 0, out.size());
-    return Status::ok();
-  }
-  return read_chunk(loc, offset, out);
-}
-
-Status BlobStore::read_chunk(const ChunkLocation& loc, Bytes offset,
-                             std::span<std::byte> out) const {
+Status BlobStore::read_chunk_locked(const ChunkLocation& loc, Bytes offset,
+                                    std::span<std::byte> out) const {
   if (loc.is_hole()) {
     std::memset(out.data(), 0, out.size());
     return Status::ok();
@@ -119,11 +110,12 @@ Status BlobStore::read_chunk(const ChunkLocation& loc, Bytes offset,
   // Try the primary, then surviving replicas.
   Status st = chunk_stores_.at(loc.provider)->read(loc.key, offset, out);
   if (st.is_ok()) return st;
-  std::vector<ProviderId> reps = replicas_of(loc.key);
-  for (ProviderId p : reps) {
-    if (p == loc.provider) continue;
-    st = chunk_stores_.at(p)->read(loc.key, offset, out);
-    if (st.is_ok()) return st;
+  if (auto it = replica_map_.find(loc.key); it != replica_map_.end()) {
+    for (ProviderId p : it->second) {
+      if (p == loc.provider) continue;
+      st = chunk_stores_.at(p)->read(loc.key, offset, out);
+      if (st.is_ok()) return st;
+    }
   }
   return unavailable("no replica of chunk key " + std::to_string(loc.key));
 }
@@ -147,27 +139,24 @@ Status BlobStore::drop_replica(ChunkKey key, ProviderId provider) {
 
 Status BlobStore::read(BlobId blob, Version version, Bytes offset,
                        std::span<std::byte> out) const {
-  Bytes chunk_size = 0;
-  std::vector<ChunkLocation> locs;
-  {
-    std::shared_lock lock(mutex_);
-    const BlobRecord* rec = find_locked(blob);
-    if (rec == nullptr) return not_found("blob " + std::to_string(blob));
-    if (version >= rec->roots.size()) return out_of_range("version");
-    if (offset > rec->size || out.size() > rec->size - offset) {
-      return out_of_range("read past end");
-    }
-    if (out.empty()) return Status::ok();
-    chunk_size = rec->chunk_size;
-    const std::uint64_t lo_chunk = offset / chunk_size;
-    const std::uint64_t hi_chunk = (offset + out.size() + chunk_size - 1) / chunk_size;
-    arena_.locate(rec->roots[version], lo_chunk, hi_chunk, &locs);
+  std::shared_lock lock(mutex_);
+  const BlobRecord* rec = find_locked(blob);
+  if (rec == nullptr) return not_found("blob " + std::to_string(blob));
+  if (version >= rec->roots.size()) return out_of_range("version");
+  if (offset > rec->size || out.size() > rec->size - offset) {
+    return out_of_range("read past end");
   }
+  if (out.empty()) return Status::ok();
+  const Bytes chunk_size = rec->chunk_size;
+  const std::uint64_t lo_chunk = offset / chunk_size;
+  const std::uint64_t hi_chunk = (offset + out.size() + chunk_size - 1) / chunk_size;
+  std::vector<ChunkLocation> locs;
+  arena_.locate(rec->roots[version], lo_chunk, hi_chunk, &locs);
   for (const ChunkLocation& loc : locs) {
     const Bytes chunk_base = loc.chunk_index * chunk_size;
     const Bytes lo = std::max(offset, chunk_base);
     const Bytes hi = std::min<Bytes>(offset + out.size(), chunk_base + chunk_size);
-    VMSTORM_RETURN_IF_ERROR(read_leaf(
+    VMSTORM_RETURN_IF_ERROR(read_chunk_locked(
         loc, lo - chunk_base,
         out.subspan(lo - offset, hi - lo)));
   }
@@ -282,7 +271,7 @@ Result<ChunkPayload> BlobStore::merge_partial_chunk(
   const Bytes chunk_len = std::min(rec.chunk_size, rec.size - chunk_base);
   std::vector<std::byte> buf(chunk_len);
   const ChunkLocation loc = arena_.locate_one(base_root, chunk_index);
-  VMSTORM_RETURN_IF_ERROR(read_leaf(loc, 0, buf));
+  VMSTORM_RETURN_IF_ERROR(read_chunk_locked(loc, 0, buf));
   std::memcpy(buf.data() + (write_lo - chunk_base), data.data() + data_offset,
               std::min<Bytes>(data.size() - data_offset, chunk_base + chunk_len - write_lo));
   return ChunkPayload::own(std::move(buf));
@@ -369,7 +358,7 @@ Result<Version> BlobStore::write_pattern(BlobId blob, Version base,
       {
         std::shared_lock lock(mutex_);
         const ChunkLocation loc = arena_.locate_one(base_root, ci);
-        VMSTORM_RETURN_IF_ERROR(read_leaf(loc, 0, buf));
+        VMSTORM_RETURN_IF_ERROR(read_chunk_locked(loc, 0, buf));
       }
       fill_pattern(seed, lo, std::span(buf).subspan(lo - chunk_base, hi - lo));
       w.payload = ChunkPayload::own(std::move(buf));
@@ -383,14 +372,6 @@ Bytes BlobStore::stored_bytes() const {
   Bytes n = 0;
   for (const auto& cs : chunk_stores_) n += cs->stored_bytes();
   return n;
-}
-
-Bytes BlobStore::stored_bytes_on(ProviderId p) const {
-  return chunk_stores_.at(p)->stored_bytes();
-}
-
-std::size_t BlobStore::chunk_count_on(ProviderId p) const {
-  return chunk_stores_.at(p)->chunk_count();
 }
 
 std::size_t BlobStore::metadata_nodes() const {

@@ -120,10 +120,6 @@ class BlobStore {
   Result<CommitOutcome> commit_chunks_detailed(BlobId blob, Version base,
                                                std::vector<ChunkWrite> writes);
 
-  /// Reads within one stored chunk (by location, replica-aware).
-  Status read_chunk(const ChunkLocation& loc, Bytes offset,
-                    std::span<std::byte> out) const;
-
   /// All providers holding `key` (primary first). Size == replication
   /// unless the pool is smaller.
   std::vector<ProviderId> replicas_of(ChunkKey key) const;
@@ -140,8 +136,6 @@ class BlobStore {
   /// Total logical bytes stored across providers (the storage-consumption
   /// measure behind the paper's "90 % storage savings" claim).
   Bytes stored_bytes() const;
-  Bytes stored_bytes_on(ProviderId p) const;
-  std::size_t chunk_count_on(ProviderId p) const;
 
   /// Metadata nodes ever allocated (shadowing efficiency measure).
   std::size_t metadata_nodes() const;
@@ -167,12 +161,15 @@ class BlobStore {
   const BlobRecord* find_locked(BlobId blob) const;
   BlobRecord* find_locked(BlobId blob);
   Result<NodeRef> root_of_locked(BlobId blob, Version version) const;
-  /// Reads a located leaf; holes read as zeros.
-  Status read_leaf(const ChunkLocation& loc, Bytes offset,
-                   std::span<std::byte> out) const;
+  /// Reads within one located chunk: holes read as zeros, and a chunk
+  /// whose primary copy is gone is read from a surviving replica. The
+  /// caller holds mutex_ (either mode).
+  Status read_chunk_locked(const ChunkLocation& loc, Bytes offset,
+                           std::span<std::byte> out) const;
   Result<Version> commit_locked(BlobId blob, Version base,
                                 std::map<std::uint64_t, ChunkLocation> updates);
   /// Builds the full payload for a chunk partially overwritten on `base`.
+  /// The caller holds mutex_.
   Result<ChunkPayload> merge_partial_chunk(
       const BlobRecord& rec, NodeRef base_root, std::uint64_t chunk_index,
       Bytes write_lo, std::span<const std::byte> data, Bytes data_offset);

@@ -91,11 +91,6 @@ class Rng {
     return -mean * std::log(u);
   }
 
-  /// Log-normal parameterized by the underlying normal's mu/sigma.
-  double lognormal(double mu, double sigma) {
-    return std::exp(mu + sigma * normal());
-  }
-
   /// Standard normal via Marsaglia polar method.
   double normal() {
     if (have_spare_) {

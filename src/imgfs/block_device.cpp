@@ -10,13 +10,17 @@
 namespace vmstorm::imgfs {
 
 Status MemDevice::pread(Bytes offset, std::span<std::byte> out) {
-  if (offset + out.size() > data_.size()) return out_of_range("read past end");
+  if (offset > data_.size() || out.size() > data_.size() - offset) {
+    return out_of_range("read past end");
+  }
   std::memcpy(out.data(), data_.data() + offset, out.size());
   return Status::ok();
 }
 
 Status MemDevice::pwrite(Bytes offset, std::span<const std::byte> in) {
-  if (offset + in.size() > data_.size()) return out_of_range("write past end");
+  if (offset > data_.size() || in.size() > data_.size() - offset) {
+    return out_of_range("write past end");
+  }
   std::memcpy(data_.data() + offset, in.data(), in.size());
   return Status::ok();
 }
@@ -51,7 +55,9 @@ PosixFileDevice::~PosixFileDevice() {
 }
 
 Status PosixFileDevice::pread(Bytes offset, std::span<std::byte> out) {
-  if (offset + out.size() > size_) return out_of_range("read past end");
+  if (offset > size_ || out.size() > size_ - offset) {
+    return out_of_range("read past end");
+  }
   std::size_t done = 0;
   while (done < out.size()) {
     const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
@@ -69,7 +75,9 @@ Status PosixFileDevice::pread(Bytes offset, std::span<std::byte> out) {
 }
 
 Status PosixFileDevice::pwrite(Bytes offset, std::span<const std::byte> in) {
-  if (offset + in.size() > size_) return out_of_range("write past end");
+  if (offset > size_ || in.size() > size_ - offset) {
+    return out_of_range("write past end");
+  }
   std::size_t done = 0;
   while (done < in.size()) {
     const ssize_t n = ::pwrite(fd_, in.data() + done, in.size() - done,

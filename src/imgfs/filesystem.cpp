@@ -329,6 +329,7 @@ Status FileSystem::write(InodeId inode, Bytes offset,
   }
   Inode& ino = inodes_[inode];
   const Bytes old_size = ino.size;
+  if (in.size() > ~Bytes{0} - offset) return out_of_range("write past 2^64");
   if (offset + in.size() > ino.size) {
     VMSTORM_RETURN_IF_ERROR(grow_to(ino, inode, offset + in.size()));
     // Zero-fill any gap between the old EOF and the write start.
@@ -359,7 +360,9 @@ Status FileSystem::read(InodeId inode, Bytes offset, std::span<std::byte> out) {
     return not_found("inode");
   }
   const Inode& ino = inodes_[inode];
-  if (offset + out.size() > ino.size) return out_of_range("read past EOF");
+  if (offset > ino.size || out.size() > ino.size - offset) {
+    return out_of_range("read past EOF");
+  }
   Bytes done = 0;
   while (done < out.size()) {
     VMSTORM_ASSIGN_OR_RETURN(m, map_offset(ino, offset + done));

@@ -71,11 +71,4 @@ bool sidecar_exists(const std::string& mirror_path) {
   return ::stat(sidecar_path(mirror_path).c_str(), &st) == 0;
 }
 
-Status remove_sidecar(const std::string& mirror_path) {
-  if (::unlink(sidecar_path(mirror_path).c_str()) != 0) {
-    return not_found(errno_message("unlink sidecar"));
-  }
-  return Status::ok();
-}
-
 }  // namespace vmstorm::mirror

@@ -52,6 +52,5 @@ class LocalMirrorFile {
 Status save_sidecar(const std::string& mirror_path, const std::string& blob);
 Result<std::string> load_sidecar(const std::string& mirror_path);
 bool sidecar_exists(const std::string& mirror_path);
-Status remove_sidecar(const std::string& mirror_path);
 
 }  // namespace vmstorm::mirror

@@ -7,14 +7,9 @@
 
 namespace vmstorm::obs {
 
-ExpHistogram::ExpHistogram(HistogramOptions opts)
-    : opts_(opts), counts_(opts.buckets == 0 ? 1 : opts.buckets, 0) {
-  assert(opts_.first_bound > 0 && opts_.growth > 1.0);
-}
-
 double ExpHistogram::bucket_bound(std::size_t i) const {
-  double b = opts_.first_bound;
-  for (std::size_t k = 0; k < i; ++k) b *= opts_.growth;
+  double b = kFirstBound;
+  for (std::size_t k = 0; k < i; ++k) b *= kGrowth;
   return b;
 }
 
@@ -28,9 +23,9 @@ void ExpHistogram::record(double x) {
   ++count_;
   sum_ += x;
   std::size_t i = 0;
-  double bound = opts_.first_bound;
+  double bound = kFirstBound;
   while (x > bound && i + 1 < counts_.size()) {
-    bound *= opts_.growth;
+    bound *= kGrowth;
     ++i;
   }
   ++counts_[i];
@@ -80,50 +75,32 @@ double TimeWeighted::average(double t_end) const {
   return (integral_ + tail) / span;
 }
 
-std::string Registry::encode_key(std::string_view name, const Labels& labels) {
-  std::string key(name);
-  if (labels.empty()) return key;
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  key += '{';
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i) key += ',';
-    key += sorted[i].first;
-    key += '=';
-    key += sorted[i].second;
-  }
-  key += '}';
-  return key;
-}
-
-Counter& Registry::counter(std::string_view name, const Labels& labels) {
-  auto& slot = counters_[encode_key(name, labels)];
+Counter& Registry::counter(std::string_view name) {
+  auto& slot = counters_[std::string(name)];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
-Gauge& Registry::gauge(std::string_view name, const Labels& labels) {
-  auto& slot = gauges_[encode_key(name, labels)];
+Gauge& Registry::gauge(std::string_view name) {
+  auto& slot = gauges_[std::string(name)];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
-ExpHistogram& Registry::histogram(std::string_view name, const Labels& labels,
-                                  HistogramOptions opts) {
-  auto& slot = histograms_[encode_key(name, labels)];
-  if (!slot) slot = std::make_unique<ExpHistogram>(opts);
+ExpHistogram& Registry::histogram(std::string_view name) {
+  auto& slot = histograms_[std::string(name)];
+  if (!slot) slot = std::make_unique<ExpHistogram>();
   return *slot;
 }
 
-TimeWeighted& Registry::time_weighted(std::string_view name,
-                                      const Labels& labels) {
-  auto& slot = time_weighted_[encode_key(name, labels)];
+TimeWeighted& Registry::time_weighted(std::string_view name) {
+  auto& slot = time_weighted_[std::string(name)];
   if (!slot) slot = std::make_unique<TimeWeighted>();
   return *slot;
 }
 
-Gauge& Registry::host_gauge(std::string_view name, const Labels& labels) {
-  auto& slot = host_gauges_[encode_key(name, labels)];
+Gauge& Registry::host_gauge(std::string_view name) {
+  auto& slot = host_gauges_[std::string(name)];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }

@@ -1,4 +1,4 @@
-// Metrics registry: labeled counters, gauges, exponential-bucket latency
+// Metrics registry: counters, gauges, exponential-bucket latency
 // histograms and time-weighted gauges, with cheap handle-based recording.
 //
 // Usage pattern (the hot-path contract):
@@ -13,21 +13,17 @@
 // behind unique_ptr and never erased).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace vmstorm::obs {
 
 class JsonWriter;
-
-/// Label set attached to a metric, e.g. {{"node","7"},{"dir","tx"}}.
-/// Keys are sorted (and the metric key canonicalized) on registration.
-using Labels = std::vector<std::pair<std::string, std::string>>;
 
 class Counter {
  public:
@@ -48,20 +44,15 @@ class Gauge {
   double value_ = 0;
 };
 
-struct HistogramOptions {
-  /// Upper bound of the first bucket. Defaults suit latencies in seconds:
-  /// 1 µs first bucket, doubling, 48 buckets ≈ 1.4e8 s of range.
-  double first_bound = 1e-6;
-  double growth = 2.0;
-  std::size_t buckets = 48;
-};
-
-/// Exponential-bucket histogram. Bucket i covers (bound(i-1), bound(i)]
-/// with bound(i) = first_bound * growth^i; the last bucket is the
-/// overflow. Exact count/sum/min/max are kept alongside the buckets.
+/// Exponential-bucket histogram sized for latencies in seconds. Bucket i
+/// covers (bound(i-1), bound(i)] with bound(i) = kFirstBound * kGrowth^i;
+/// the last bucket is the overflow (48 buckets ≈ 1.4e8 s of range). Exact
+/// count/sum/min/max are kept alongside the buckets.
 class ExpHistogram {
  public:
-  explicit ExpHistogram(HistogramOptions opts = HistogramOptions{});
+  static constexpr double kFirstBound = 1e-6;
+  static constexpr double kGrowth = 2.0;
+  static constexpr std::size_t kBuckets = 48;
 
   void record(double x);
 
@@ -82,8 +73,7 @@ class ExpHistogram {
   double bucket_bound(std::size_t i) const;  // upper bound of bucket i
 
  private:
-  HistogramOptions opts_;
-  std::vector<std::uint64_t> counts_;
+  std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;
@@ -121,26 +111,21 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter& counter(std::string_view name, const Labels& labels = {});
-  Gauge& gauge(std::string_view name, const Labels& labels = {});
-  ExpHistogram& histogram(std::string_view name, const Labels& labels = {},
-                          HistogramOptions opts = HistogramOptions{});
-  TimeWeighted& time_weighted(std::string_view name, const Labels& labels = {});
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
+  ExpHistogram& histogram(std::string_view name);
+  TimeWeighted& time_weighted(std::string_view name);
 
   /// Host-side gauge: wall-clock timings, RSS — anything that varies run to
   /// run on the same seed. Kept in a separate scope that to_json() (the
   /// seed-deterministic export) never touches, so attaching host telemetry
   /// cannot break same-seed byte-identity. Export with host_json().
-  Gauge& host_gauge(std::string_view name, const Labels& labels = {});
-
-  /// Canonical metric key: name{k1=v1,k2=v2} with labels sorted by key.
-  static std::string encode_key(std::string_view name, const Labels& labels);
+  Gauge& host_gauge(std::string_view name);
 
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size() +
            time_weighted_.size();
   }
-  std::size_t host_size() const { return host_gauges_.size(); }
 
   /// Serializes every deterministic metric, grouped by kind, in key order:
   /// {"counters":{...},"gauges":{...},"histograms":{...},"time_weighted":{...}}

@@ -174,7 +174,9 @@ Result<Bytes> Image::ensure_allocated(std::uint64_t index) {
 }
 
 Status Image::read(Bytes offset, std::span<std::byte> out) {
-  if (offset + out.size() > virtual_size_) return out_of_range("read past end");
+  if (offset > virtual_size_ || out.size() > virtual_size_ - offset) {
+    return out_of_range("read past end");
+  }
   const Bytes end = offset + out.size();
   for (std::uint64_t ci = offset / cluster_size_;
        out.size() > 0 && ci * cluster_size_ < end; ++ci) {
@@ -199,7 +201,9 @@ Status Image::read(Bytes offset, std::span<std::byte> out) {
 }
 
 Status Image::write(Bytes offset, std::span<const std::byte> in) {
-  if (offset + in.size() > virtual_size_) return out_of_range("write past end");
+  if (offset > virtual_size_ || in.size() > virtual_size_ - offset) {
+    return out_of_range("write past end");
+  }
   const Bytes end = offset + in.size();
   for (std::uint64_t ci = offset / cluster_size_;
        in.size() > 0 && ci * cluster_size_ < end; ++ci) {

@@ -1,8 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <cassert>
+#include <cstdio>
 
-#include "common/log.hpp"
 #include "obs/selfprof.hpp"
 #include "sim/audit.hpp"
 #include "sim/causal.hpp"
@@ -79,9 +79,6 @@ JoinHandle Engine::spawn(Task<void> task) {
 }
 
 std::uint64_t Engine::run(SimTime until) {
-  // Log lines emitted by simulated components carry the simulated clock
-  // while the loop runs; nested run() calls restore the outer clock.
-  ScopedLogClock log_clock([this] { return now_seconds(); });
   // The caller's span context is restored on exit so nested run() calls (and
   // phase code that set a span around the loop) see their own span again.
   const std::uint64_t outer_span = current_span_;
@@ -153,8 +150,10 @@ std::uint64_t Engine::run(SimTime until) {
     prof->charge_run(obs::SelfProfiler::wall_now() - run_t0);
   }
   if (!until_reached && live_tasks_ > 0) {
-    VMSTORM_CLOG(kWarn, "sim") << "event queue drained with " << live_tasks_
-                               << " live task(s) still blocked";
+    std::fprintf(stderr,
+                 "[%10.6f] [WARN ] [sim] event queue drained with %zu live "
+                 "task(s) still blocked\n",
+                 now_seconds(), live_tasks_);
   }
   return n;
 }

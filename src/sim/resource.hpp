@@ -72,7 +72,6 @@ class FifoServer {
     const SimTime start = busy_until_ > arrival ? busy_until_ : arrival;
     const SimTime wait = start - arrival;
     total_queue_wait_ += wait;
-    if (wait > max_queue_wait_) max_queue_wait_ = wait;
     const SimTime duration = overhead + service_time(bytes);
     busy_until_ = start + duration;
     busy_time_ += duration;
@@ -102,23 +101,18 @@ class FifoServer {
     return rate_ > 0.0 ? from_seconds(static_cast<double>(bytes) / rate_) : 0;
   }
 
-  /// Time at which the server becomes idle (>= now if busy).
-  SimTime busy_until() const { return busy_until_; }
-
   /// Queue delay a request arriving now would see before service begins.
   SimTime backlog() const {
     const SimTime now = engine_->now();
     return busy_until_ > now ? busy_until_ - now : 0;
   }
 
-  BytesPerSecond rate() const { return rate_; }
   Bytes bytes_served() const { return bytes_served_; }
   std::uint64_t requests() const { return requests_; }
   SimTime busy_time() const { return busy_time_; }
 
-  /// Total/maximum time requests spent queued before service began.
+  /// Total time requests spent queued before service began.
   SimTime total_queue_wait() const { return total_queue_wait_; }
-  SimTime max_queue_wait() const { return max_queue_wait_; }
 
   /// Requests between arrival and completion right now (queued or in
   /// service) and the high-water mark over the server's lifetime — the
@@ -139,7 +133,6 @@ class FifoServer {
   SimTime busy_until_ = 0;
   SimTime busy_time_ = 0;
   SimTime total_queue_wait_ = 0;
-  SimTime max_queue_wait_ = 0;
   Bytes bytes_served_ = 0;
   std::uint64_t requests_ = 0;
   std::uint64_t inflight_ = 0;

@@ -36,7 +36,6 @@ BootTrace BootTrace::generate(const BootTraceParams& p, std::uint64_t seed) {
   };
   auto emit_read = [&](Bytes off, Bytes len) {
     t.ops_.push_back(BootOp{BootOp::Kind::kRead, off, len, 0});
-    t.total_read_ += len;
     touched.insert({off, off + len});
     ++t.requests_;
     emit_cpu();

@@ -63,7 +63,6 @@ class BootTrace {
   const std::vector<BootOp>& ops() const { return ops_; }
   const BootTraceParams& params() const { return params_; }
 
-  Bytes total_read_requested() const { return total_read_; }
   Bytes unique_read_bytes() const { return unique_read_; }
   Bytes total_written() const { return total_write_; }
   double total_cpu_seconds() const { return total_cpu_; }
@@ -72,7 +71,6 @@ class BootTrace {
  private:
   BootTraceParams params_;
   std::vector<BootOp> ops_;
-  Bytes total_read_ = 0;
   Bytes unique_read_ = 0;
   Bytes total_write_ = 0;
   double total_cpu_ = 0;

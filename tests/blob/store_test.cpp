@@ -249,6 +249,31 @@ TEST(BlobStore, ReadSurvivesReplicaLoss) {
   }
 }
 
+// The write paths read a partially overwritten chunk's base content under
+// the store's lock; a lost primary must fall back to the surviving replica
+// there too, without taking the lock again.
+TEST(BlobStore, WritesAfterPrimaryLossReadSurvivingReplica) {
+  BlobStore s(StoreConfig{.providers = 3, .replication = 2});
+  BlobId a = s.create(1024, 512).value();
+  ASSERT_TRUE(s.write_pattern(a, 0, 0, 1024, 1).is_ok());
+  auto locs = s.locate(a, 1, ByteRange{0, 1024});
+  for (const auto& l : *locs) {
+    ASSERT_TRUE(s.drop_replica(l.key, l.provider).is_ok());
+  }
+  // Partial write into chunk 0, then a boundary pattern write into chunk 1.
+  auto v2 = s.write(a, 1, 100, make_bytes(50, 2));
+  ASSERT_TRUE(v2.is_ok()) << v2.status().to_string();
+  auto v3 = s.write_pattern(a, *v2, 600, 100, 3);
+  ASSERT_TRUE(v3.is_ok()) << v3.status().to_string();
+  auto got = read_range(s, a, *v3, 0, 1024);
+  for (std::size_t i = 0; i < 1024; ++i) {
+    std::byte want = pattern_byte(1, i);
+    if (i >= 100 && i < 150) want = pattern_byte(2, i - 100);
+    if (i >= 600 && i < 700) want = pattern_byte(3, i);
+    ASSERT_EQ(got[i], want) << i;
+  }
+}
+
 TEST(BlobStore, ReadFailsWhenAllReplicasLost) {
   BlobStore s(StoreConfig{.providers = 2, .replication = 1});
   BlobId a = s.create(512, 512).value();

@@ -1,8 +1,12 @@
 #include "imgfs/filesystem.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <map>
+#include <span>
+#include <string>
 
 #include "blob/chunk.hpp"
 #include "common/rng.hpp"
@@ -105,6 +109,42 @@ TEST(ImgFs, ReadPastEofFails) {
   ASSERT_TRUE(fs->write(f, 0, make_bytes(100, 1)).is_ok());
   std::vector<std::byte> out(200);
   EXPECT_EQ(fs->read(f, 0, out).code(), StatusCode::kOutOfRange);
+  // offset + size wraps past 2^64 to 90, inside the file: still rejected,
+  // and a write there cannot grow the file to a wrapped size.
+  const auto buf = make_bytes(100, 2);
+  EXPECT_EQ(fs->read(f, ~Bytes{0} - 9, std::span(out).first(100)).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(fs->write(f, ~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+}
+
+TEST(MemDevice, BoundsChecked) {
+  MemDevice dev(1024);
+  std::vector<std::byte> buf(100);
+  EXPECT_EQ(dev.pread(1000, buf).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dev.pwrite(1000, buf).code(), StatusCode::kOutOfRange);
+  // offset + size wraps past 2^64 to 90, inside the device: still rejected,
+  // or the copy would address memory outside the buffer.
+  EXPECT_EQ(dev.pread(~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(dev.pwrite(~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+}
+
+TEST(PosixFileDevice, BoundsChecked) {
+  const std::string path = ::testing::TempDir() + "/imgfs_posix_bounds_" +
+                           std::to_string(::getpid()) + ".img";
+  {
+    auto dev = PosixFileDevice::open(path, 1024);
+    ASSERT_TRUE(dev.is_ok()) << dev.status().to_string();
+    std::vector<std::byte> buf(100);
+    EXPECT_EQ((*dev)->pread(1000, buf).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ((*dev)->pwrite(1000, buf).code(), StatusCode::kOutOfRange);
+    // offset + size wraps past 2^64 to 90, inside the file: still rejected
+    // as out of range, not passed to the kernel as a negative offset.
+    EXPECT_EQ((*dev)->pread(~Bytes{0} - 9, buf).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ((*dev)->pwrite(~Bytes{0} - 9, buf).code(),
+              StatusCode::kOutOfRange);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ImgFs, RemoveFreesBlocks) {

@@ -52,16 +52,6 @@ TEST(Registry, HandlesAreStableAndShared) {
   EXPECT_EQ(&a, &b);  // same key -> same metric
   a.add(3);
   EXPECT_EQ(b.value(), 3u);
-  // Different labels -> different metric.
-  Counter& c = r.counter("net.transfers", {{"node", "1"}});
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Registry, EncodeKeySortsLabels) {
-  const std::string key =
-      Registry::encode_key("x", {{"b", "2"}, {"a", "1"}});
-  EXPECT_EQ(key, "x{a=1,b=2}");
-  EXPECT_EQ(Registry::encode_key("x", {}), "x");
 }
 
 TEST(Registry, ToJsonIsDeterministicAndOrdered) {

@@ -102,6 +102,21 @@ TEST(QcowImage, BoundsChecked) {
   std::vector<std::byte> buf(100);
   EXPECT_EQ(img->read(1000, buf).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(img->write(1000, buf).code(), StatusCode::kOutOfRange);
+  // offset + size wraps past 2^64 to 90, inside the image: still rejected.
+  EXPECT_EQ(img->read(~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(img->write(~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+}
+
+TEST(MemFile, BoundsChecked) {
+  MemFile f(std::vector<std::byte>(1024));
+  std::vector<std::byte> buf(100);
+  EXPECT_EQ(f.pread(1000, buf).code(), StatusCode::kOutOfRange);
+  // offset + size wraps past 2^64 to 90, inside the file: still rejected,
+  // or the copy would read outside the buffer.
+  EXPECT_EQ(f.pread(~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+  // A write ending past 2^64 cannot grow the file to a wrapped size.
+  EXPECT_EQ(f.pwrite(~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(f.size(), 1024u);
 }
 
 TEST(QcowImage, PersistsAcrossReopen) {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -20,7 +21,9 @@ TEST(Engine, TimeAdvancesWithSleep) {
   Engine e;
   std::vector<double> log;
   e.spawn(sleeper(e, from_seconds(1.5), &log));
+  testing::internal::CaptureStderr();
   e.run();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");  // clean run
   ASSERT_EQ(log.size(), 1u);
   EXPECT_DOUBLE_EQ(log[0], 1.5);
   EXPECT_DOUBLE_EQ(e.now_seconds(), 1.5);
@@ -153,13 +156,39 @@ TEST(Engine, RunUntilStopsEarly) {
   Engine e;
   std::vector<double> log;
   e.spawn(sleeper(e, from_seconds(10.0), &log));
+  testing::internal::CaptureStderr();
   e.run(from_seconds(5.0));
+  // Stopping early with a live sleeper is not a drained queue: no warning.
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   EXPECT_TRUE(log.empty());
   EXPECT_DOUBLE_EQ(e.now_seconds(), 5.0);
   EXPECT_EQ(e.live_tasks(), 1u);
   e.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_DOUBLE_EQ(log[0], 10.0);
+}
+
+Task<void> sleep_then_wait(Engine& e, SimTime dt, Event* gate) {
+  co_await e.sleep(dt);
+  co_await gate->wait();
+}
+
+// The drained-queue warning is the engine's only output. It names the
+// simulated time the queue ran dry and how many tasks are still blocked.
+TEST(Engine, DrainedWithLiveTaskWarnsOnStderr) {
+  Engine e;
+  Event gate(e);
+  e.spawn(sleep_then_wait(e, from_seconds(2.5), &gate));
+  testing::internal::CaptureStderr();
+  e.run();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[  2.500000] [WARN ] [sim] event queue drained with 1 live "
+            "task(s) still blocked\n");
+  EXPECT_EQ(e.live_tasks(), 1u);
+  // Release the task so it finishes (and frees its join state).
+  gate.set();
+  e.run();
+  EXPECT_EQ(e.live_tasks(), 0u);
 }
 
 TEST(Engine, DeterministicAcrossRuns) {

@@ -6,9 +6,7 @@ against another OS thread — which is exactly why holding one across a
 the wakeup runs *under* the guard. If any of them touches the same mutex the
 program aborts (libstdc++ non-recursive mutexes) and, guard type aside, the
 critical section silently stretches from "a few statements" to "an unbounded
-slice of simulated time". The same reasoning covers scope-timing RAII like
-ScopedLogClock: a wall-span opened before a suspension measures the entire
-interleaving, not the code it brackets.
+slice of simulated time".
 
 Guard types come from blocking.toml [guards]. Two subrules:
 
