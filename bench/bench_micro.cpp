@@ -3,6 +3,7 @@
 // payload materialization, the qcow format, imgfs, and the event engine.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 
 #include "blob/segment_tree.hpp"
@@ -162,20 +163,54 @@ void BM_ImgFsWrite8K(benchmark::State& state) {
 }
 BENCHMARK(BM_ImgFsWrite8K);
 
-sim::Task<void> ping(sim::Engine& e, int hops) {
-  for (int i = 0; i < hops; ++i) co_await e.sleep(1);
+// The delay mix of paper_baselines' enqueues (ROADMAP item 3): 21 % zero,
+// 22 % 10-100 us, 42 % 100 us-1 ms, 13 % 1-10 ms, 3 % 10 ms-1 s. The
+// rounded shares sum to 101.
+sim::SimTime paper_delay(Rng& rng) {
+  const auto ns = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<sim::SimTime>(rng.uniform_range(lo, hi));
+  };
+  const std::uint64_t pick = rng.uniform_u64(101);
+  if (pick < 21) return 0;
+  if (pick < 43) return ns(10'000, 100'000);
+  if (pick < 85) return ns(100'000, 1'000'000);
+  if (pick < 98) return ns(1'000'000, 10'000'000);
+  return ns(10'000'000, 1'000'000'000);
 }
 
+sim::Task<void> hold_sleeper(sim::Engine& e, Rng* rng,
+                             std::int64_t* sleeps_left) {
+  while (*sleeps_left > 0) {
+    --*sleeps_left;
+    co_await e.sleep(paper_delay(*rng));
+  }
+}
+
+// Hold model: range(0) sleepers keep that many wakeups pending while a
+// shared budget of sleeps (8 per sleeper, at least 2^20) runs through the
+// queue. ns/event = 1e9 / items_per_second.
 void BM_SimEngineEvents(benchmark::State& state) {
+  const std::int64_t depth = state.range(0);
+  const std::int64_t sleeps = std::max<std::int64_t>(8 * depth, 1 << 20);
+  std::int64_t events = 0;
   for (auto _ : state) {
     sim::Engine e;
-    for (int i = 0; i < 64; ++i) e.spawn(ping(e, 64));
+    Rng rng(2011);
+    std::int64_t sleeps_left = sleeps;
+    for (std::int64_t i = 0; i < depth; ++i) {
+      e.spawn(hold_sleeper(e, &rng, &sleeps_left));
+    }
     e.run();
     benchmark::DoNotOptimize(e.events_processed());
+    events += static_cast<std::int64_t>(e.events_processed());
   }
-  state.SetItemsProcessed(state.iterations() * 64 * 64);
+  state.SetItemsProcessed(events);
 }
-BENCHMARK(BM_SimEngineEvents);
+BENCHMARK(BM_SimEngineEvents)
+    ->Arg(64)
+    ->Arg(16384)
+    ->Arg(131072)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace vmstorm

@@ -203,7 +203,7 @@ Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
     }
     n.chunk.provider = static_cast<ProviderId>(prov);
   }
-  store->arena_ = SegmentTreeArena::from_nodes(std::move(nodes));
+  store->arena_.load_nodes(std::move(nodes));
 
   // Blobs.
   std::uint64_t blob_count = 0;

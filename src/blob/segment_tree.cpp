@@ -37,14 +37,19 @@ NodeRef SegmentTreeArena::commit(
   assert(base != kNoNode);
   assert(updates.begin()->first >= nodes_[base].lo);
   assert(std::prev(updates.end())->first < nodes_[base].hi);
-  return commit_range(base, updates.begin(), updates.end());
+  std::uint64_t visited = 0;
+  const NodeRef root =
+      commit_range(base, updates.begin(), updates.end(), &visited);
+  nodes_visited_.fetch_add(visited, std::memory_order_relaxed);
+  return root;
 }
 
 NodeRef SegmentTreeArena::commit_range(
     NodeRef base, std::map<std::uint64_t, ChunkLocation>::const_iterator begin,
-    std::map<std::uint64_t, ChunkLocation>::const_iterator end) {
+    std::map<std::uint64_t, ChunkLocation>::const_iterator end,
+    std::uint64_t* visited) {
   if (begin == end) return base;  // no updates below: share the subtree
-  ++nodes_visited_;
+  ++*visited;
   // Copy-on-write: the base node is immutable; we allocate a modified copy.
   Node n = nodes_[base];
   if (n.is_leaf()) {
@@ -57,8 +62,8 @@ NodeRef SegmentTreeArena::commit_range(
   // Partition [begin, end) at mid. `updates` is ordered by chunk index.
   auto split = begin;
   while (split != end && split->first < mid) ++split;
-  n.left = commit_range(n.left, begin, split);
-  n.right = commit_range(n.right, split, end);
+  n.left = commit_range(n.left, begin, split, visited);
+  n.right = commit_range(n.right, split, end, visited);
   return alloc(n);
 }
 
@@ -73,26 +78,39 @@ NodeRef SegmentTreeArena::clone(NodeRef base) {
 void SegmentTreeArena::locate(NodeRef root, std::uint64_t lo_chunk,
                               std::uint64_t hi_chunk,
                               std::vector<ChunkLocation>* out) const {
+  std::uint64_t visited = 0;
+  locate_range(root, lo_chunk, hi_chunk, out, &visited);
+  nodes_visited_.fetch_add(visited, std::memory_order_relaxed);
+}
+
+void SegmentTreeArena::locate_range(NodeRef root, std::uint64_t lo_chunk,
+                                    std::uint64_t hi_chunk,
+                                    std::vector<ChunkLocation>* out,
+                                    std::uint64_t* visited) const {
   if (root == kNoNode || lo_chunk >= hi_chunk) return;
   const Node& n = nodes_[root];
   if (hi_chunk <= n.lo || lo_chunk >= n.hi) return;
-  ++nodes_visited_;
+  ++*visited;
   if (n.is_leaf()) {
     out->push_back(n.chunk);
     return;
   }
-  locate(n.left, lo_chunk, hi_chunk, out);
-  locate(n.right, lo_chunk, hi_chunk, out);
+  locate_range(n.left, lo_chunk, hi_chunk, out, visited);
+  locate_range(n.right, lo_chunk, hi_chunk, out, visited);
 }
 
 ChunkLocation SegmentTreeArena::locate_one(NodeRef root,
                                            std::uint64_t chunk_index) const {
   NodeRef cur = root;
+  std::uint64_t visited = 0;
   while (true) {
-    ++nodes_visited_;
+    ++visited;
     const Node& n = nodes_[cur];
     assert(chunk_index >= n.lo && chunk_index < n.hi);
-    if (n.is_leaf()) return n.chunk;
+    if (n.is_leaf()) {
+      nodes_visited_.fetch_add(visited, std::memory_order_relaxed);
+      return n.chunk;
+    }
     cur = chunk_index < nodes_[n.left].hi ? n.left : n.right;
   }
 }

@@ -12,6 +12,7 @@
 // collection of unreachable snapshots is out of scope, as in the paper).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -62,12 +63,8 @@ class SegmentTreeArena {
   const Node& node(NodeRef ref) const { return nodes_[ref]; }
   const std::vector<Node>& nodes() const { return nodes_; }
 
-  /// Reconstructs an arena from persisted nodes.
-  static SegmentTreeArena from_nodes(std::vector<Node> nodes) {
-    SegmentTreeArena a;
-    a.nodes_ = std::move(nodes);
-    return a;
-  }
+  /// Replaces the arena's nodes with persisted ones.
+  void load_nodes(std::vector<Node> nodes) { nodes_ = std::move(nodes); }
 
   /// Number of chunks covered by the tree rooted at `root`.
   std::uint64_t chunk_count(NodeRef root) const {
@@ -80,7 +77,9 @@ class SegmentTreeArena {
 
   /// Nodes touched by locate/locate_one/commit traversals since
   /// construction — the metadata-access cost the obs layer reports.
-  std::uint64_t nodes_visited() const { return nodes_visited_; }
+  std::uint64_t nodes_visited() const {
+    return nodes_visited_.load(std::memory_order_relaxed);
+  }
 
   /// Depth of the tree rooted at `root` (1 for a single leaf).
   std::uint64_t depth(NodeRef root) const;
@@ -90,14 +89,22 @@ class SegmentTreeArena {
 
  private:
   NodeRef build_range(std::uint64_t lo, std::uint64_t hi);
+  // The recursions count the nodes they visit into *visited; their public
+  // callers add the total to nodes_visited_ once.
   NodeRef commit_range(NodeRef base,
                        std::map<std::uint64_t, ChunkLocation>::const_iterator begin,
-                       std::map<std::uint64_t, ChunkLocation>::const_iterator end);
+                       std::map<std::uint64_t, ChunkLocation>::const_iterator end,
+                       std::uint64_t* visited);
+  void locate_range(NodeRef root, std::uint64_t lo_chunk,
+                    std::uint64_t hi_chunk, std::vector<ChunkLocation>* out,
+                    std::uint64_t* visited) const;
   NodeRef alloc(Node n);
 
   std::vector<Node> nodes_;
   // mutable: locate() is logically const but still counts traversal work.
-  mutable std::uint64_t nodes_visited_ = 0;
+  // Atomic because readers locate concurrently under BlobStore's shared
+  // lock; each public call adds its count once, relaxed.
+  mutable std::atomic<std::uint64_t> nodes_visited_{0};
 };
 
 }  // namespace vmstorm::blob

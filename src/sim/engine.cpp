@@ -99,7 +99,9 @@ std::uint64_t Engine::run(SimTime until) {
         prof->charge(obs::SelfProfiler::kQueueOps,
                      obs::SelfProfiler::wall_now() - t0);
       }
-      now_ = until;
+      // The clock only moves forward: a run() to a time already behind it
+      // stops without touching it.
+      if (until > now_) now_ = until;
       until_reached = true;
       break;
     }

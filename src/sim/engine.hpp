@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sim/wait_pool.hpp"
@@ -199,7 +199,7 @@ class Engine {
   // Declared before queue_: guards held by still-queued events release their
   // pool references during ~queue_, so the pool must outlive the queue.
   WaitPool wait_pool_;
-  CalendarQueue queue_;
+  EventQueue queue_;
 };
 
 }  // namespace vmstorm::sim

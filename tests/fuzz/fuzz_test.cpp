@@ -133,14 +133,14 @@ TEST(Fuzz, CancelledWakeupAccountingIsExact) {
   EXPECT_GT(total_cancelled, 0u);
 }
 
-// ---- Satellite: queue-churn mode drives the calendar queue -----------------
+// ---- Satellite: queue-churn mode drives the engine's event queue ------------
 
 // kQueueChurn spawns only sleep-shaped tasks (sleepers, chains, far
 // sleepers), so the kSleepCancel exactness contract carries over: engine
 // counter, auditor count, and harness bookkeeping must agree cancel for
-// cancel. The far sleepers additionally park wakeups seconds out — overflow
-// territory for the engine's calendar queue — so the final drain walks year
-// jumps and bucket resizes with cancelled frames' guards still in flight.
+// cancel. The far sleepers additionally park wakeups seconds out, long
+// after the dense near-future ones, so the final drain pops a wide spread
+// of times with cancelled frames' guards still in flight.
 TEST(Fuzz, QueueChurnAccountingIsExact) {
   std::uint64_t total_cancelled = 0;
   double latest_end = 0;
@@ -157,7 +157,7 @@ TEST(Fuzz, QueueChurnAccountingIsExact) {
   }
   EXPECT_GT(total_cancelled, 0u);
   // Far sleepers must actually survive to the drain: quiescence lands
-  // seconds out, far beyond the calendar's ~16 ms initial year.
+  // seconds out, far beyond the millisecond-scale sleepers.
   EXPECT_GT(latest_end, 1.0);
 }
 

@@ -584,7 +584,7 @@ Program generate(std::uint64_t seed, Mode mode) {
     switch (kind) {
       case OpKind::kSleeper:
         // Churn mode biases toward zero-length sleeps: every slice lands on
-        // the current tick, the queue's same-bucket FIFO fan-out case.
+        // the current tick, the queue's equal-time FIFO fan-out case.
         op.a = mode == Mode::kQueueChurn && rng.uniform_u64(100) < 40
                    ? 0
                    : static_cast<std::uint32_t>(rng.uniform_u64(2501));
@@ -618,8 +618,8 @@ Program generate(std::uint64_t seed, Mode mode) {
       case OpKind::kPush:
         break;
       case OpKind::kFarSleeper:
-        // Milliseconds, up to 30 s: far beyond the calendar's initial year,
-        // so these ride the overflow list and drain through year jumps.
+        // Milliseconds, up to 30 s: long after every other wakeup, so the
+        // drain pops across a wide spread of times.
         op.a = static_cast<std::uint32_t>(1 + rng.uniform_u64(30000));
         break;
       case OpKind::kJoinTarget:

@@ -46,8 +46,7 @@ enum class OpKind : std::uint8_t {
   kDiskWrite,   // cancellable: disk.write_async(`a` bytes, key=`b`%16)
   kDiskFlush,   // cancellable: disk.flush()
   kWaiter,      // cancellable: event.wait()
-  kFarSleeper,  // cancellable: sleeps `a` ms — one far-future wakeup, the
-                //   calendar queue's overflow-list territory
+  kFarSleeper,  // cancellable: sleeps `a` ms — one far-future wakeup
   kJoinTarget,  // engine-spawned sleeper (`a` us); always completes
   kJoiner,      // cancellable: joins spawn index `a` (no-op unless target
                 //   exists and is a kJoinTarget)
@@ -73,9 +72,8 @@ enum class Mode : std::uint8_t {
                  //   task abandons exactly one queued sleep wakeup
   kChannelMix,   // producers/consumers/pushes + cancels only
   kQueueChurn,   // event-queue churn: same-tick fan-out bursts, dense
-                 //   sleep/cancel storms and far-future outliers that push
-                 //   the engine's calendar queue through overflow, year
-                 //   jumps and resize, with frames destroyed mid-sleep
+                 //   sleep/cancel storms and far-future outliers, with
+                 //   frames destroyed mid-sleep
 };
 
 /// Draws a program of 16–120 ops from the seed. Same seed, same program.

@@ -163,6 +163,11 @@ TEST(Engine, RunUntilStopsEarly) {
   EXPECT_TRUE(log.empty());
   EXPECT_DOUBLE_EQ(e.now_seconds(), 5.0);
   EXPECT_EQ(e.live_tasks(), 1u);
+  // A stop time behind the clock must not move it backwards.
+  testing::internal::CaptureStderr();
+  e.run(from_seconds(3.0));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_DOUBLE_EQ(e.now_seconds(), 5.0);
   e.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_DOUBLE_EQ(log[0], 10.0);

@@ -172,14 +172,14 @@ TEST(FuzzRegression, ShrunkSeed0x1ChannelMixGrantThenCancel) {
 }
 
 // Found by the queue_churn fuzz mode (seed 0x76d570a30001251f, ddmin from
-// 118 ops to these 11) on the calendar-queue engine: enqueue's cursor-rewind
-// path re-anchored the year with a bare cursor reset. The rewind target is
-// behind the cached minimum but can be AHEAD of the old year base — then
-// year_end_ grows and captures overflow events that never migrate into the
-// ring. Here the 17.6 s far sleeper stayed on the overflow list while the
-// 18.8 s one sat in the ring, the drain popped 18.8 s first, and the
-// auditor flagged non-monotone time. The rewind is now a full re-base
-// (migrating the overflow on year growth); this program must run clean.
+// 118 ops to these 11) when the engine ran on a calendar queue: enqueue's
+// cursor-rewind path re-anchored the year with a bare cursor reset, and the
+// grown year captured overflow events that never migrated into the ring.
+// Here the 17.6 s far sleeper stayed on the overflow list while the 18.8 s
+// one sat in the ring, the drain popped 18.8 s first, and the auditor
+// flagged non-monotone time. The heap that replaced the calendar queue has
+// no rewind path; the program stays as a pin on the engine's dispatch
+// order and must run clean.
 TEST(FuzzRegression, ShrunkQueueChurnForwardRewindStrandsOverflow) {
   const Program prog = {
       {OpKind::kSleeper, 0, 0},        {OpKind::kFarSleeper, 10595, 0},

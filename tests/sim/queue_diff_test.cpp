@@ -1,18 +1,16 @@
-// Differential harness: CalendarQueue vs a reference binary heap.
+// Differential harness: EventQueue vs a reference std::priority_queue.
 //
-// The calendar queue replaced the engine's std::priority_queue on the promise
-// that dispatch order is EXACTLY ascending (time, seq) — every trace, metric,
-// and bench artifact in this repo is byte-identical per seed, so "almost
-// sorted" is a correctness bug. This harness drives both queues side by side
-// over Rng-generated schedule/pop/cancel programs shaped like the engine's
-// workloads (dense same-tick bursts, short near-future wakeups, far-future
-// outliers that force bucket resizes, interleaved waiter cancellation) and
-// asserts identical pop sequences, including which pops the engine would
-// drop on a dead guard.
+// Dispatch order must be EXACTLY ascending (time, seq) — every trace,
+// metric, and bench artifact in this repo is byte-identical per seed, so
+// "almost sorted" is a correctness bug. This harness drives both queues side
+// by side over Rng-generated schedule/pop/cancel programs shaped like the
+// engine's workloads (dense same-tick bursts, short near-future wakeups,
+// far-future outliers, interleaved waiter cancellation, a deep hold at the
+// paper workloads' queue depth) and asserts identical pop sequences,
+// including which pops the engine would drop on a dead guard.
 //
-// The generator honors the engine's monotonicity contract: it never
-// schedules earlier than the last popped event's time (Engine::schedule_at
-// asserts t >= now_), because the calendar cursor leans on exactly that.
+// The generator follows the engine: it never schedules earlier than the
+// last popped event's time, because Engine::schedule_at asserts t >= now_.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +18,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/wait_pool.hpp"
 
 namespace vmstorm::sim {
@@ -37,7 +35,7 @@ struct RefEvent {
   }
 };
 
-/// Drives a CalendarQueue and a reference heap through the same schedule /
+/// Drives an EventQueue and a reference heap through the same schedule /
 /// pop / cancel interleaving and asserts identical pop order and guard
 /// verdicts. Returns the total number of pops compared.
 class DiffDriver {
@@ -57,9 +55,9 @@ class DiffDriver {
       pending_.push_back(rec);
     }
     ++next_seq_;
-    cal_.enqueue(std::move(ev));
+    queue_.enqueue(std::move(ev));
     heap_.push(ref);
-    ASSERT_EQ(cal_.size(), heap_.size());
+    ASSERT_EQ(queue_.size(), heap_.size());
   }
 
   /// Marks a random still-pending waiter dead, like an awaiter destructor
@@ -75,18 +73,18 @@ class DiffDriver {
   }
 
   void pop_one() {
-    ASSERT_FALSE(cal_.empty());
-    const QueuedEvent* head = cal_.peek();
+    ASSERT_FALSE(queue_.empty());
+    const QueuedEvent* head = queue_.peek();
     ASSERT_NE(head, nullptr);
     const RefEvent want = heap_.top();
     // peek must already agree with the reference minimum.
     ASSERT_EQ(head->time, want.time) << "peek time diverged at pop " << pops_;
     ASSERT_EQ(head->seq, want.seq) << "peek seq diverged at pop " << pops_;
     heap_.pop();
-    QueuedEvent got = cal_.dequeue();
+    QueuedEvent got = queue_.dequeue();
     ASSERT_EQ(got.time, want.time);
     ASSERT_EQ(got.seq, want.seq);
-    ASSERT_GE(got.time, now_) << "calendar popped into the past";
+    ASSERT_GE(got.time, now_) << "queue popped into the past";
     // The engine's drop decision must match: guarded events agree with the
     // record's alive flag (generation-checked through the pool).
     ASSERT_EQ(got.guard.unconditional(), !want.guarded);
@@ -97,11 +95,11 @@ class DiffDriver {
     now_ = got.time;
     if (want.guarded) retire(want.slot);
     ++pops_;
-    ASSERT_EQ(cal_.size(), heap_.size());
+    ASSERT_EQ(queue_.size(), heap_.size());
   }
 
   void drain() {
-    while (!cal_.empty()) {
+    while (!queue_.empty()) {
       pop_one();
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -109,10 +107,9 @@ class DiffDriver {
   }
 
   Rng& rng() { return rng_; }
-  std::size_t size() const { return cal_.size(); }
+  std::size_t size() const { return queue_.size(); }
   std::uint64_t pops() const { return pops_; }
   SimTime now() const { return now_; }
-  const CalendarQueue& calendar() const { return cal_; }
 
  private:
   /// Popped waiters leave the cancellable set — their guard left the queue,
@@ -128,7 +125,7 @@ class DiffDriver {
 
   Rng rng_;
   WaitPool pool_;
-  CalendarQueue cal_;
+  EventQueue queue_;
   std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>> heap_;
   std::vector<WaitRef> pending_;
   SimTime now_ = 0;
@@ -137,8 +134,7 @@ class DiffDriver {
 };
 
 // Weighted dt generator: mostly dense near-future, a same-tick burst share,
-// and rare far-future outliers (hours) that force the calendar to widen its
-// buckets and later shrink back.
+// and rare far-future outliers (hours).
 SimTime random_dt(Rng& rng) {
   const std::uint64_t pick = rng.uniform_u64(100);
   if (pick < 30) return 0;  // same tick
@@ -190,14 +186,11 @@ TEST(QueueDiff, SameTickBurstsKeepFifoOrder) {
   d.drain();
 }
 
-TEST(QueueDiff, FarFutureOutliersForceResizeAndStayOrdered) {
+TEST(QueueDiff, FarFutureOutliersStayOrdered) {
   DiffDriver d(11);
   Rng& rng = d.rng();
-  const std::size_t buckets_before = d.calendar().bucket_count();
-  bool saw_overflow = false;
-  // A dense near-future cluster forces ring growth (and the width re-pick),
-  // while far-future outliers ride the overflow list; the drain then walks
-  // year jumps, overflow migration, and the shrink path in one sweep.
+  // A dense near-future cluster with a far-future outlier every 20th event:
+  // the drain pops the whole cluster before the first outlier.
   for (int i = 0; i < 3000; ++i) {
     const SimTime dt =
         i % 20 == 0
@@ -205,10 +198,7 @@ TEST(QueueDiff, FarFutureOutliersForceResizeAndStayOrdered) {
             : static_cast<SimTime>(rng.uniform_u64(2'000'000));
     d.schedule(dt, i % 3 == 0);
     if (i % 7 == 0) d.cancel_random();
-    saw_overflow = saw_overflow || d.calendar().overflow_count() > 0;
   }
-  EXPECT_GT(d.calendar().bucket_count(), buckets_before);
-  EXPECT_TRUE(saw_overflow) << "outliers never reached the overflow list";
   d.drain();
 }
 
@@ -221,6 +211,44 @@ TEST(QueueDiff, InterleavedCancellationMatchesDropVerdicts) {
     for (int i = 0; i < 15 && d.size() > 0; ++i) d.pop_one();
     ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "round " << round;
   }
+  d.drain();
+}
+
+// The delay mix of paper_baselines' enqueues (ROADMAP item 3): 21 % zero,
+// 22 % 10-100 us, 42 % 100 us-1 ms, 13 % 1-10 ms, 3 % 10 ms-1 s. The
+// rounded shares sum to 101.
+SimTime paper_dt(Rng& rng) {
+  const auto ns = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<SimTime>(rng.uniform_range(lo, hi));
+  };
+  const std::uint64_t pick = rng.uniform_u64(101);
+  if (pick < 21) return 0;
+  if (pick < 43) return ns(10'000, 100'000);
+  if (pick < 85) return ns(100'000, 1'000'000);
+  if (pick < 98) return ns(1'000'000, 10'000'000);
+  return ns(10'000'000, 1'000'000'000);
+}
+
+// A hold at the paper workloads' depth: fill to 16,384 pending, past
+// paper_baselines' queue high-water of 15,969, which doubles the slab 8
+// times and builds an 8-level heap; then pop one and push one, so every
+// sift spans the depth.
+TEST(QueueDiff, DeepHoldMatchesReferenceHeap) {
+  constexpr std::size_t kDepth = 16384;
+  DiffDriver d(17);
+  Rng& rng = d.rng();
+  while (d.size() < kDepth) {
+    d.schedule(paper_dt(rng), rng.uniform_u64(16) == 0);
+  }
+  for (std::size_t step = 0; step < 4 * kDepth; ++step) {
+    d.pop_one();
+    d.schedule(paper_dt(rng), rng.uniform_u64(16) == 0);
+    if (step % 64 == 0) d.cancel_random();
+    if (::testing::Test::HasFatalFailure()) {
+      FAIL() << "diverged at hold step " << step;
+    }
+  }
+  EXPECT_EQ(d.size(), kDepth);
   d.drain();
 }
 
