@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: the
 // versioned segment tree, the mirroring translator, range sets, chunk
-// payload materialization, the qcow format, imgfs, and the event engine.
+// payload materialization, the qcow format, imgfs, the event engine, and
+// the trace pipeline (export, read-back, critical-path analysis).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "blob/segment_tree.hpp"
 #include "blob/store.hpp"
@@ -12,6 +16,8 @@
 #include "common/rng.hpp"
 #include "imgfs/filesystem.hpp"
 #include "mirror/local_state.hpp"
+#include "obs/critpath.hpp"
+#include "obs/trace.hpp"
 #include "qcow/image.hpp"
 #include "sim/engine.hpp"
 
@@ -211,6 +217,176 @@ BENCHMARK(BM_SimEngineEvents)
     ->Arg(16384)
     ->Arg(131072)
     ->Unit(benchmark::kMillisecond);
+
+// ---- The trace pipeline over the traced fig4/fig5 run's event mix -------
+
+enum class MixArgs { kNone, kBytes, kHolder, kTransfer, kRepo, kMetadata };
+
+struct MixPair {
+  const char* cat;
+  const char* name;
+  std::uint64_t per_mille;  ///< share of the run's events
+  bool span;                ///< a span event (own id), else a cost event
+  MixArgs args;
+};
+
+// The 13 (cat, name) pairs that make up all but 0.1 % of perfbench's
+// paper_ours_traced trace (557,306 events), by share: 76 % under svc or
+// wait, 24 % spans, 18 % without args. Its other six pairs, the roots and
+// phase spans, are recorded once per VM or per phase.
+constexpr MixPair kTraceMix[] = {
+    {"svc", "net.tx", 160, false, MixArgs::kBytes},
+    {"svc", "net.latency", 160, false, MixArgs::kNone},
+    {"svc", "net.rx", 160, false, MixArgs::kBytes},
+    {"net", "transfer", 160, true, MixArgs::kTransfer},
+    {"svc", "disk", 97, false, MixArgs::kBytes},
+    {"wait", "disk", 61, false, MixArgs::kHolder},
+    {"wait", "net.tx", 46, false, MixArgs::kHolder},
+    {"wait", "sim.join", 41, false, MixArgs::kHolder},
+    {"blob", "fetch", 40, true, MixArgs::kRepo},
+    {"net", "rpc", 35, true, MixArgs::kMetadata},
+    {"svc", "net.conn", 22, false, MixArgs::kNone},
+    {"wait", "net.rx", 12, false, MixArgs::kHolder},
+    {"blob", "push", 6, true, MixArgs::kRepo},
+};
+
+std::vector<obs::TraceArg> mix_args(MixArgs shape, Rng& rng,
+                                    obs::SpanId holder) {
+  using obs::TraceArg;
+  const std::uint64_t bytes = std::uint64_t{256} << rng.uniform_u64(11);
+  switch (shape) {
+    case MixArgs::kNone: return {};
+    case MixArgs::kBytes: return {TraceArg::uint("bytes", bytes)};
+    case MixArgs::kHolder: return {TraceArg::uint("holder", holder)};
+    case MixArgs::kTransfer:
+      return {TraceArg::uint("dst", rng.uniform_u64(110)),
+              TraceArg::uint("bytes", bytes)};
+    case MixArgs::kRepo:
+      return {TraceArg::str("bucket", "repo"),
+              TraceArg::uint("provider", rng.uniform_u64(110)),
+              TraceArg::uint("bytes", 262144)};
+    case MixArgs::kMetadata: return {TraceArg::str("bucket", "metadata")};
+  }
+  return {};
+}
+
+/// Records `events` draws from kTraceMix on `lane` from *now on: spans nest
+/// under earlier spans of root's tree, costs overlap (each starts halfway
+/// through the previous one), and most disk costs are background work
+/// (span 0), as in the real run.
+void record_mix(obs::Tracer& t, Rng& rng, obs::SpanId root,
+                std::uint32_t lane, int events, sim::SimTime* now) {
+  std::vector<obs::SpanId> tree{root};
+  for (int i = 0; i < events; ++i) {
+    std::uint64_t pick = rng.uniform_u64(1000);
+    const MixPair* p = kTraceMix;
+    while (pick >= p->per_mille) pick -= (p++)->per_mille;
+    const auto dur_ns =
+        static_cast<sim::SimTime>(rng.uniform_range(10'000, 1'000'000));
+    const double ts = sim::to_seconds(*now);
+    const double dur = sim::to_seconds(dur_ns);
+    const obs::SpanId owner = tree[rng.uniform_u64(tree.size())];
+    auto args = mix_args(p->args, rng, tree[rng.uniform_u64(tree.size())]);
+    if (p->span) {
+      const obs::SpanId id = t.new_span(owner);
+      t.complete_span(ts, dur, lane, p->cat, p->name, id, owner,
+                      std::move(args));
+      tree.push_back(id);
+    } else {
+      const bool background =
+          std::string_view(p->name) == "disk" && rng.bernoulli(0.93);
+      t.complete_in(ts, dur, lane, p->cat, p->name, background ? 0 : owner,
+                    std::move(args));
+    }
+    *now += dur_ns / 2;
+  }
+}
+
+/// About 100k events: 20 VMs (the run's 110, scaled like its 557,306
+/// events) each boot and snapshot under their own root span. A VM's boot
+/// tree takes 90 % of its 5,000 events, its snapshot tree the rest, roots,
+/// clone and commit included.
+const obs::Tracer& paper_mix_trace() {
+  static const obs::Tracer trace = [] {
+    using obs::TraceArg;
+    using sim::to_seconds;
+    constexpr std::uint32_t kVms = 20;
+    constexpr int kEventsPerVm = 5000;
+    obs::Tracer t;
+    t.set_enabled(true);
+    Rng rng(2011);
+    sim::SimTime now = 0;
+    const obs::SpanId deploy = t.new_span();
+    for (std::uint32_t vm = 0; vm < kVms; ++vm) {
+      const obs::SpanId boot = t.new_span(deploy);
+      const sim::SimTime start = now;
+      record_mix(t, rng, boot, vm, kEventsPerVm * 9 / 10 - 1, &now);
+      t.complete_span(to_seconds(start), to_seconds(now - start), vm, "vm",
+                      "boot", boot, deploy, {TraceArg::uint("instance", vm)});
+    }
+    t.complete_span(0, to_seconds(now), 0, "cloud", "multideploy", deploy, 0,
+                    {TraceArg::uint("instances", kVms)});
+    const obs::SpanId phase = t.new_span();
+    const sim::SimTime phase_start = now;
+    for (std::uint32_t vm = 0; vm < kVms; ++vm) {
+      const obs::SpanId snap = t.new_span(phase);
+      const obs::SpanId clone = t.new_span(snap);
+      const obs::SpanId commit = t.new_span(snap);
+      const sim::SimTime start = now;
+      t.complete_span(to_seconds(now), 1e-3, 0, "blob", "clone", clone, snap,
+                      {TraceArg::uint("src", 1)});
+      record_mix(t, rng, commit, 0, kEventsPerVm / 10 - 3, &now);
+      const double seconds = to_seconds(now - start);
+      t.complete_span(to_seconds(start), seconds, 0, "blob", "commit", commit,
+                      snap,
+                      {TraceArg::uint("blob", vm + 2),
+                       TraceArg::uint("version", 1),
+                       TraceArg::uint("chunks", 28)});
+      t.complete_span(to_seconds(start), seconds, 0, "cloud", "snapshot", snap,
+                      phase, {TraceArg::uint("instance", vm)});
+    }
+    t.complete_span(to_seconds(phase_start), to_seconds(now - phase_start), 0,
+                    "cloud", "multisnapshot", phase, 0,
+                    {TraceArg::uint("instances", kVms)});
+    return t;
+  }();
+  return trace;
+}
+
+// ns/event = 1e9 / items_per_second on each of the three.
+void BM_TraceJsonl(benchmark::State& state) {
+  const obs::Tracer& t = paper_mix_trace();
+  for (auto _ : state) {
+    std::string text = t.jsonl();
+    benchmark::DoNotOptimize(text);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(t.size()));
+}
+BENCHMARK(BM_TraceJsonl)->Unit(benchmark::kMillisecond);
+
+void BM_ParseTraceJsonl(benchmark::State& state) {
+  const obs::Tracer& t = paper_mix_trace();
+  const std::string text = t.jsonl();
+  for (auto _ : state) {
+    auto events = obs::parse_trace_jsonl(text);
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(t.size()));
+}
+BENCHMARK(BM_ParseTraceJsonl)->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzeCriticalPaths(benchmark::State& state) {
+  const std::vector<obs::TraceEvent> events = paper_mix_trace().events();
+  for (auto _ : state) {
+    obs::CritReport report = obs::analyze_critical_paths(events);
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+}
+BENCHMARK(BM_AnalyzeCriticalPaths)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace vmstorm

@@ -20,13 +20,24 @@ constexpr const char* kBucketNames[kCritBucketCount] = {
 /// Ancestor hint propagated down the span DAG via the "bucket" span arg.
 enum class Hint { kNone = 0, kMetadata, kRepo };
 
-/// A span's parent, its root row (-1: none) and its effective hint, the
-/// nearest one on its chain up to that root.
+/// One entry of the flat span index: a span's parent, its root row (-1:
+/// none) and its effective hint, the nearest one on its chain up to that
+/// root.
 struct SpanInfo {
+  SpanId id = 0;
   SpanId parent = 0;
   int row = -1;
   Hint hint = Hint::kNone;
 };
+
+/// The index entry for `id` in `spans` (sorted by id, one entry per id),
+/// or null.
+const SpanInfo* find_span(const std::vector<SpanInfo>& spans, SpanId id) {
+  const auto it = std::lower_bound(
+      spans.begin(), spans.end(), id,
+      [](const SpanInfo& s, SpanId key) { return s.id < key; });
+  return it != spans.end() && it->id == id ? &*it : nullptr;
+}
 
 const TraceArg* find_arg(const TraceEvent& ev, std::string_view key) {
   for (const TraceArg& a : ev.args) {
@@ -84,46 +95,33 @@ void classify(const TraceEvent& ev, Hint hint, int* priority,
 /// and the coalesced winning-segment sequence. At any instant the winner is
 /// the live segment with the smallest (priority, bucket, index); gaps fall
 /// to `filler`.
-void sweep(CritRow* row, std::vector<Seg> segs, CritBucket filler) {
-  const double lo = row->start;
-  const double hi = row->start + row->seconds;
-  std::vector<double> bounds;
-  bounds.reserve(segs.size() * 2 + 2);
-  bounds.push_back(lo);
-  bounds.push_back(hi);
-  for (const Seg& s : segs) {
-    bounds.push_back(s.t0);
-    bounds.push_back(s.t1);
-  }
-  std::sort(bounds.begin(), bounds.end());
-  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-
-  const std::size_t nb = bounds.size();
-  std::vector<std::vector<const Seg*>> adds(nb), removes(nb);
-  std::sort(segs.begin(), segs.end(), [](const Seg& a, const Seg& b) {
-    return a.index < b.index;
-  });
-  for (const Seg& s : segs) {
-    const auto i0 = static_cast<std::size_t>(
-        std::lower_bound(bounds.begin(), bounds.end(), s.t0) - bounds.begin());
-    const auto i1 = static_cast<std::size_t>(
-        std::lower_bound(bounds.begin(), bounds.end(), s.t1) - bounds.begin());
-    if (i0 >= i1) continue;
-    adds[i0].push_back(&s);
-    removes[i1].push_back(&s);
-  }
-
-  using Key = std::tuple<int, int, std::size_t>;
-  std::map<Key, const Seg*> active;
-  auto key_of = [](const Seg* s) {
-    return Key{s->priority, s->bucket, s->index};
+void sweep(CritRow* row, const std::vector<Seg>& segs, CritBucket filler) {
+  // Each segment opens at t0 and closes at t1. Walking the edges in time
+  // order visits every slice between distinct bounds exactly once.
+  struct Edge {
+    double t;
+    const Seg* seg;
+    bool opens;
   };
-  for (std::size_t i = 0; i + 1 < nb; ++i) {
-    for (const Seg* s : removes[i]) active.erase(key_of(s));
-    for (const Seg* s : adds[i]) active.emplace(key_of(s), s);
-    const double width = bounds[i + 1] - bounds[i];
-    if (width <= 0) continue;
-    const Seg* win = active.empty() ? nullptr : active.begin()->second;
+  std::vector<Edge> edges;
+  edges.reserve(segs.size() * 2);
+  for (const Seg& s : segs) {
+    edges.push_back({s.t0, &s, true});
+    edges.push_back({s.t1, &s, false});
+  }
+  std::sort(edges.begin(), edges.end(),
+            [](const Edge& a, const Edge& b) { return a.t < b.t; });
+
+  // Live segments, best first. Keys are unique (index is), so the order in
+  // which one bound's edges apply does not matter.
+  const auto rank = [](const Seg* a, const Seg* b) {
+    return std::tie(a->priority, a->bucket, a->index) <
+           std::tie(b->priority, b->bucket, b->index);
+  };
+  std::vector<const Seg*> live;
+  const auto tile = [&](double from, double to) {
+    const double width = to - from;
+    const Seg* win = live.empty() ? nullptr : live.front();
     const CritBucket bucket =
         win != nullptr ? static_cast<CritBucket>(win->bucket) : filler;
     row->buckets[static_cast<std::size_t>(bucket)] += width;
@@ -135,17 +133,33 @@ void sweep(CritRow* row, std::vector<Seg> segs, CritBucket filler) {
       if (last.bucket == bucket && last.name == name &&
           last.holder == holder) {
         last.seconds += width;
-        continue;
+        return;
       }
     }
     CritSegment seg;
-    seg.start = bounds[i];
+    seg.start = from;
     seg.seconds = width;
     seg.bucket = bucket;
     seg.name = name;
     seg.holder = holder;
     row->segments.push_back(std::move(seg));
+  };
+
+  double at = row->start;
+  for (const Edge& e : edges) {
+    if (e.t > at) {
+      tile(at, e.t);
+      at = e.t;
+    }
+    const auto pos = std::lower_bound(live.begin(), live.end(), e.seg, rank);
+    if (e.opens) {
+      live.insert(pos, e.seg);
+    } else {
+      live.erase(pos);
+    }
   }
+  const double end = row->start + row->seconds;
+  if (end > at) tile(at, end);
 }
 
 }  // namespace
@@ -157,13 +171,13 @@ const char* crit_bucket_name(CritBucket b) {
 CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
   CritReport report;
 
-  // Pass 1: span registry and root rows.
-  std::map<SpanId, SpanInfo> spans;
+  // Pass 1: one index entry per span event, and the root rows.
+  std::vector<SpanInfo> spans;
   for (const TraceEvent& ev : events) {
     if (ev.phase != 'X' || ev.id == 0) continue;
-    SpanInfo& info = spans[ev.id];
+    SpanInfo& info = spans.emplace_back();
+    info.id = ev.id;
     info.parent = ev.parent;
-    info.hint = Hint::kNone;
     if (const TraceArg* a = find_arg(ev, "bucket")) {
       if (a->s == "metadata") info.hint = Hint::kMetadata;
       if (a->s == "repo") info.hint = Hint::kRepo;
@@ -182,16 +196,37 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
     report.rows.push_back(std::move(row));
   }
 
+  // Order by (id, recording order) and fold each repeated id into one
+  // entry: the last event's parent and hint win, and the last root row
+  // among them sticks.
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const SpanInfo& a, const SpanInfo& b) {
+                     return a.id < b.id;
+                   });
+  std::size_t unique = 0;
+  for (const SpanInfo& info : spans) {
+    if (unique > 0 && spans[unique - 1].id == info.id) {
+      SpanInfo& folded = spans[unique - 1];
+      folded.parent = info.parent;
+      folded.hint = info.hint;
+      if (info.row >= 0) folded.row = info.row;
+    } else {
+      spans[unique++] = info;
+    }
+  }
+  spans.erase(spans.begin() + static_cast<std::ptrdiff_t>(unique),
+              spans.end());
+
   // Pass 2: resolve each span to its root row and effective hint in one
   // ascending-id pass. The tracer allocates a parent's id before its
   // child's, so the parent is already resolved; a parent id that is not
   // smaller (only possible in hand-written input) counts as no parent.
-  for (auto& [id, info] : spans) {
-    if (info.row >= 0 || info.parent == 0 || info.parent >= id) continue;
-    const auto parent = spans.find(info.parent);
-    if (parent == spans.end()) continue;  // unknown span: no root, no hint
-    info.row = parent->second.row;
-    if (info.hint == Hint::kNone) info.hint = parent->second.hint;
+  for (SpanInfo& info : spans) {
+    if (info.row >= 0 || info.parent == 0 || info.parent >= info.id) continue;
+    const SpanInfo* parent = find_span(spans, info.parent);
+    if (parent == nullptr) continue;  // unknown span: no root, no hint
+    info.row = parent->row;
+    if (info.hint == Hint::kNone) info.hint = parent->hint;
   }
 
   // Pass 3: clip cost events into their root's window.
@@ -202,12 +237,11 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
     if (ev.cat != "wait" && ev.cat != "svc") continue;
     if (ev.span == 0) continue;
     ++report.cost_events;
-    const auto span = spans.find(ev.span);
-    if (span == spans.end() || span->second.row < 0) {
+    const SpanInfo* res = find_span(spans, ev.span);
+    if (res == nullptr || res->row < 0) {
       continue;  // background or phase-level work
     }
-    const SpanInfo& res = span->second;
-    CritRow& row = report.rows[static_cast<std::size_t>(res.row)];
+    CritRow& row = report.rows[static_cast<std::size_t>(res->row)];
     Seg seg;
     seg.t0 = std::max(ev.ts, row.start);
     seg.t1 = std::min(ev.ts + ev.dur, row.start + row.seconds);
@@ -216,11 +250,11 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
     seg.name = &ev.name;
     int priority = 0;
     CritBucket bucket = CritBucket::kCompute;
-    classify(ev, res.hint, &priority, &bucket);
+    classify(ev, res->hint, &priority, &bucket);
     seg.priority = priority;
     seg.bucket = static_cast<int>(bucket);
     if (const TraceArg* holder = find_arg(ev, "holder")) seg.holder = holder->u;
-    per_row[static_cast<std::size_t>(res.row)].push_back(seg);
+    per_row[static_cast<std::size_t>(res->row)].push_back(seg);
   }
 
   // Pass 4: tile each root. Uncovered time in a boot/resume is the guest
@@ -229,7 +263,7 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
     CritRow& row = report.rows[r];
     const CritBucket filler = row.kind == "snapshot" ? CritBucket::kCompute
                                                      : CritBucket::kBootInit;
-    sweep(&row, std::move(per_row[r]), filler);
+    sweep(&row, per_row[r], filler);
   }
 
   std::sort(report.rows.begin(), report.rows.end(),

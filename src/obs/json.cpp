@@ -8,46 +8,69 @@
 namespace vmstorm::obs {
 
 void json_escape(std::string_view s, std::string* out) {
-  for (char c : s) {
+  // Copy each run of bytes that need no escape in one append.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
       case '\n': *out += "\\n"; break;
       case '\r': *out += "\\r"; break;
       case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
     }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+namespace {
+
+/// std::to_chars into a stack buffer, then one append. For a double that
+/// is the shortest form that reads back to the same value.
+template <typename Number>
+void append_chars(Number v, std::string* out) {
+  char buf[32];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  assert(ec == std::errc());
+  out->append(buf, end);
+}
+
+template <typename Number>
+std::string number_string(Number v) {
+  std::string s;
+  json_append_number(v, &s);
+  return s;
+}
+
+}  // namespace
+
+void json_append_number(double v, std::string* out) {
+  if (std::isfinite(v)) {
+    append_chars(v, out);
+  } else {
+    *out += "null";
   }
 }
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  assert(ec == std::errc());
-  return std::string(buf, end);
+void json_append_number(std::uint64_t v, std::string* out) {
+  append_chars(v, out);
 }
 
-std::string json_number(std::uint64_t v) {
-  char buf[24];
-  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  assert(ec == std::errc());
-  return std::string(buf, end);
+void json_append_number(std::int64_t v, std::string* out) {
+  append_chars(v, out);
 }
 
-std::string json_number(std::int64_t v) {
-  char buf[24];
-  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  assert(ec == std::errc());
-  return std::string(buf, end);
-}
+std::string json_number(double v) { return number_string(v); }
+std::string json_number(std::uint64_t v) { return number_string(v); }
+std::string json_number(std::int64_t v) { return number_string(v); }
 
 void JsonWriter::element() {
   if (after_key_) {
@@ -108,19 +131,19 @@ JsonWriter& JsonWriter::value(std::string_view s) {
 
 JsonWriter& JsonWriter::value(double v) {
   element();
-  out_ += json_number(v);
+  json_append_number(v, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   element();
-  out_ += json_number(v);
+  json_append_number(v, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   element();
-  out_ += json_number(v);
+  json_append_number(v, &out_);
   return *this;
 }
 

@@ -29,9 +29,14 @@ namespace vmstorm::obs {
 /// Appends the JSON escaping of `s` (without surrounding quotes) to *out.
 void json_escape(std::string_view s, std::string* out);
 
-/// Shortest round-trip decimal form of `v`; non-finite values render as
-/// "null" (metrics should never produce them, but a crash in the exporter
-/// would be worse than a null cell).
+/// Appends the shortest round-trip decimal form of `v` to *out; non-finite
+/// values render as "null" (metrics should never produce them, but a crash
+/// in the exporter would be worse than a null cell).
+void json_append_number(double v, std::string* out);
+void json_append_number(std::uint64_t v, std::string* out);
+void json_append_number(std::int64_t v, std::string* out);
+
+/// json_append_number() into a fresh string.
 std::string json_number(double v);
 std::string json_number(std::uint64_t v);
 std::string json_number(std::int64_t v);

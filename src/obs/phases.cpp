@@ -139,7 +139,7 @@ Status cross_check_attribution(const PhaseReport& report,
   // fit the timeline window. Slack of one mean sample interval absorbs the
   // grid alignment at both edges.
   const double slack =
-      report.samples > 0 ? 2.0 * report.duration / report.samples : 0.0;
+      2.0 * report.duration / static_cast<double>(report.samples);
   const double lo = report.start - slack;
   const double hi = report.start + report.duration + slack;
   for (const CritRow& row : crit.rows) {

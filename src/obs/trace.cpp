@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 
 #include "common/rng.hpp"
 #include "obs/json.hpp"
@@ -33,16 +35,16 @@ TraceArg TraceArg::num(std::string key, double value) {
   return a;
 }
 
-void Tracer::grow_ring() {
-  // Amortized doubling toward the cap, without push_back/reserve: the ring
-  // is on the engine's hot path, where vmlint's hot-path-alloc rule keeps
-  // per-event allocation calls out. Slot construction + move + swap is the
-  // sanctioned growth idiom (O(1) amortized, zero steady-state allocation).
-  std::size_t next = ring_.empty() ? 64 : ring_.size() * 2;
-  if (next > capacity_) next = capacity_;
-  std::vector<TraceEvent> bigger(next);
-  std::move(ring_.begin(), ring_.end(), bigger.begin());
-  ring_.swap(bigger);
+void Tracer::add_chunk() {
+  // Construct + swap, not push_back/resize: the ring is on the engine's hot
+  // path, where vmlint's hot-path-alloc rule keeps growth calls out. The
+  // table moves only chunk handles, so no recorded event ever moves.
+  const std::size_t first = chunks_.size() * kRingChunk;
+  std::vector<TraceEvent> chunk(std::min(kRingChunk, capacity_ - first));
+  std::vector<std::vector<TraceEvent>> table(chunks_.size() + 1);
+  std::move(chunks_.begin(), chunks_.end(), table.begin());
+  table.back().swap(chunk);
+  chunks_.swap(table);
 }
 
 TraceEvent& Tracer::push(double ts, double dur, char phase, std::uint32_t lane,
@@ -50,9 +52,12 @@ TraceEvent& Tracer::push(double ts, double dur, char phase, std::uint32_t lane,
                          std::vector<TraceArg> args) {
   const double t0 = profiler_ != nullptr ? SelfProfiler::wall_now() : 0.0;
   const std::size_t slot = static_cast<std::size_t>(count_ % capacity_);
-  if (slot >= ring_.size()) grow_ring();
-  if (count_ >= capacity_) ++dropped_ring_;  // overwriting the oldest event
-  TraceEvent& ev = ring_[slot];
+  if (count_ < capacity_) {
+    if (slot % kRingChunk == 0) add_chunk();
+  } else {
+    ++dropped_ring_;  // overwriting the oldest event
+  }
+  TraceEvent& ev = chunks_[slot / kRingChunk][slot % kRingChunk];
   ev.ts = ts;
   ev.dur = dur;
   ev.phase = phase;
@@ -100,8 +105,8 @@ void Tracer::set_ring_capacity(std::size_t capacity) {
   capacity_ = capacity == 0 ? 1 : capacity;
   count_ = 0;
   dropped_ring_ = 0;
-  std::vector<TraceEvent> empty;
-  ring_.swap(empty);
+  std::vector<std::vector<TraceEvent>> empty;
+  chunks_.swap(empty);
 }
 
 void Tracer::set_sampling(double rate, std::uint64_t seed) {
@@ -167,8 +172,8 @@ void Tracer::flow_end(double ts, std::uint32_t lane, std::string_view name,
 }
 
 void Tracer::clear() {
-  std::vector<TraceEvent> empty;
-  ring_.swap(empty);
+  std::vector<std::vector<TraceEvent>> empty;
+  chunks_.swap(empty);
   count_ = 0;
   dropped_ring_ = 0;
   dropped_sampling_ = 0;
@@ -186,103 +191,189 @@ std::vector<TraceEvent> Tracer::events() const {
 
 namespace {
 
-void write_event(JsonWriter& w, const TraceEvent& ev, bool chrome) {
-  w.begin_object();
-  w.key("name").value(ev.name);
-  w.key("cat").value(ev.cat);
-  w.key("ph").value(std::string_view(&ev.phase, 1));
-  if (chrome) {
-    // Chrome expects microseconds; simulated seconds scale cleanly.
-    w.key("ts").value(ev.ts * 1e6);
-    if (ev.phase == 'X') w.key("dur").value(ev.dur * 1e6);
-    w.key("pid").value(std::uint64_t{0});
-    w.key("tid").value(static_cast<std::uint64_t>(ev.lane));
-  } else {
-    w.key("ts").value(ev.ts);
-    if (ev.phase == 'X') w.key("dur").value(ev.dur);
-    w.key("lane").value(static_cast<std::uint64_t>(ev.lane));
-  }
-  if (ev.id != 0) w.key("id").value(ev.id);
-  if (ev.parent != 0) w.key("parent").value(ev.parent);
-  if (ev.span != 0) w.key("span").value(ev.span);
-  // Bind the arrow head to the enclosing slice (classic flow semantics).
-  if (chrome && ev.phase == 'f') w.key("bp").value(std::string_view("e"));
-  if (!ev.args.empty()) {
-    w.key("args").begin_object();
-    for (const TraceArg& a : ev.args) {
-      w.key(a.key);
-      switch (a.kind) {
-        case TraceArg::Kind::kString: w.value(a.s); break;
-        case TraceArg::Kind::kUint: w.value(a.u); break;
-        case TraceArg::Kind::kDouble: w.value(a.d); break;
-      }
-    }
-    w.end_object();
-  }
-  w.end_object();
+void write_string(std::string_view s, std::string* out) {
+  *out += '"';
+  json_escape(s, out);
+  *out += '"';
 }
 
+/// Appends one event as a JSON object: a jsonl() line without its newline,
+/// or one element of chrome_json()'s traceEvents array. Keys are written as
+/// literals; values are escaped and numbers formatted as JsonWriter would.
+void write_event(const TraceEvent& ev, bool chrome, std::string* out) {
+  *out += "{\"name\":";
+  write_string(ev.name, out);
+  *out += ",\"cat\":";
+  write_string(ev.cat, out);
+  *out += ",\"ph\":";
+  write_string(std::string_view(&ev.phase, 1), out);
+  // Chrome expects microseconds; simulated seconds scale cleanly.
+  *out += ",\"ts\":";
+  json_append_number(chrome ? ev.ts * 1e6 : ev.ts, out);
+  if (ev.phase == 'X') {
+    *out += ",\"dur\":";
+    json_append_number(chrome ? ev.dur * 1e6 : ev.dur, out);
+  }
+  *out += chrome ? ",\"pid\":0,\"tid\":" : ",\"lane\":";
+  json_append_number(std::uint64_t{ev.lane}, out);
+  const auto write_id = [out](const char* key, SpanId id) {
+    if (id == 0) return;
+    *out += key;
+    json_append_number(id, out);
+  };
+  write_id(",\"id\":", ev.id);
+  write_id(",\"parent\":", ev.parent);
+  write_id(",\"span\":", ev.span);
+  // Bind the arrow head to the enclosing slice (classic flow semantics).
+  if (chrome && ev.phase == 'f') *out += ",\"bp\":\"e\"";
+  if (!ev.args.empty()) {
+    char sep = '{';
+    *out += ",\"args\":";
+    for (const TraceArg& a : ev.args) {
+      *out += sep;
+      sep = ',';
+      write_string(a.key, out);
+      *out += ':';
+      switch (a.kind) {
+        case TraceArg::Kind::kString: write_string(a.s, out); break;
+        case TraceArg::Kind::kUint: json_append_number(a.u, out); break;
+        case TraceArg::Kind::kDouble: json_append_number(a.d, out); break;
+      }
+    }
+    *out += '}';
+  }
+  *out += '}';
+}
+
+/// The keys write_event() emits in jsonl(), and kOther for any other.
+enum class Field {
+  kName, kCat, kPh, kTs, kDur, kLane, kId, kParent, kSpan, kArgs, kOther
+};
+
+/// Matches a key by its length, then by its bytes.
+Field field_of(std::string_view key) {
+  switch (key.size()) {
+    case 2:
+      if (key == "ts") return Field::kTs;
+      if (key == "id") return Field::kId;
+      if (key == "ph") return Field::kPh;
+      break;
+    case 3:
+      if (key == "cat") return Field::kCat;
+      if (key == "dur") return Field::kDur;
+      break;
+    case 4:
+      if (key == "name") return Field::kName;
+      if (key == "lane") return Field::kLane;
+      if (key == "span") return Field::kSpan;
+      if (key == "args") return Field::kArgs;
+      break;
+    case 6:
+      if (key == "parent") return Field::kParent;
+      break;
+    default: break;
+  }
+  return Field::kOther;
+}
+
+/// Appends the args object's members to *args.
 Status read_args(JsonLexer& lx, std::vector<TraceArg>* args) {
   if (!lx.consume('{')) return lx.fail("args must be an object");
   if (lx.consume('}')) return Status::ok();
-  std::string key;
   do {
-    VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
+    TraceArg& a = args->emplace_back();
+    VMSTORM_RETURN_IF_ERROR(lx.read_string(&a.key));
     if (!lx.consume(':')) return lx.fail("expected ':' after key");
     if (lx.peek() == '"') {
-      std::string s;
-      VMSTORM_RETURN_IF_ERROR(lx.read_string(&s));
-      args->push_back(TraceArg::str(std::move(key), std::move(s)));
+      VMSTORM_RETURN_IF_ERROR(lx.read_string(&a.s));
       continue;
     }
     JsonLexer::Number n;
     VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
-    args->push_back(n.is_uint ? TraceArg::uint(std::move(key), n.uint)
-                              : TraceArg::num(std::move(key), n.value));
+    if (n.is_uint) {
+      a.kind = TraceArg::Kind::kUint;
+      a.u = n.uint;
+    } else {
+      a.kind = TraceArg::Kind::kDouble;
+      a.d = n.value;
+    }
   } while (lx.consume(','));
   if (!lx.consume('}')) return lx.fail("expected ',' or '}' in args");
   return Status::ok();
 }
 
+/// Reads a lane, id, parent or span value: a non-negative integer token.
+Status read_id(JsonLexer& lx, std::string_view key, std::uint64_t* out) {
+  JsonLexer::Number n;
+  VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
+  if (!n.is_uint) {
+    return lx.fail(std::string(key) + " must be a non-negative integer");
+  }
+  *out = n.uint;
+  return Status::ok();
+}
+
 /// Reads one jsonl() line into *ev: the keys write_event() emits, with any
-/// other key's value skipped.
-Status read_event(JsonLexer& lx, TraceEvent* ev) {
+/// other key's value skipped. The args are read into *arg_buf (cleared
+/// first) and then moved into an exact-size ev->args.
+Status read_event(JsonLexer& lx, std::vector<TraceArg>* arg_buf,
+                  TraceEvent* ev) {
+  arg_buf->clear();
   if (!lx.consume('{')) return lx.fail("expected '{'");
   if (!lx.consume('}')) {
     std::string key;
     JsonLexer::Number n;
+    std::uint64_t id = 0;
     do {
       VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
       if (!lx.consume(':')) return lx.fail("expected ':' after key");
-      if (key == "name") {
-        VMSTORM_RETURN_IF_ERROR(lx.read_string(&ev->name));
-      } else if (key == "cat") {
-        VMSTORM_RETURN_IF_ERROR(lx.read_string(&ev->cat));
-      } else if (key == "ph") {
-        VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
-        if (key.size() != 1) return lx.fail("ph must be one character");
-        ev->phase = key[0];
-      } else if (key == "args") {
-        VMSTORM_RETURN_IF_ERROR(read_args(lx, &ev->args));
-      } else if (key == "ts" || key == "dur" || key == "lane" || key == "id" ||
-                 key == "parent" || key == "span") {
-        VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
-        if (key == "lane" && n.uint > UINT32_MAX) {
-          return lx.fail("lane out of range");
-        }
-        if (key == "ts") ev->ts = n.value;
-        else if (key == "dur") ev->dur = n.value;
-        else if (key == "lane") ev->lane = static_cast<std::uint32_t>(n.uint);
-        else if (key == "id") ev->id = n.uint;
-        else if (key == "parent") ev->parent = n.uint;
-        else ev->span = n.uint;
-      } else {
-        VMSTORM_RETURN_IF_ERROR(read_json_value(lx).status());
+      switch (field_of(key)) {
+        case Field::kName:
+          VMSTORM_RETURN_IF_ERROR(lx.read_string(&ev->name));
+          break;
+        case Field::kCat:
+          VMSTORM_RETURN_IF_ERROR(lx.read_string(&ev->cat));
+          break;
+        case Field::kPh:
+          VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
+          if (key.size() != 1) return lx.fail("ph must be one character");
+          ev->phase = key[0];
+          break;
+        case Field::kTs:
+          VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
+          ev->ts = n.value;
+          break;
+        case Field::kDur:
+          VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
+          ev->dur = n.value;
+          break;
+        case Field::kLane:
+          VMSTORM_RETURN_IF_ERROR(read_id(lx, key, &id));
+          if (id > UINT32_MAX) return lx.fail("lane out of range");
+          ev->lane = static_cast<std::uint32_t>(id);
+          break;
+        case Field::kId:
+          VMSTORM_RETURN_IF_ERROR(read_id(lx, key, &ev->id));
+          break;
+        case Field::kParent:
+          VMSTORM_RETURN_IF_ERROR(read_id(lx, key, &ev->parent));
+          break;
+        case Field::kSpan:
+          VMSTORM_RETURN_IF_ERROR(read_id(lx, key, &ev->span));
+          break;
+        case Field::kArgs:
+          VMSTORM_RETURN_IF_ERROR(read_args(lx, arg_buf));
+          break;
+        case Field::kOther:
+          VMSTORM_RETURN_IF_ERROR(read_json_value(lx).status());
+          break;
       }
     } while (lx.consume(','));
     if (!lx.consume('}')) return lx.fail("expected ',' or '}'");
   }
   if (!lx.at_end()) return lx.fail("trailing bytes after event object");
+  ev->args.assign(std::make_move_iterator(arg_buf->begin()),
+                  std::make_move_iterator(arg_buf->end()));
   return Status::ok();
 }
 
@@ -290,29 +381,41 @@ Status read_event(JsonLexer& lx, TraceEvent* ev) {
 
 std::string Tracer::jsonl() const {
   std::string out;
+  // The traced fig4/fig5 run averages 124 bytes a line (131 in Chrome
+  // form), so these reservations hold a typical export in one allocation.
+  out.reserve(size() * 128);
   for_each_retained([&out](const TraceEvent& ev) {
-    JsonWriter w;
-    write_event(w, ev, /*chrome=*/false);
-    out += w.str();
+    write_event(ev, /*chrome=*/false, &out);
     out += '\n';
   });
   return out;
 }
 
 std::string Tracer::chrome_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.key("displayTimeUnit").value("ms");
-  w.key("traceEvents").begin_array();
-  for_each_retained(
-      [&w](const TraceEvent& ev) { write_event(w, ev, /*chrome=*/true); });
-  w.end_array();
-  w.end_object();
-  return w.take();
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  out.reserve(size() * 144);
+  bool first = true;
+  for_each_retained([&out, &first](const TraceEvent& ev) {
+    if (!first) out += ',';
+    first = false;
+    write_event(ev, /*chrome=*/true, &out);
+  });
+  out += "]}";
+  return out;
 }
 
 Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text) {
+  // One event per non-blank line, so the newline count bounds the vector.
+  std::size_t lines = 1;
+  const char* const end = text.data() + text.size();
+  for (const char* p = text.data(); p != end; ++lines) {
+    const void* nl = std::memchr(p, '\n', static_cast<std::size_t>(end - p));
+    if (nl == nullptr) break;
+    p = static_cast<const char*>(nl) + 1;
+  }
   std::vector<TraceEvent> events;
+  events.reserve(lines);
+  std::vector<TraceArg> arg_buf;
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -324,7 +427,7 @@ Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text) {
     if (line.empty()) continue;
     JsonLexer lx(line);
     TraceEvent& ev = events.emplace_back();
-    Status st = read_event(lx, &ev);
+    Status st = read_event(lx, &arg_buf, &ev);
     if (!st.is_ok()) {
       return Status(st.code(), "line " + std::to_string(line_no) + ": " +
                                    st.message());

@@ -17,9 +17,10 @@
 // together with Chrome flow events ('s' at the releaser, 'f' at the resumed
 // waiter, same id). Instant events mark milestones.
 //
-// Bounded recording: events live in a ring of ring_capacity() slots. The
-// backing store grows by amortized doubling up to the capacity (small runs
-// never pay for a big ring), then the oldest event is overwritten and
+// Bounded recording: events live in a ring of ring_capacity() slots, stored
+// as fixed-size chunks that are allocated as the ring first reaches them
+// (small runs never pay for a big ring, and growth never moves a recorded
+// event). Once the ring is full the oldest event is overwritten and
 // counted in dropped_ring(). Per-root-span sampling (set_sampling) keeps a
 // deterministic, seed-derived subset of span/cost events at scale; every
 // suppressed event is counted in dropped_sampling(). Together these are the
@@ -89,9 +90,11 @@ struct TraceEvent {
 class Tracer {
  public:
   /// Default ring capacity (events). Sized so every existing test and
-  /// quick-mode bench retains its full stream; the backing store only
-  /// grows as events arrive, so small runs allocate a few KiB, not the cap.
+  /// quick-mode bench retains its full stream; chunks are only allocated
+  /// as events arrive, so small runs allocate one chunk, not the cap.
   static constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 21;
+  /// Slots per ring chunk (the last chunk holds what is left of the cap).
+  static constexpr std::size_t kRingChunk = std::size_t{1} << 12;
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
@@ -183,27 +186,29 @@ class Tracer {
   TraceEvent& push(double ts, double dur, char phase, std::uint32_t lane,
                    std::string_view cat, std::string_view name,
                    std::vector<TraceArg> args);
-  void grow_ring();
+  void add_chunk();
   void ensure_sampled_slot(SpanId id);
   template <typename Fn>
   void for_each_retained(Fn&& fn) const {
     const std::size_t n = size();
-    const std::size_t start =
+    std::size_t slot =
         count_ > capacity_ ? static_cast<std::size_t>(count_ % capacity_) : 0;
     for (std::size_t i = 0; i < n; ++i) {
-      fn(ring_[(start + i) % capacity_]);
+      fn(chunks_[slot / kRingChunk][slot % kRingChunk]);
+      if (++slot == capacity_) slot = 0;
     }
   }
 
   bool enabled_ = false;
   SpanId last_id_ = 0;
 
-  // Ring sink. ring_.size() grows on demand up to capacity_; slot k of
-  // event number n is n % capacity_.
+  // Ring sink. Event number n lives in slot n % capacity_, which is entry
+  // slot % kRingChunk of chunks_[slot / kRingChunk]; chunks_ gains one
+  // chunk each time the first pass reaches a chunk boundary.
   std::size_t capacity_ = kDefaultRingCapacity;
   std::uint64_t count_ = 0;  ///< events accepted (monotone)
   std::uint64_t dropped_ring_ = 0;
-  std::vector<TraceEvent> ring_;
+  std::vector<std::vector<TraceEvent>> chunks_;
 
   // Per-root-span sampling. sampled_bits_[id] is the keep/drop decision for
   // span id (1 byte per allocated id, grown by doubling; absent = kept).

@@ -273,6 +273,46 @@ TEST(Critpath, ParentCycleTerminates) {
   EXPECT_DOUBLE_EQ(bucket_of(report.rows[0], obs::CritBucket::kBootInit), 2.0);
 }
 
+TEST(Critpath, RepeatedSpanIdKeepsItsRootRowAndTakesTheLastHint) {
+  // Hand-written input that records span 5 twice: first as a vm/boot root,
+  // then as a child of root 2 with a repo hint. The root's row sticks, and
+  // the last record's hint applies: the disk service under span 5 is repo
+  // time in span 5's own row. Span 7 is recorded under 5 with a repo hint,
+  // then under 2 with none: the last parent and the last (absent) hint win,
+  // so its disk service is local disk time in root 2's row.
+  auto parsed = obs::parse_trace_jsonl(
+      R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":10,"lane":0,"id":5})"
+      "\n"
+      R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":10,"lane":1,"id":2})"
+      "\n"
+      R"({"name":"fetch","cat":"blob","ph":"X","ts":1,"dur":3,"lane":0,)"
+      R"("id":5,"parent":2,"args":{"bucket":"repo"}})"
+      "\n"
+      R"({"name":"disk","cat":"svc","ph":"X","ts":1,"dur":2,"lane":0,"span":5})"
+      "\n"
+      R"({"name":"fetch","cat":"blob","ph":"X","ts":5,"dur":2,"lane":1,)"
+      R"("id":7,"parent":5,"args":{"bucket":"repo"}})"
+      "\n"
+      R"({"name":"fetch","cat":"blob","ph":"X","ts":5,"dur":2,"lane":1,)"
+      R"("id":7,"parent":2})"
+      "\n"
+      R"({"name":"disk","cat":"svc","ph":"X","ts":5,"dur":1,"lane":1,"span":7})"
+      "\n");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const obs::CritReport report = obs::analyze_critical_paths(*parsed);
+  EXPECT_EQ(report.spans_seen, 5u);
+  EXPECT_EQ(report.cost_events, 2u);
+  ASSERT_EQ(report.rows.size(), 2u);
+  const obs::CritRow& own = report.rows[0];  // instance 0: lane 0
+  EXPECT_EQ(own.span, 5u);
+  EXPECT_DOUBLE_EQ(bucket_of(own, obs::CritBucket::kRepoDisk), 2.0);
+  EXPECT_DOUBLE_EQ(bucket_of(own, obs::CritBucket::kBootInit), 8.0);
+  const obs::CritRow& other = report.rows[1];
+  EXPECT_EQ(other.span, 2u);
+  EXPECT_DOUBLE_EQ(bucket_of(other, obs::CritBucket::kLocalDisk), 1.0);
+  EXPECT_DOUBLE_EQ(bucket_of(other, obs::CritBucket::kBootInit), 9.0);
+}
+
 TEST(Critpath, EmptyTraceYieldsEmptyReport) {
   const obs::CritReport report = obs::analyze_critical_paths({});
   EXPECT_TRUE(report.rows.empty());

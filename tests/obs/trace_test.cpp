@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/rng.hpp"
+#include "obs/json.hpp"
 
 namespace vmstorm::obs {
 namespace {
@@ -110,6 +117,33 @@ TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
     if (ch == '\n') ++lines;
   }
   EXPECT_EQ(lines, 4u);
+}
+
+TEST(Tracer, ChunkedRingWrapKeepsNewestWindowOldestFirst) {
+  // One chunk and three slots. Three times the capacity wraps the ring at a
+  // chunk start; one chunk more leaves the oldest retained event in the
+  // short second chunk, so the window crosses both chunks twice.
+  const std::size_t cap = Tracer::kRingChunk + 3;
+  for (const std::size_t total : {3 * cap, 3 * cap + Tracer::kRingChunk + 1}) {
+    Tracer t;
+    t.set_enabled(true);
+    t.set_ring_capacity(cap);
+    for (std::size_t i = 0; i < total; ++i) {
+      t.instant(static_cast<double>(i), 0, "c", "e");
+    }
+    EXPECT_EQ(t.size(), cap);
+    EXPECT_EQ(t.recorded_total(), total);
+    EXPECT_EQ(t.dropped_ring(), total - cap);
+    const std::vector<TraceEvent> evs = t.events();
+    ASSERT_EQ(evs.size(), cap);
+    for (std::size_t i = 0; i < cap; ++i) {
+      ASSERT_EQ(evs[i].ts, static_cast<double>(total - cap + i)) << i;
+    }
+    const std::string jsonl = t.jsonl();
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(jsonl.begin(), jsonl.end(), '\n')),
+              cap);
+  }
 }
 
 TEST(Tracer, ClearPreservesRingAndSamplingConfig) {
@@ -270,6 +304,20 @@ TEST(TraceJsonl, RejectsRawControlCharactersAndOversizedLanes) {
   }
 }
 
+TEST(TraceJsonl, RejectsLanesAndIdsThatAreNotNonNegativeIntegers) {
+  for (const char* bad : {
+           R"({"name":"a","ph":"i","lane":-1})",
+           R"({"name":"a","ph":"X","ts":0,"dur":1,"id":1.5})",
+           R"({"name":"a","ph":"X","ts":0,"dur":1,"span":1e3})",
+           R"({"name":"a","ph":"X","ts":0,"dur":1,"id":2,"parent":-4})",
+       }) {
+    auto parsed = parse_trace_jsonl(bad);
+    ASSERT_FALSE(parsed.is_ok()) << "accepted: " << bad;
+    EXPECT_NE(parsed.status().message().find("line 1:"), std::string::npos)
+        << parsed.status().message();
+  }
+}
+
 TEST(TraceJsonl, DecodesWideEscapesAndSkipsBlankLinesAndUnknownKeys) {
   auto parsed = parse_trace_jsonl(
       "\n"
@@ -283,6 +331,184 @@ TEST(TraceJsonl, DecodesWideEscapesAndSkipsBlankLinesAndUnknownKeys) {
   EXPECT_EQ(e.phase, 'f');
   EXPECT_EQ(e.lane, 0u);
   EXPECT_EQ(e.id, 3u);
+}
+
+// ---- The event writer against a JsonWriter reference ----------------------
+
+void reference_event(JsonWriter& w, const TraceEvent& ev, bool chrome) {
+  w.begin_object();
+  w.key("name").value(ev.name);
+  w.key("cat").value(ev.cat);
+  w.key("ph").value(std::string_view(&ev.phase, 1));
+  if (chrome) {
+    w.key("ts").value(ev.ts * 1e6);
+    if (ev.phase == 'X') w.key("dur").value(ev.dur * 1e6);
+    w.key("pid").value(std::uint64_t{0});
+    w.key("tid").value(std::uint64_t{ev.lane});
+  } else {
+    w.key("ts").value(ev.ts);
+    if (ev.phase == 'X') w.key("dur").value(ev.dur);
+    w.key("lane").value(std::uint64_t{ev.lane});
+  }
+  if (ev.id != 0) w.key("id").value(ev.id);
+  if (ev.parent != 0) w.key("parent").value(ev.parent);
+  if (ev.span != 0) w.key("span").value(ev.span);
+  if (chrome && ev.phase == 'f') w.key("bp").value("e");
+  if (!ev.args.empty()) {
+    w.key("args").begin_object();
+    for (const TraceArg& a : ev.args) {
+      w.key(a.key);
+      switch (a.kind) {
+        case TraceArg::Kind::kString: w.value(a.s); break;
+        case TraceArg::Kind::kUint: w.value(a.u); break;
+        case TraceArg::Kind::kDouble: w.value(a.d); break;
+      }
+    }
+    w.end_object();
+  }
+  w.end_object();
+}
+
+std::string reference_jsonl(const std::vector<TraceEvent>& events) {
+  std::string out;
+  for (const TraceEvent& ev : events) {
+    JsonWriter w;
+    reference_event(w, ev, /*chrome=*/false);
+    out += w.str();
+    out += '\n';
+  }
+  return out;
+}
+
+std::string reference_chrome_json(const std::vector<TraceEvent>& events) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("displayTimeUnit").value("ms");
+  w.key("traceEvents").begin_array();
+  for (const TraceEvent& ev : events) reference_event(w, ev, /*chrome=*/true);
+  w.end_array();
+  w.end_object();
+  return w.take();
+}
+
+std::string random_text(Rng& rng) {
+  static constexpr char kBytes[] = {'a', 'z', '.', ' ', '/', '"', '\\',
+                                    '\n', '\t', '\r', '\x01', '\x1f'};
+  std::string s(rng.uniform_u64(10), ' ');
+  for (char& c : s) c = kBytes[rng.uniform_u64(sizeof(kBytes))];
+  return s;
+}
+
+/// Finite doubles with the corner cases of shortest-form printing.
+double random_double(Rng& rng) {
+  switch (rng.uniform_u64(7)) {
+    case 0: return -0.0;
+    case 1: return 1.0 / 3.0;
+    case 2:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.uniform_u64(1000));
+    case 3: return static_cast<double>(rng.uniform_u64(1000));
+    case 4: return -rng.uniform_double() * 1e300;
+    case 5: return rng.uniform_double() * 1e-12;
+    default: return rng.uniform_double() * 100;
+  }
+}
+
+std::uint64_t random_u64(Rng& rng) {
+  return rng.bernoulli(0.1) ? UINT64_MAX
+                            : rng.next_u64() >> rng.uniform_u64(64);
+}
+
+/// A random event for record(); *finite is cleared when it carries a
+/// non-finite double, which the exports render as null.
+TraceEvent random_event(Rng& rng, bool* finite) {
+  TraceEvent ev;
+  ev.phase = "Xisf"[rng.uniform_u64(4)];
+  ev.ts = random_double(rng);
+  ev.dur = random_double(rng);
+  ev.lane = static_cast<std::uint32_t>(random_u64(rng));
+  ev.cat = random_text(rng);
+  ev.name = random_text(rng);
+  if (ev.phase == 'X') {
+    // A span event (own id, parent) or a cost event (span, id 0).
+    if (rng.bernoulli(0.5)) {
+      ev.id = 1 + random_u64(rng) / 2;
+      ev.parent = random_u64(rng);
+    } else {
+      ev.span = random_u64(rng);
+    }
+  } else if (ev.phase == 'f') {
+    ev.id = 1 + random_u64(rng) / 2;
+  }
+  const std::uint64_t nargs = ev.phase == 'X' || ev.phase == 'i'
+                                  ? rng.uniform_u64(4)
+                                  : 0;
+  for (std::uint64_t i = 0; i < nargs; ++i) {
+    switch (rng.uniform_u64(3)) {
+      case 0:
+        ev.args.push_back(TraceArg::str(random_text(rng), random_text(rng)));
+        break;
+      case 1:
+        ev.args.push_back(TraceArg::uint(random_text(rng), random_u64(rng)));
+        break;
+      default:
+        ev.args.push_back(TraceArg::num(random_text(rng), random_double(rng)));
+        break;
+    }
+  }
+  *finite = rng.uniform_u64(50) != 0;
+  if (!*finite) {
+    const double bad = rng.bernoulli(0.5)
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : -std::numeric_limits<double>::infinity();
+    if (ev.args.empty()) {
+      ev.ts = bad;
+    } else {
+      ev.args.back() = TraceArg::num("bad", bad);
+    }
+  }
+  return ev;
+}
+
+void record(Tracer& t, const TraceEvent& ev) {
+  switch (ev.phase) {
+    case 'X':
+      if (ev.id != 0) {
+        t.complete_span(ev.ts, ev.dur, ev.lane, ev.cat, ev.name, ev.id,
+                        ev.parent, ev.args);
+      } else {
+        t.complete_in(ev.ts, ev.dur, ev.lane, ev.cat, ev.name, ev.span,
+                      ev.args);
+      }
+      break;
+    case 'i': t.instant(ev.ts, ev.lane, ev.cat, ev.name, ev.args); break;
+    case 's': t.flow_begin(ev.ts, ev.lane, ev.name); break;
+    default: t.flow_end(ev.ts, ev.lane, ev.name, ev.id); break;
+  }
+}
+
+TEST(TraceExport, EventWriterMatchesJsonWriterAndRoundTrips) {
+  Rng rng(2011);
+  Tracer all;
+  Tracer finite;
+  all.set_enabled(true);
+  finite.set_enabled(true);
+  for (int i = 0; i < 4000; ++i) {
+    bool is_finite = true;
+    const TraceEvent ev = random_event(rng, &is_finite);
+    record(all, ev);
+    if (is_finite) record(finite, ev);
+  }
+  ASSERT_LT(finite.size(), all.size());
+  const std::vector<TraceEvent> recorded = all.events();
+  EXPECT_EQ(all.jsonl(), reference_jsonl(recorded));
+  EXPECT_EQ(all.chrome_json(), reference_chrome_json(recorded));
+
+  // Every finite event reads back to what renders the same bytes again.
+  const std::string text = finite.jsonl();
+  auto parsed = parse_trace_jsonl(text);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(reference_jsonl(*parsed), text);
 }
 
 }  // namespace
