@@ -99,17 +99,6 @@ Result<ArmResult> run_arm(const std::string& name,
   return r;
 }
 
-void write_phases(obs::JsonWriter& w, const obs::SelfProfiler& prof) {
-  w.begin_object();
-  w.key("queue_ops").value(prof.seconds(obs::SelfProfiler::kQueueOps));
-  w.key("auditor").value(prof.seconds(obs::SelfProfiler::kAuditor));
-  w.key("resume").value(prof.seconds(obs::SelfProfiler::kResume));
-  w.key("tracer").value(prof.seconds(obs::SelfProfiler::kTracer));
-  w.key("dispatch").value(prof.dispatch_seconds());
-  w.key("user_work").value(prof.user_seconds());
-  w.end_object();
-}
-
 int run() {
   const bool quick = bench::quick_mode();
   const std::size_t n =
@@ -254,7 +243,7 @@ int run() {
     w.key("dropped_sampling").value(a.trace_dropped_sampling);
     w.end_object();
     w.key("phases");
-    write_phases(w, a.prof);
+    a.prof.write_json(w);
     w.end_object();
   }
   w.end_array();

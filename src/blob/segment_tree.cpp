@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
-#include <unordered_set>
 
 namespace vmstorm::blob {
 
@@ -119,20 +117,6 @@ std::uint64_t SegmentTreeArena::depth(NodeRef root) const {
   const Node& n = nodes_[root];
   if (n.is_leaf()) return 1;
   return 1 + std::max(depth(n.left), depth(n.right));
-}
-
-std::size_t SegmentTreeArena::reachable_nodes(NodeRef root) const {
-  std::unordered_set<NodeRef> seen;
-  std::function<void(NodeRef)> visit = [&](NodeRef r) {
-    if (r == kNoNode || !seen.insert(r).second) return;
-    const Node& n = nodes_[r];
-    if (!n.is_leaf()) {
-      visit(n.left);
-      visit(n.right);
-    }
-  };
-  visit(root);
-  return seen.size();
 }
 
 }  // namespace vmstorm::blob

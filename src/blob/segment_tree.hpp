@@ -84,9 +84,6 @@ class SegmentTreeArena {
   /// Depth of the tree rooted at `root` (1 for a single leaf).
   std::uint64_t depth(NodeRef root) const;
 
-  /// Counts nodes reachable from `root` (costly; for tests/diagnostics).
-  std::size_t reachable_nodes(NodeRef root) const;
-
  private:
   NodeRef build_range(std::uint64_t lo, std::uint64_t hi);
   // The recursions count the nodes they visit into *visited; their public

@@ -9,6 +9,11 @@
 namespace vmstorm::blob {
 
 namespace {
+/// Metadata RPC message size (segment-tree node batches are small).
+constexpr Bytes kMetadataRpcBytes = 256;
+/// Data-request header size.
+constexpr Bytes kDataRequestBytes = 256;
+
 [[noreturn]] void raise(const Status& st) {
   throw std::runtime_error("blob::SimCluster: " + st.to_string());
 }
@@ -18,11 +23,11 @@ SimCluster::SimCluster(sim::Engine& engine, net::Network& network,
                        BlobStore& store,
                        std::vector<net::NodeId> provider_nodes,
                        std::vector<storage::Disk*> provider_disks,
-                       net::NodeId manager_node, SimClusterConfig cfg)
+                       net::NodeId manager_node)
     : engine_(&engine), network_(&network), store_(&store),
       provider_nodes_(std::move(provider_nodes)),
       provider_disks_(std::move(provider_disks)),
-      manager_node_(manager_node), cfg_(cfg) {
+      manager_node_(manager_node) {
   assert(provider_nodes_.size() == provider_disks_.size());
   assert(provider_nodes_.size() == store_->config().providers);
   if (obs::Recorder* rec = engine.recorder()) {
@@ -45,7 +50,7 @@ sim::Task<std::vector<ChunkLocation>> SimCluster::locate(
   if (!r.is_ok()) raise(r.status());
   if (obs_locates_) obs_locates_->add();
   co_await network_->small_rpc(client, metadata_node_for(rpc_counter_++),
-                               cfg_.metadata_rpc_bytes, cfg_.metadata_rpc_bytes);
+                               kMetadataRpcBytes, kMetadataRpcBytes);
   co_return std::move(r).value();
 }
 
@@ -60,7 +65,7 @@ sim::Task<void> SimCluster::fetch(net::NodeId client, ChunkLocation loc,
   storage::Disk& disk = disk_of(loc.provider);
   // Provider-side work: read the chunk bytes (page-cache key = chunk key).
   co_await network_->round_trip(client, node_of(loc.provider),
-                                cfg_.data_request_bytes, length,
+                                kDataRequestBytes, length,
                                 disk.read(loc.key, length));
   if (span) {
     span.finish(client, "blob", "fetch",
@@ -76,7 +81,7 @@ sim::Task<void> SimCluster::push_chunk(net::NodeId client, ProviderId provider,
   // Send the chunk, then wait only for write-back admission (BlobSeer's
   // asynchronous write ACK); the platter flush proceeds in the background.
   co_await network_->round_trip(client, node_of(provider),
-                                cfg_.data_request_bytes + length,
+                                kDataRequestBytes + length,
                                 /*response_bytes=*/64,
                                 disk_of(provider).write_async(length, key));
   if (span) {
@@ -93,8 +98,8 @@ sim::Task<Version> SimCluster::commit(net::NodeId client, BlobId blob,
   if (obs_commits_) obs_commits_->add();
   sim::SpanScope span(*engine_);
   // 1. Ticket + provider allocation from the version manager.
-  co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
-                               cfg_.metadata_rpc_bytes);
+  co_await network_->small_rpc(client, manager_node_, kMetadataRpcBytes,
+                               kMetadataRpcBytes);
   // 2. Commit the real store (placement decided here) so we know where
   //    each chunk landed; then charge the data pushes those placements
   //    imply, all in parallel.
@@ -126,9 +131,9 @@ sim::Task<Version> SimCluster::commit(net::NodeId client, BlobId blob,
   // 3. Metadata write (segment-tree path copies) to a metadata provider,
   //    then publication at the version manager.
   co_await network_->small_rpc(client, metadata_node_for(rpc_counter_++),
-                               cfg_.metadata_rpc_bytes, cfg_.metadata_rpc_bytes);
-  co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
-                               cfg_.metadata_rpc_bytes);
+                               kMetadataRpcBytes, kMetadataRpcBytes);
+  co_await network_->small_rpc(client, manager_node_, kMetadataRpcBytes,
+                               kMetadataRpcBytes);
   if (span) {
     span.finish(client, "blob", "commit",
                 {obs::TraceArg::uint("blob", blob),
@@ -144,8 +149,8 @@ sim::Task<BlobId> SimCluster::clone(net::NodeId client, BlobId blob,
   if (!r.is_ok()) raise(r.status());
   if (obs_clones_) obs_clones_->add();
   sim::SpanScope span(*engine_);
-  co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
-                               cfg_.metadata_rpc_bytes);
+  co_await network_->small_rpc(client, manager_node_, kMetadataRpcBytes,
+                               kMetadataRpcBytes);
   if (span) {
     span.finish(client, "blob", "clone", {obs::TraceArg::uint("src", blob)});
   }

@@ -29,20 +29,12 @@ class Counter;
 
 namespace vmstorm::blob {
 
-struct SimClusterConfig {
-  /// Metadata RPC message size (segment-tree node batches are small).
-  Bytes metadata_rpc_bytes = 256;
-  /// Data-request header size.
-  Bytes data_request_bytes = 256;
-};
-
 class SimCluster {
  public:
   SimCluster(sim::Engine& engine, net::Network& network, BlobStore& store,
              std::vector<net::NodeId> provider_nodes,
              std::vector<storage::Disk*> provider_disks,
-             net::NodeId manager_node,
-             SimClusterConfig cfg = SimClusterConfig{});
+             net::NodeId manager_node);
 
   BlobStore& store() { return *store_; }
   net::Network& network() { return *network_; }
@@ -84,7 +76,6 @@ class SimCluster {
   std::vector<net::NodeId> provider_nodes_;
   std::vector<storage::Disk*> provider_disks_;
   net::NodeId manager_node_;
-  SimClusterConfig cfg_;
   std::uint64_t rpc_counter_ = 0;
   // Registry handles cached at construction; null without a recorder.
   obs::Counter* obs_locates_ = nullptr;

@@ -1,7 +1,6 @@
 #include "blob/store.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 namespace vmstorm::blob {
@@ -71,16 +70,6 @@ const BlobStore::BlobRecord* BlobStore::find_locked(BlobId blob) const {
 BlobStore::BlobRecord* BlobStore::find_locked(BlobId blob) {
   auto it = blobs_.find(blob);
   return it == blobs_.end() ? nullptr : &it->second;
-}
-
-Result<NodeRef> BlobStore::root_of_locked(BlobId blob, Version version) const {
-  const BlobRecord* rec = find_locked(blob);
-  if (rec == nullptr) return not_found("blob " + std::to_string(blob));
-  if (version >= rec->roots.size()) {
-    return out_of_range("blob " + std::to_string(blob) + " version " +
-                        std::to_string(version));
-  }
-  return rec->roots[version];
 }
 
 Result<std::vector<ChunkLocation>> BlobStore::locate(BlobId blob,
@@ -264,68 +253,34 @@ Bytes BlobStore::dedup_saved_bytes() const {
   return dedup_saved_;
 }
 
-Result<ChunkPayload> BlobStore::merge_partial_chunk(
-    const BlobRecord& rec, NodeRef base_root, std::uint64_t chunk_index,
-    Bytes write_lo, std::span<const std::byte> data, Bytes data_offset) {
-  const Bytes chunk_base = chunk_index * rec.chunk_size;
-  const Bytes chunk_len = std::min(rec.chunk_size, rec.size - chunk_base);
-  std::vector<std::byte> buf(chunk_len);
-  const ChunkLocation loc = arena_.locate_one(base_root, chunk_index);
-  VMSTORM_RETURN_IF_ERROR(read_chunk_locked(loc, 0, buf));
-  std::memcpy(buf.data() + (write_lo - chunk_base), data.data() + data_offset,
-              std::min<Bytes>(data.size() - data_offset, chunk_base + chunk_len - write_lo));
-  return ChunkPayload::own(std::move(buf));
-}
-
 Result<Version> BlobStore::write(BlobId blob, Version base, Bytes offset,
                                  std::span<const std::byte> data) {
-  if (data.empty()) return base;
-  Bytes chunk_size = 0, size = 0;
-  NodeRef base_root = kNoNode;
-  {
-    std::shared_lock lock(mutex_);
-    const BlobRecord* rec = find_locked(blob);
-    if (rec == nullptr) return not_found("blob " + std::to_string(blob));
-    if (base >= rec->roots.size()) return out_of_range("version");
-    if (offset > rec->size || data.size() > rec->size - offset) {
-      return out_of_range("write past end");
-    }
-    chunk_size = rec->chunk_size;
-    size = rec->size;
-    base_root = rec->roots[base];
-  }
-  const Bytes end = offset + data.size();
-  std::vector<ChunkWrite> writes;
-  for (std::uint64_t ci = offset / chunk_size; ci * chunk_size < end; ++ci) {
-    const Bytes chunk_base = ci * chunk_size;
-    const Bytes chunk_len = std::min(chunk_size, size - chunk_base);
-    const Bytes lo = std::max(offset, chunk_base);
-    const Bytes hi = std::min(end, chunk_base + chunk_len);
-    ChunkWrite w;
-    w.chunk_index = ci;
-    if (lo == chunk_base && hi == chunk_base + chunk_len) {
-      // Fully covered: take the slice directly.
-      std::vector<std::byte> buf(data.begin() + (lo - offset),
-                                 data.begin() + (hi - offset));
-      w.payload = ChunkPayload::own(std::move(buf));
-    } else {
-      std::shared_lock lock(mutex_);
-      const BlobRecord* rec = find_locked(blob);
-      // Re-validate after re-acquiring the lock: the record could vanish if
-      // a blob-deletion API is ever added; never dereference unchecked.
-      if (rec == nullptr) return not_found("blob " + std::to_string(blob));
-      VMSTORM_ASSIGN_OR_RETURN(
-          merged, merge_partial_chunk(*rec, base_root, ci, lo, data, lo - offset));
-      w.payload = std::move(merged);
-    }
-    writes.push_back(std::move(w));
-  }
-  return commit_chunks(blob, base, std::move(writes));
+  return write_chunks(
+      blob, base, offset, data.size(),
+      [&](Bytes chunk_base, Bytes chunk_len) {
+        const auto src = data.subspan(chunk_base - offset, chunk_len);
+        return ChunkPayload::own(std::vector<std::byte>(src.begin(), src.end()));
+      },
+      [&](Bytes lo, std::span<std::byte> out) {
+        std::memcpy(out.data(), data.data() + (lo - offset), out.size());
+      });
 }
 
 Result<Version> BlobStore::write_pattern(BlobId blob, Version base,
                                          Bytes offset, Bytes length,
                                          std::uint64_t seed) {
+  return write_chunks(
+      blob, base, offset, length,
+      [seed](Bytes chunk_base, Bytes chunk_len) {
+        return ChunkPayload::pattern(seed, chunk_len, chunk_base);
+      },
+      [seed](Bytes lo, std::span<std::byte> out) { fill_pattern(seed, lo, out); });
+}
+
+Result<Version> BlobStore::write_chunks(
+    BlobId blob, Version base, Bytes offset, Bytes length,
+    const std::function<ChunkPayload(Bytes, Bytes)>& whole,
+    const std::function<void(Bytes, std::span<std::byte>)>& overlay) {
   if (length == 0) return base;
   Bytes chunk_size = 0, size = 0;
   NodeRef base_root = kNoNode;
@@ -351,16 +306,16 @@ Result<Version> BlobStore::write_pattern(BlobId blob, Version base,
     ChunkWrite w;
     w.chunk_index = ci;
     if (lo == chunk_base && hi == chunk_base + chunk_len) {
-      w.payload = ChunkPayload::pattern(seed, chunk_len, chunk_base);
+      w.payload = whole(chunk_base, chunk_len);
     } else {
-      // Boundary chunk: materialize base content and overlay the pattern.
+      // Boundary chunk: materialize the base content and overlay the write.
       std::vector<std::byte> buf(chunk_len);
       {
         std::shared_lock lock(mutex_);
         const ChunkLocation loc = arena_.locate_one(base_root, ci);
         VMSTORM_RETURN_IF_ERROR(read_chunk_locked(loc, 0, buf));
       }
-      fill_pattern(seed, lo, std::span(buf).subspan(lo - chunk_base, hi - lo));
+      overlay(lo, std::span(buf).subspan(lo - chunk_base, hi - lo));
       w.payload = ChunkPayload::own(std::move(buf));
     }
     writes.push_back(std::move(w));

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -160,7 +161,6 @@ class BlobStore {
 
   const BlobRecord* find_locked(BlobId blob) const;
   BlobRecord* find_locked(BlobId blob);
-  Result<NodeRef> root_of_locked(BlobId blob, Version version) const;
   /// Reads within one located chunk: holes read as zeros, and a chunk
   /// whose primary copy is gone is read from a surviving replica. The
   /// caller holds mutex_ (either mode).
@@ -168,11 +168,15 @@ class BlobStore {
                            std::span<std::byte> out) const;
   Result<Version> commit_locked(BlobId blob, Version base,
                                 std::map<std::uint64_t, ChunkLocation> updates);
-  /// Builds the full payload for a chunk partially overwritten on `base`.
-  /// The caller holds mutex_.
-  Result<ChunkPayload> merge_partial_chunk(
-      const BlobRecord& rec, NodeRef base_root, std::uint64_t chunk_index,
-      Bytes write_lo, std::span<const std::byte> data, Bytes data_offset);
+  /// The one write loop behind write() and write_pattern(): checks
+  /// [offset, offset + length) against the blob, takes each fully covered
+  /// chunk from `whole(chunk_base, chunk_len)`, reads each boundary
+  /// chunk's bytes on `base` and has `overlay(lo, out)` write the range
+  /// [lo, lo + out.size()) over them, then commits the chunks on `base`.
+  Result<Version> write_chunks(
+      BlobId blob, Version base, Bytes offset, Bytes length,
+      const std::function<ChunkPayload(Bytes, Bytes)>& whole,
+      const std::function<void(Bytes, std::span<std::byte>)>& overlay);
 
   StoreConfig cfg_;
   mutable std::shared_mutex mutex_;

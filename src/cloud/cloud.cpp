@@ -140,28 +140,31 @@ std::unique_ptr<Cloud::Instance> Cloud::make_instance(std::size_t node_index,
       mc.chunk_size = cfg_.chunk_size;
       mc.prefetch_whole_chunks = cfg_.mirror_prefetch_whole_chunks;
       mc.single_region_per_chunk = cfg_.mirror_single_region_per_chunk;
-      inst->ours = std::make_unique<mirror::SimVirtualDisk>(
+      auto ours = std::make_unique<mirror::SimVirtualDisk>(
           *cluster_, node, local,
           from != nullptr ? from->ours->target_blob() : image_blob_,
           from != nullptr ? from->ours->target_version() : 1, mc, salt);
-      inst->ours->set_commit_shared_fraction(cfg_.snapshot_shared_fraction);
-      inst->vmdisk = std::make_unique<vm::MirrorVmDisk>(*inst->ours);
+      ours->set_commit_shared_fraction(cfg_.snapshot_shared_fraction);
+      inst->ours = ours.get();
+      inst->disk = std::move(ours);
       // A resumed instance already mirrors its own snapshot blob.
       inst->cloned = from != nullptr;
       break;
     }
-    case Strategy::kQcowOverPvfs:
-      inst->qcow = std::make_unique<qcow::SimImage>(
+    case Strategy::kQcowOverPvfs: {
+      auto image = std::make_unique<qcow::SimImage>(
           *sim_dfs_, backing_file_, local, node, cfg_.image_size,
           cfg_.qcow_cluster_size, salt);
       if (from != nullptr) {
-        inst->qcow->adopt_allocation(*from->qcow);
+        image->adopt_allocation(*from->qcow);
         inst->snapshot_file = from->snapshot_file;
       }
-      inst->vmdisk = std::make_unique<vm::QcowVmDisk>(*inst->qcow);
+      inst->qcow = image.get();
+      inst->disk = std::move(image);
       break;
+    }
     case Strategy::kPrepropagation:
-      inst->vmdisk = std::make_unique<vm::LocalVmDisk>(local, salt);
+      inst->disk = std::make_unique<storage::LocalVmDisk>(local, salt);
       break;
   }
   return inst;
@@ -205,7 +208,7 @@ MultideployMetrics Cloud::multideploy(std::size_t n,
     bpi.trace_lane = static_cast<std::uint32_t>(i);
     bpi.trace_instance = i;
     bpi.trace_kind = "boot";
-    engine_.spawn(vm::run_boot(engine_, *instances_[i]->vmdisk, trace,
+    engine_.spawn(vm::run_boot(engine_, *instances_[i]->disk, trace,
                                root.fork(i), bpi, &instances_[i]->boot));
     if (strategy_ == Strategy::kOurs && cfg_.prefetch_window > 0 &&
         !prefetch_profile_.empty()) {
@@ -355,7 +358,7 @@ Result<MultideployMetrics> Cloud::resume_boot(const vm::BootTraceParams& tp,
     bpi.trace_lane = static_cast<std::uint32_t>(resumed[i]->node_index);
     bpi.trace_instance = i;
     bpi.trace_kind = "resume";
-    engine_.spawn(vm::run_boot(engine_, *resumed[i]->vmdisk, trace,
+    engine_.spawn(vm::run_boot(engine_, *resumed[i]->disk, trace,
                                root.fork(i), bpi, &resumed[i]->boot));
   }
   run_engine();
@@ -374,7 +377,7 @@ Result<MultideployMetrics> Cloud::resume_boot(const vm::BootTraceParams& tp,
 }
 
 namespace {
-sim::Task<void> app_phase_one(sim::Engine* engine, vm::VmDisk* disk,
+sim::Task<void> app_phase_one(sim::Engine* engine, storage::VmDisk* disk,
                               double cpu_seconds, Bytes write_bytes,
                               std::size_t write_ops, Rng rng,
                               Bytes image_size) {
@@ -399,7 +402,7 @@ double Cloud::run_app_phase(double cpu_seconds, Bytes write_bytes,
   const double t0 = engine_.now_seconds();
   Rng root(cfg_.seed ^ 0xa44ull);
   for (std::size_t i = 0; i < instances_.size(); ++i) {
-    engine_.spawn(app_phase_one(&engine_, instances_[i]->vmdisk.get(),
+    engine_.spawn(app_phase_one(&engine_, instances_[i]->disk.get(),
                                 cpu_seconds, write_bytes, write_ops,
                                 root.fork(i), cfg_.image_size));
   }
@@ -441,12 +444,16 @@ storage::Disk& Cloud::repo_disk(std::size_t i) {
 }
 
 void Cloud::setup_timeline() {
+  // Per-provider labeled series are registered for at most this many
+  // providers; larger fleets keep the aggregate series only, so a 10k-node
+  // run does not export 40k columns.
+  constexpr std::size_t kMaxLabeledProviders = 64;
   obs::Timeline& tl = obs_.timeline;
   const std::size_t n = cfg_.compute_nodes;
   tlp_.repo_disks = strategy_ == Strategy::kPrepropagation ? 1 : n;
   tlp_.labeled = strategy_ == Strategy::kPrepropagation
                      ? 0
-                     : std::min(n, tl.config().max_labeled_providers);
+                     : std::min(n, kMaxLabeledProviders);
   tlp_.has_mirror = strategy_ == Strategy::kOurs;
 
   tlp_.net_tp = tl.add_series("net.throughput_bytes_per_sec");
@@ -591,6 +598,9 @@ void Cloud::sample_timeline() {
   tlp_.prev_stored = stored;
 
   if (tlp_.has_mirror) {
+    // Only the profile prefetcher's in-flight chunks count (demand fetches
+    // never register), so this reads 0 unless prefetch() runs. During
+    // resume_boot, instances_ still holds the fleet being resumed from.
     Bytes inflight = 0;
     for (const auto& inst : instances_) {
       if (inst->ours) {

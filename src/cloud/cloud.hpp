@@ -35,9 +35,9 @@
 #include "qcow/sim_image.hpp"
 #include "sim/engine.hpp"
 #include "storage/disk.hpp"
+#include "storage/vm_disk.hpp"
 #include "vm/boot_trace.hpp"
 #include "vm/lifecycle.hpp"
-#include "vm/vm_disk.hpp"
 
 namespace vmstorm::cloud {
 
@@ -172,10 +172,11 @@ class Cloud {
  private:
   struct Instance {
     std::size_t node_index = 0;  // compute node hosting it
-    std::unique_ptr<vm::VmDisk> vmdisk;
-    std::unique_ptr<mirror::SimVirtualDisk> ours;  // Strategy::kOurs
-    std::unique_ptr<qcow::SimImage> qcow;          // Strategy::kQcowOverPvfs
-    dfs::FileId snapshot_file = 0;                 // qcow2 snapshot on the DFS
+    std::unique_ptr<storage::VmDisk> disk;  // the guest's disk
+    // `disk` again, for the calls only one strategy makes; null otherwise.
+    mirror::SimVirtualDisk* ours = nullptr;  // Strategy::kOurs
+    qcow::SimImage* qcow = nullptr;          // Strategy::kQcowOverPvfs
+    dfs::FileId snapshot_file = 0;           // qcow2 snapshot on the DFS
     vm::BootResult boot;
     bool cloned = false;
   };

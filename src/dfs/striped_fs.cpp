@@ -55,6 +55,7 @@ std::size_t StripedFs::file_count() const {
 Status StripedFs::write(FileId file, Bytes offset,
                         std::span<const std::byte> data) {
   if (data.empty()) return Status::ok();
+  if (data.size() > ~Bytes{0} - offset) return out_of_range("write past 2^64");
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = files_.find(file);
   if (it == files_.end()) return not_found("file " + std::to_string(file));
@@ -75,6 +76,7 @@ Status StripedFs::write(FileId file, Bytes offset,
 Status StripedFs::write_pattern(FileId file, Bytes offset, Bytes length,
                                 std::uint64_t seed) {
   if (length == 0) return Status::ok();
+  if (length > ~Bytes{0} - offset) return out_of_range("write past 2^64");
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = files_.find(file);
   if (it == files_.end()) return not_found("file " + std::to_string(file));
@@ -128,6 +130,7 @@ Status StripedFs::read(FileId file, Bytes offset,
 
 Result<std::vector<StripePiece>> StripedFs::layout(FileId file, Bytes offset,
                                                    Bytes length) const {
+  if (length > ~Bytes{0} - offset) return out_of_range("range past 2^64");
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = files_.find(file);
   if (it == files_.end()) return not_found("file " + std::to_string(file));

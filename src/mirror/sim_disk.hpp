@@ -14,6 +14,7 @@
 #include "sim/sync.hpp"
 #include "mirror/local_state.hpp"
 #include "storage/disk.hpp"
+#include "storage/vm_disk.hpp"
 
 namespace vmstorm::mirror {
 
@@ -37,7 +38,7 @@ struct SimDiskStats {
 /// previous experience with the access pattern").
 using AccessProfile = std::vector<std::uint64_t>;
 
-class SimVirtualDisk {
+class SimVirtualDisk final : public storage::VmDisk {
  public:
   SimVirtualDisk(blob::SimCluster& cluster, net::NodeId node,
                  storage::Disk& local_disk, blob::BlobId blob,
@@ -48,8 +49,8 @@ class SimVirtualDisk {
   blob::BlobId target_blob() const { return target_blob_; }
   blob::Version target_version() const { return target_version_; }
 
-  sim::Task<void> read(Bytes offset, Bytes length);
-  sim::Task<void> write(Bytes offset, Bytes length);
+  sim::Task<void> read(Bytes offset, Bytes length) override;
+  sim::Task<void> write(Bytes offset, Bytes length) override;
 
   /// Background prefetcher (§7 extension): walks a previously-recorded
   /// access profile and mirrors chunks ahead of demand, `window` chunks
@@ -75,8 +76,9 @@ class SimVirtualDisk {
   const SimDiskStats& stats() const { return stats_; }
   const LocalState& local_state() const { return state_; }
 
-  /// Chunks with a transfer currently in flight (prefetch or demand) — the
-  /// timeline's bytes-in-flight signal reads this times the chunk size.
+  /// Chunks the profile prefetcher has in flight. Demand fetches never
+  /// register here, so this is 0 unless prefetch() runs; the timeline's
+  /// mirror.bytes_in_flight series reads this times the chunk size.
   std::size_t inflight_chunks() const { return inflight_.size(); }
 
  private:

@@ -8,26 +8,11 @@
 
 namespace vmstorm::obs {
 
-const char* SelfProfiler::phase_name(int phase) {
-  switch (phase) {
-    case kQueueOps: return "queue_ops";
-    case kAuditor: return "auditor";
-    case kResume: return "resume";
-    case kTracer: return "tracer";
-    default: return "?";
-  }
-}
-
 double SelfProfiler::wall_now() {
   // vmlint:allow(determinism) the one sanctioned wall-clock read: host-side
   // self-profiling by design; results never feed back into the simulation.
   const auto t = std::chrono::steady_clock::now().time_since_epoch();
   return std::chrono::duration<double>(t).count();
-}
-
-void SelfProfiler::reset() {
-  for (double& s : seconds_) s = 0;
-  run_seconds_ = 0;
 }
 
 double SelfProfiler::dispatch_seconds() const {
@@ -43,15 +28,12 @@ double SelfProfiler::user_seconds() const {
 
 void SelfProfiler::write_json(JsonWriter& w) const {
   w.begin_object();
-  w.key("wall_seconds").value(run_seconds_);
-  w.key("phases").begin_object();
   w.key("queue_ops").value(seconds_[kQueueOps]);
   w.key("auditor").value(seconds_[kAuditor]);
   w.key("resume").value(seconds_[kResume]);
   w.key("tracer").value(seconds_[kTracer]);
   w.key("dispatch").value(dispatch_seconds());
   w.key("user_work").value(user_seconds());
-  w.end_object();
   w.end_object();
 }
 
@@ -83,7 +65,5 @@ std::uint64_t proc_status_kb(const char* field) {
 }  // namespace
 
 std::uint64_t peak_rss_bytes() { return proc_status_kb("VmHWM"); }
-
-std::uint64_t current_rss_bytes() { return proc_status_kb("VmRSS"); }
 
 }  // namespace vmstorm::obs

@@ -36,16 +36,12 @@ class SelfProfiler {
     kPhaseCount
   };
 
-  static const char* phase_name(int phase);
-
   /// Monotonic host seconds. The single sanctioned wall-clock read.
   static double wall_now();
 
   void charge(Phase phase, double seconds) { seconds_[phase] += seconds; }
   /// Credits one outermost Engine::run invocation's total wall time.
   void charge_run(double seconds) { run_seconds_ += seconds; }
-
-  void reset();
 
   double seconds(Phase phase) const { return seconds_[phase]; }
   double run_seconds() const { return run_seconds_; }
@@ -56,8 +52,8 @@ class SelfProfiler {
   /// Simulated components' own work: resume time minus tracer time.
   double user_seconds() const;
 
-  /// {"wall_seconds":..,"phases":{"queue_ops":..,"auditor":..,"resume":..,
-  ///  "tracer":..,"dispatch":..,"user_work":..}}
+  /// {"queue_ops":..,"auditor":..,"resume":..,"tracer":..,"dispatch":..,
+  ///  "user_work":..}: the "phases" object of a BENCH_engine arm.
   void write_json(JsonWriter& w) const;
 
  private:
@@ -68,8 +64,5 @@ class SelfProfiler {
 /// Peak resident set (VmHWM) of this process in bytes, from
 /// /proc/self/status. 0 when unavailable (non-Linux).
 std::uint64_t peak_rss_bytes();
-
-/// Current resident set (VmRSS) in bytes; 0 when unavailable.
-std::uint64_t current_rss_bytes();
 
 }  // namespace vmstorm::obs

@@ -32,10 +32,6 @@ struct TimelineConfig {
   double cadence_seconds = 0.25;
   /// Samples retained per series (ring; oldest dropped past this).
   std::size_t capacity = 4096;
-  /// Per-provider labeled series are registered for at most this many
-  /// providers; larger fleets keep the aggregate series only, so a 10k-node
-  /// run does not export 40k columns.
-  std::size_t max_labeled_providers = 64;
 };
 
 /// Label set attached to a series (e.g. {{"provider", "3"}}). Insertion
@@ -52,7 +48,6 @@ class Timeline {
   /// Applies `cfg` and resizes every registered series' ring. Drops any
   /// recorded samples; call before sampling starts.
   void configure(const TimelineConfig& cfg);
-  const TimelineConfig& config() const { return cfg_; }
   double cadence_seconds() const { return cfg_.cadence_seconds; }
   std::size_t capacity() const { return cfg_.capacity; }
 

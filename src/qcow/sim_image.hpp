@@ -16,10 +16,11 @@
 #include "net/network.hpp"
 #include "sim/task.hpp"
 #include "storage/disk.hpp"
+#include "storage/vm_disk.hpp"
 
 namespace vmstorm::qcow {
 
-class SimImage {
+class SimImage final : public storage::VmDisk {
  public:
   SimImage(dfs::SimDfs& backing_dfs, dfs::FileId backing_file,
            storage::Disk& local_disk, net::NodeId node, Bytes virtual_size,
@@ -31,8 +32,8 @@ class SimImage {
     return (virtual_size_ + cluster_size_ - 1) / cluster_size_;
   }
 
-  sim::Task<void> read(Bytes offset, Bytes length);
-  sim::Task<void> write(Bytes offset, Bytes length);
+  sim::Task<void> read(Bytes offset, Bytes length) override;
+  sim::Task<void> write(Bytes offset, Bytes length) override;
 
   bool cluster_allocated(std::uint64_t index) const {
     return allocated_[index];

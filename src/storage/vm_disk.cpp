@@ -1,8 +1,8 @@
-#include "vm/vm_disk.hpp"
+#include "storage/vm_disk.hpp"
 
 #include <algorithm>
 
-namespace vmstorm::vm {
+namespace vmstorm::storage {
 
 sim::Task<void> LocalVmDisk::read(Bytes offset, Bytes length) {
   const Bytes end = offset + length;
@@ -22,4 +22,4 @@ sim::Task<void> LocalVmDisk::write(Bytes offset, Bytes length) {
   }
 }
 
-}  // namespace vmstorm::vm
+}  // namespace vmstorm::storage

@@ -1,0 +1,45 @@
+// VmDisk: what the hypervisor hands the guest. The boot player (vm) and
+// the application phases (cloud) issue every guest I/O through it, and
+// each of the three §5.2 deployment strategies implements it directly:
+// mirror::SimVirtualDisk (ours), qcow::SimImage (qcow2 over PVFS) and
+// LocalVmDisk below (pre-propagation).
+#pragma once
+
+#include <cstdint>
+
+#include "common/rng.hpp"
+#include "common/units.hpp"
+#include "sim/task.hpp"
+#include "storage/disk.hpp"
+
+namespace vmstorm::storage {
+
+class VmDisk {
+ public:
+  virtual ~VmDisk() = default;
+  virtual sim::Task<void> read(Bytes offset, Bytes length) = 0;
+  virtual sim::Task<void> write(Bytes offset, Bytes length) = 0;
+};
+
+/// Pre-propagation baseline: the raw image fully present on the local
+/// disk. First touch of a block pays platter time; re-reads hit the page
+/// cache. Writes are write-back.
+class LocalVmDisk final : public VmDisk {
+ public:
+  LocalVmDisk(Disk& disk, std::uint64_t instance_salt,
+              Bytes cache_granularity = 256_KiB)
+      : disk_(&disk), salt_(instance_salt), gran_(cache_granularity) {}
+
+  sim::Task<void> read(Bytes offset, Bytes length) override;
+  sim::Task<void> write(Bytes offset, Bytes length) override;
+
+ private:
+  std::uint64_t key(Bytes block) const {
+    return mix64((salt_ << 22) ^ 0x10ca1d15cull ^ block);
+  }
+  Disk* disk_;
+  std::uint64_t salt_;
+  Bytes gran_;
+};
+
+}  // namespace vmstorm::storage

@@ -4,7 +4,7 @@
 
 namespace vmstorm::vm {
 
-sim::Task<void> run_boot(sim::Engine& engine, VmDisk& disk,
+sim::Task<void> run_boot(sim::Engine& engine, storage::VmDisk& disk,
                          const BootTrace& trace, Rng rng, BootParams params,
                          BootResult* result) {
   co_await engine.sleep_seconds(rng.exponential(params.start_skew_seconds));

@@ -1,4 +1,4 @@
-// Boot-phase player: replays a BootTrace against a VmDisk with
+// Boot-phase player: replays a BootTrace against a storage::VmDisk with
 // per-instance start skew and CPU jitter (§3.1.3: instances booting
 // together skew by ~100 ms and drift apart as boot progresses).
 #pragma once
@@ -7,8 +7,8 @@
 
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
+#include "storage/vm_disk.hpp"
 #include "vm/boot_trace.hpp"
-#include "vm/vm_disk.hpp"
 
 namespace vmstorm::vm {
 
@@ -34,7 +34,7 @@ struct BootResult {
 
 /// Replays the boot trace. `rng` must be a per-instance fork so runs are
 /// deterministic yet instances differ.
-sim::Task<void> run_boot(sim::Engine& engine, VmDisk& disk,
+sim::Task<void> run_boot(sim::Engine& engine, storage::VmDisk& disk,
                          const BootTrace& trace, Rng rng, BootParams params,
                          BootResult* result);
 

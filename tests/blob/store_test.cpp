@@ -197,6 +197,25 @@ TEST(BlobStore, WritePatternMatchesExplicitBytes) {
       ASSERT_EQ(got[i], in ? pattern_byte(11, i) : std::byte{0})
           << r.offset << "+" << r.length << " @" << i;
     }
+    // On a base holding another pattern, boundary chunks overlay real base
+    // bytes: write_pattern and write() of the same bytes must agree.
+    BlobStore ps, es;
+    BlobId pa = ps.create(4096, 512).value();
+    BlobId ea = es.create(4096, 512).value();
+    ASSERT_TRUE(ps.write_pattern(pa, 0, 0, 4096, 5).is_ok());
+    ASSERT_TRUE(es.write_pattern(ea, 0, 0, 4096, 5).is_ok());
+    std::vector<std::byte> bytes(r.length);
+    for (Bytes i = 0; i < r.length; ++i) bytes[i] = pattern_byte(11, r.offset + i);
+    ASSERT_TRUE(ps.write_pattern(pa, 1, r.offset, r.length, 11).is_ok());
+    ASSERT_TRUE(es.write(ea, 1, r.offset, bytes).is_ok());
+    const auto via_pattern = read_range(ps, pa, 2, 0, 4096);
+    ASSERT_EQ(via_pattern, read_range(es, ea, 2, 0, 4096))
+        << r.offset << "+" << r.length;
+    for (std::size_t i = 0; i < 4096; ++i) {
+      const bool in = i >= r.offset && i < r.offset + r.length;
+      ASSERT_EQ(via_pattern[i], pattern_byte(in ? 11 : 5, i))
+          << r.offset << "+" << r.length << " @" << i;
+    }
   }
 }
 

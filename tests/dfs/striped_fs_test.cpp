@@ -56,6 +56,19 @@ TEST(StripedFs, ReadPastEofFails) {
   EXPECT_EQ(fs.read(f, ~Bytes{0} - 59, out).code(), StatusCode::kOutOfRange);
 }
 
+TEST(StripedFs, RangesWrappingPast2To64Fail) {
+  StripedFs fs(2, 100);
+  FileId f = fs.create("a").value();
+  // [2^64 - 10, 2^64 + 90): files grow on write, so only the wrap bounds it.
+  const Bytes offset = ~Bytes{0} - 9;
+  EXPECT_EQ(fs.write(f, offset, make_bytes(100, 1)).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(fs.write_pattern(f, offset, 100, 1).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(fs.layout(f, offset, 100).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(fs.stat(f)->size, 0u);
+  EXPECT_EQ(fs.stored_bytes(), 0u);
+}
+
 TEST(StripedFs, RoundRobinLayout) {
   StripedFs fs(3, 100);
   FileId f = fs.create("a").value();

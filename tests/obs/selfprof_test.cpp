@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "obs/json.hpp"
 #include "sim/engine.hpp"
@@ -12,20 +11,6 @@
 
 namespace vmstorm::obs {
 namespace {
-
-TEST(SelfProfiler, PhaseNamesCoverTheEnum) {
-  std::vector<std::string> names;
-  for (int p = 0; p < SelfProfiler::kPhaseCount; ++p) {
-    ASSERT_NE(SelfProfiler::phase_name(p), nullptr) << p;
-    names.emplace_back(SelfProfiler::phase_name(p));
-  }
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_FALSE(names[i].empty());
-    for (std::size_t j = i + 1; j < names.size(); ++j) {
-      EXPECT_NE(names[i], names[j]);
-    }
-  }
-}
 
 TEST(SelfProfiler, ChargeAccumulatesPerPhase) {
   SelfProfiler prof;
@@ -60,19 +45,6 @@ TEST(SelfProfiler, DerivedBucketsClampAgainstTimerNoise) {
   EXPECT_DOUBLE_EQ(prof.user_seconds(), 0.0);
 }
 
-TEST(SelfProfiler, ResetZeroesEverything) {
-  SelfProfiler prof;
-  prof.charge_run(2.0);
-  for (int p = 0; p < SelfProfiler::kPhaseCount; ++p) {
-    prof.charge(static_cast<SelfProfiler::Phase>(p), 1.0);
-  }
-  prof.reset();
-  EXPECT_DOUBLE_EQ(prof.run_seconds(), 0.0);
-  for (int p = 0; p < SelfProfiler::kPhaseCount; ++p) {
-    EXPECT_DOUBLE_EQ(prof.seconds(static_cast<SelfProfiler::Phase>(p)), 0.0);
-  }
-}
-
 TEST(SelfProfiler, WallNowIsMonotone) {
   const double t0 = SelfProfiler::wall_now();
   double t1 = t0;
@@ -83,31 +55,27 @@ TEST(SelfProfiler, WallNowIsMonotone) {
 TEST(SelfProfiler, WriteJsonCoversPhaseEnum) {
   SelfProfiler prof;
   prof.charge_run(1.0);
+  prof.charge(SelfProfiler::kQueueOps, 0.125);
   prof.charge(SelfProfiler::kResume, 0.5);
+  prof.charge(SelfProfiler::kTracer, 0.25);
   JsonWriter w;
   prof.write_json(w);
-  const std::string json = w.str();
-  for (const char* key :
-       {"\"wall_seconds\"", "\"queue_ops\"", "\"auditor\"", "\"resume\"",
-        "\"tracer\"", "\"dispatch\"", "\"user_work\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  // The emitted object parses back.
-  auto doc = parse_json(json);
+  // BENCH_engine's arm "phases" object: these six keys, in this order.
+  EXPECT_EQ(w.str(),
+            "{\"queue_ops\":0.125,\"auditor\":0,\"resume\":0.5,"
+            "\"tracer\":0.25,\"dispatch\":0.375,\"user_work\":0.25}");
+  auto doc = parse_json(w.str());
   ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
-  EXPECT_DOUBLE_EQ((*doc)["wall_seconds"].as_number(), 1.0);
-  EXPECT_DOUBLE_EQ((*doc)["phases"]["resume"].as_number(), 0.5);
+  EXPECT_DOUBLE_EQ((*doc)["resume"].as_number(), 0.5);
 }
 
 TEST(SelfProfiler, RssReadersReportTheProcess) {
 #if defined(__linux__)
-  // Read VmRSS first: VmHWM is its monotone high-water mark, so a peak
-  // sampled afterwards can never be below an earlier current reading.
-  const std::uint64_t cur = current_rss_bytes();
+  // VmHWM is a high-water mark: nonzero for a live process, and a later
+  // reading is never below an earlier one.
   const std::uint64_t peak = peak_rss_bytes();
   EXPECT_GT(peak, 0u);
-  EXPECT_GT(cur, 0u);
-  EXPECT_GE(peak, cur);
+  EXPECT_GE(peak_rss_bytes(), peak);
 #else
   EXPECT_EQ(peak_rss_bytes(), 0u);
 #endif

@@ -28,7 +28,7 @@ storage::DiskConfig disk_cfg() {
 TEST(Lifecycle, BootAdvancesThroughTrace) {
   Engine e;
   storage::Disk disk(e, disk_cfg());
-  LocalVmDisk vmdisk(disk, 1);
+  storage::LocalVmDisk vmdisk(disk, 1);
   auto trace = BootTrace::generate(tiny_trace_params(), 1);
   BootResult result;
   BootParams bp;
@@ -44,7 +44,7 @@ TEST(Lifecycle, DeterministicForSameRng) {
   auto run_once = [] {
     Engine e;
     storage::Disk disk(e, disk_cfg());
-    LocalVmDisk vmdisk(disk, 1);
+    storage::LocalVmDisk vmdisk(disk, 1);
     auto trace = BootTrace::generate(tiny_trace_params(), 1);
     BootResult result;
     e.spawn(run_boot(e, vmdisk, trace, Rng(5), BootParams{}, &result));
@@ -57,7 +57,7 @@ TEST(Lifecycle, DeterministicForSameRng) {
 TEST(Lifecycle, DifferentInstancesSkew) {
   Engine e;
   storage::Disk d1(e, disk_cfg()), d2(e, disk_cfg());
-  LocalVmDisk v1(d1, 1), v2(d2, 2);
+  storage::LocalVmDisk v1(d1, 1), v2(d2, 2);
   auto trace = BootTrace::generate(tiny_trace_params(), 1);
   BootResult r1, r2;
   Rng root(9);
@@ -71,7 +71,7 @@ TEST(Lifecycle, DifferentInstancesSkew) {
 TEST(Lifecycle, ZeroJitterMakesInstancesDifferOnlyBySkew) {
   Engine e;
   storage::Disk d1(e, disk_cfg()), d2(e, disk_cfg());
-  LocalVmDisk v1(d1, 1), v2(d2, 2);
+  storage::LocalVmDisk v1(d1, 1), v2(d2, 2);
   auto trace = BootTrace::generate(tiny_trace_params(), 1);
   BootParams bp;
   bp.cpu_jitter = 0.0;
@@ -86,9 +86,9 @@ TEST(Lifecycle, ZeroJitterMakesInstancesDifferOnlyBySkew) {
 TEST(LocalVmDisk, CachesBlocksAcrossReads) {
   Engine e;
   storage::Disk disk(e, disk_cfg());
-  LocalVmDisk vmdisk(disk, 1, 256_KiB);
+  storage::LocalVmDisk vmdisk(disk, 1, 256_KiB);
   double first = 0, second = 0;
-  e.spawn([](Engine& eng, LocalVmDisk& d, double* a, double* b) -> sim::Task<void> {
+  e.spawn([](Engine& eng, storage::LocalVmDisk& d, double* a, double* b) -> sim::Task<void> {
     co_await d.read(0, 64_KiB);
     *a = eng.now_seconds();
     co_await d.read(4_KiB, 32_KiB);  // same 256 KiB block: cached
@@ -102,14 +102,14 @@ TEST(LocalVmDisk, CachesBlocksAcrossReads) {
 TEST(LocalVmDisk, DistinctInstancesDoNotShareCache) {
   Engine e;
   storage::Disk disk(e, disk_cfg());
-  LocalVmDisk a(disk, 1), b(disk, 2);
+  storage::LocalVmDisk a(disk, 1), b(disk, 2);
   double ta = 0, tb = 0;
-  e.spawn([](Engine& eng, LocalVmDisk& d, double* out) -> sim::Task<void> {
+  e.spawn([](Engine& eng, storage::LocalVmDisk& d, double* out) -> sim::Task<void> {
     co_await d.read(0, 64_KiB);
     *out = eng.now_seconds();
   }(e, a, &ta));
   e.run();
-  e.spawn([](Engine& eng, LocalVmDisk& d, double* out) -> sim::Task<void> {
+  e.spawn([](Engine& eng, storage::LocalVmDisk& d, double* out) -> sim::Task<void> {
     const double t0 = eng.now_seconds();
     co_await d.read(0, 64_KiB);
     *out = eng.now_seconds() - t0;
