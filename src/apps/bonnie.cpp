@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/interval.hpp"
 #include "common/rng.hpp"
 #include "obs/selfprof.hpp"
 
@@ -35,7 +36,7 @@ Result<BonnieResult> run_bonnie(imgfs::FileSystem& fs,
   BonnieResult out;
   Rng rng(cfg.seed);
   const std::size_t n_files =
-      static_cast<std::size_t>((cfg.total + cfg.file_size - 1) / cfg.file_size);
+      static_cast<std::size_t>(block_count(cfg.total, cfg.file_size));
   std::vector<imgfs::InodeId> files;
   std::vector<std::byte> buf(cfg.block);
 

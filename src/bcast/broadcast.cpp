@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "common/interval.hpp"
 #include "common/rng.hpp"
 #include "sim/resource.hpp"
 
@@ -23,13 +24,7 @@ struct Ctx {
   Bytes total = 0;
   BroadcastResult* result = nullptr;
 
-  std::uint64_t chunk_count() const {
-    return (total + cfg.chunk_size - 1) / cfg.chunk_size;
-  }
-  Bytes chunk_bytes(std::uint64_t i) const {
-    const Bytes base = i * cfg.chunk_size;
-    return std::min<Bytes>(cfg.chunk_size, total - base);
-  }
+  BlockSplit chunks() const { return split_blocks({0, total}, cfg.chunk_size); }
   static std::uint64_t chunk_key(std::uint64_t i) {
     return mix64(0xbcaa57ull ^ i);
   }
@@ -45,12 +40,12 @@ struct Ctx {
 /// accounting/occupancy and the target's disk write-back in flight.
 sim::Task<void> sf_send(Ctx& ctx, std::size_t holder, std::size_t target) {
   std::vector<sim::JoinHandle> inflight;
-  for (std::uint64_t c = 0; c < ctx.chunk_count(); ++c) {
-    const Bytes sz = ctx.chunk_bytes(c);
+  for (const BlockPiece& p : ctx.chunks()) {
+    const Bytes sz = p.range.size();
     if (holder == 0) {
       // The source streams from the NFS server's disk (page-cached after
       // the first pass).
-      co_await ctx.disks[0]->read(Ctx::chunk_key(c), sz);
+      co_await ctx.disks[0]->read(Ctx::chunk_key(p.index), sz);
     }
     co_await ctx.pacers[holder]->serve(sz);
     // Wire transfer + receiver disk write proceed concurrently with the
@@ -59,7 +54,7 @@ sim::Task<void> sf_send(Ctx& ctx, std::size_t holder, std::size_t target) {
                    Bytes n) -> sim::Task<void> {
       co_await cx.network->transfer(cx.nodes[h], cx.nodes[t], n);
       co_await cx.disks[t]->write_async(n, Ctx::chunk_key(ci));
-    }(ctx, holder, target, c, sz);
+    }(ctx, holder, target, p.index, sz);
     inflight.push_back(ctx.engine->spawn(std::move(wire)));
   }
   for (auto& h : inflight) co_await h.join();
@@ -87,23 +82,21 @@ sim::Task<void> run_store_and_forward(Ctx& ctx) {
 /// as it holds chunk c.
 sim::Task<void> pipelined_node(Ctx& ctx, std::size_t idx,
                                std::vector<sim::Channel<int>*> chans) {
-  const std::uint64_t chunks = ctx.chunk_count();
-  for (std::uint64_t c = 0; c < chunks; ++c) {
+  for (const BlockPiece& p : ctx.chunks()) {
+    const Bytes sz = p.range.size();
     if (idx == 0) {
-      co_await ctx.disks[0]->read(Ctx::chunk_key(c), ctx.chunk_bytes(c));
+      co_await ctx.disks[0]->read(Ctx::chunk_key(p.index), sz);
     } else {
       co_await chans[idx]->pop();
-      co_await ctx.disks[idx]->write_async(ctx.chunk_bytes(c),
-                                           Ctx::chunk_key(c));
-      if (c + 1 == chunks) ctx.record(idx);
+      co_await ctx.disks[idx]->write_async(sz, Ctx::chunk_key(p.index));
+      if (p.range.hi == ctx.total) ctx.record(idx);
     }
     for (std::size_t k = 1; k <= ctx.cfg.arity; ++k) {
       const std::size_t child = idx * ctx.cfg.arity + k;
       if (child >= ctx.nodes.size()) break;
-      const Bytes sz = ctx.chunk_bytes(c);
       co_await ctx.pacers[idx]->serve(sz);
       co_await ctx.network->transfer(ctx.nodes[idx], ctx.nodes[child], sz);
-      chans[child]->push(static_cast<int>(c));
+      chans[child]->push(static_cast<int>(p.index));
     }
   }
 }

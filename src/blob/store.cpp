@@ -22,8 +22,7 @@ Result<BlobId> BlobStore::create(Bytes size, Bytes chunk_size) {
   BlobRecord rec;
   rec.size = size;
   rec.chunk_size = chunk_size;
-  const std::uint64_t chunks = (size + chunk_size - 1) / chunk_size;
-  rec.roots.push_back(arena_.build_empty(chunks));
+  rec.roots.push_back(arena_.build_empty(block_count(size, chunk_size)));
   const BlobId id = next_blob_++;
   blobs_.emplace(id, std::move(rec));
   return id;
@@ -53,7 +52,7 @@ Result<BlobInfo> BlobStore::info(BlobId blob) const {
   out.size = rec->size;
   out.chunk_size = rec->chunk_size;
   out.latest = static_cast<Version>(rec->roots.size() - 1);
-  out.chunk_count = (rec->size + rec->chunk_size - 1) / rec->chunk_size;
+  out.chunk_count = block_count(rec->size, rec->chunk_size);
   return out;
 }
 
@@ -84,9 +83,8 @@ Result<std::vector<ChunkLocation>> BlobStore::locate(BlobId blob,
   if (range.hi > rec->size) return out_of_range("range beyond blob size");
   std::vector<ChunkLocation> out;
   if (range.empty()) return out;
-  const std::uint64_t lo_chunk = range.lo / rec->chunk_size;
-  const std::uint64_t hi_chunk = (range.hi + rec->chunk_size - 1) / rec->chunk_size;
-  arena_.locate(rec->roots[version], lo_chunk, hi_chunk, &out);
+  arena_.locate(rec->roots[version], range.lo / rec->chunk_size,
+                block_count(range.hi, rec->chunk_size), &out);
   return out;
 }
 
@@ -136,18 +134,17 @@ Status BlobStore::read(BlobId blob, Version version, Bytes offset,
     return out_of_range("read past end");
   }
   if (out.empty()) return Status::ok();
-  const Bytes chunk_size = rec->chunk_size;
-  const std::uint64_t lo_chunk = offset / chunk_size;
-  const std::uint64_t hi_chunk = (offset + out.size() + chunk_size - 1) / chunk_size;
+  const BlockSplit pieces =
+      split_blocks({offset, offset + out.size()}, rec->chunk_size);
   std::vector<ChunkLocation> locs;
-  arena_.locate(rec->roots[version], lo_chunk, hi_chunk, &locs);
-  for (const ChunkLocation& loc : locs) {
-    const Bytes chunk_base = loc.chunk_index * chunk_size;
-    const Bytes lo = std::max(offset, chunk_base);
-    const Bytes hi = std::min<Bytes>(offset + out.size(), chunk_base + chunk_size);
+  arena_.locate(rec->roots[version], pieces->index,
+                block_count(offset + out.size(), rec->chunk_size), &locs);
+  // locate yields one location per chunk, in order: the pieces' chunks.
+  auto loc = locs.begin();
+  for (const BlockPiece& p : pieces) {
     VMSTORM_RETURN_IF_ERROR(read_chunk_locked(
-        loc, lo - chunk_base,
-        out.subspan(lo - offset, hi - lo)));
+        *loc++, p.range.lo - p.base,
+        out.subspan(p.range.lo - offset, p.range.size())));
   }
   return Status::ok();
 }
@@ -190,7 +187,7 @@ Result<CommitOutcome> BlobStore::commit_chunks_detailed(
     std::shared_lock lock(mutex_);
     const BlobRecord* rec = find_locked(blob);
     if (rec == nullptr) return not_found("blob " + std::to_string(blob));
-    const std::uint64_t chunks = (rec->size + rec->chunk_size - 1) / rec->chunk_size;
+    const std::uint64_t chunks = block_count(rec->size, rec->chunk_size);
     for (const ChunkWrite& w : writes) {
       if (w.chunk_index >= chunks) return out_of_range("chunk index");
     }
@@ -296,26 +293,23 @@ Result<Version> BlobStore::write_chunks(
     size = rec->size;
     base_root = rec->roots[base];
   }
-  const Bytes end = offset + length;
   std::vector<ChunkWrite> writes;
-  for (std::uint64_t ci = offset / chunk_size; ci * chunk_size < end; ++ci) {
-    const Bytes chunk_base = ci * chunk_size;
-    const Bytes chunk_len = std::min(chunk_size, size - chunk_base);
-    const Bytes lo = std::max(offset, chunk_base);
-    const Bytes hi = std::min(end, chunk_base + chunk_len);
+  for (const BlockPiece& p : split_blocks({offset, offset + length}, chunk_size)) {
+    const Bytes chunk_len = std::min(chunk_size, size - p.base);
     ChunkWrite w;
-    w.chunk_index = ci;
-    if (lo == chunk_base && hi == chunk_base + chunk_len) {
-      w.payload = whole(chunk_base, chunk_len);
+    w.chunk_index = p.index;
+    if (p.range.size() == chunk_len) {
+      w.payload = whole(p.base, chunk_len);
     } else {
       // Boundary chunk: materialize the base content and overlay the write.
       std::vector<std::byte> buf(chunk_len);
       {
         std::shared_lock lock(mutex_);
-        const ChunkLocation loc = arena_.locate_one(base_root, ci);
+        const ChunkLocation loc = arena_.locate_one(base_root, p.index);
         VMSTORM_RETURN_IF_ERROR(read_chunk_locked(loc, 0, buf));
       }
-      overlay(lo, std::span(buf).subspan(lo - chunk_base, hi - lo));
+      overlay(p.range.lo,
+              std::span(buf).subspan(p.range.lo - p.base, p.range.size()));
       w.payload = ChunkPayload::own(std::move(buf));
     }
     writes.push_back(std::move(w));

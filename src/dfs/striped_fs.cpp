@@ -60,14 +60,12 @@ Status StripedFs::write(FileId file, Bytes offset,
   auto it = files_.find(file);
   if (it == files_.end()) return not_found("file " + std::to_string(file));
   FileRecord& rec = it->second;
-  const Bytes stripe = rec.info.stripe_size;
   const Bytes end = offset + data.size();
-  for (std::uint64_t si = offset / stripe; si * stripe < end; ++si) {
-    const Bytes base = si * stripe;
-    const Bytes lo = std::max(offset, base);
-    const Bytes hi = std::min(end, base + stripe);
-    auto [sit, inserted] = rec.stripes.try_emplace(si, blob::ChunkPayload::zeros(0));
-    sit->second.write(lo - base, data.subspan(lo - offset, hi - lo));
+  for (const BlockPiece& p : split_blocks({offset, end}, rec.info.stripe_size)) {
+    auto [sit, inserted] =
+        rec.stripes.try_emplace(p.index, blob::ChunkPayload::zeros(0));
+    sit->second.write(p.range.lo - p.base,
+                      data.subspan(p.range.lo - offset, p.range.size()));
   }
   rec.info.size = std::max(rec.info.size, end);
   return Status::ok();
@@ -83,18 +81,16 @@ Status StripedFs::write_pattern(FileId file, Bytes offset, Bytes length,
   FileRecord& rec = it->second;
   const Bytes stripe = rec.info.stripe_size;
   const Bytes end = offset + length;
-  for (std::uint64_t si = offset / stripe; si * stripe < end; ++si) {
-    const Bytes base = si * stripe;
-    const Bytes lo = std::max(offset, base);
-    const Bytes hi = std::min(end, base + stripe);
-    if (lo == base && hi == base + stripe) {
-      rec.stripes.insert_or_assign(si,
-                                   blob::ChunkPayload::pattern(seed, stripe, base));
+  for (const BlockPiece& p : split_blocks({offset, end}, stripe)) {
+    if (p.range.size() == stripe) {
+      rec.stripes.insert_or_assign(
+          p.index, blob::ChunkPayload::pattern(seed, stripe, p.base));
     } else {
-      auto [sit, ins] = rec.stripes.try_emplace(si, blob::ChunkPayload::zeros(0));
-      std::vector<std::byte> buf(hi - lo);
-      blob::fill_pattern(seed, lo, buf);
-      sit->second.write(lo - base, buf);
+      auto [sit, ins] =
+          rec.stripes.try_emplace(p.index, blob::ChunkPayload::zeros(0));
+      std::vector<std::byte> buf(p.range.size());
+      blob::fill_pattern(seed, p.range.lo, buf);
+      sit->second.write(p.range.lo - p.base, buf);
     }
   }
   rec.info.size = std::max(rec.info.size, end);
@@ -111,18 +107,14 @@ Status StripedFs::read(FileId file, Bytes offset,
   if (offset > rec.info.size || out.size() > rec.info.size - offset) {
     return out_of_range("read past EOF");
   }
-  const Bytes stripe = rec.info.stripe_size;
-  const Bytes end = offset + out.size();
-  for (std::uint64_t si = offset / stripe; si * stripe < end; ++si) {
-    const Bytes base = si * stripe;
-    const Bytes lo = std::max(offset, base);
-    const Bytes hi = std::min(end, base + stripe);
-    auto sit = rec.stripes.find(si);
-    auto dst = out.subspan(lo - offset, hi - lo);
+  for (const BlockPiece& p :
+       split_blocks({offset, offset + out.size()}, rec.info.stripe_size)) {
+    auto sit = rec.stripes.find(p.index);
+    auto dst = out.subspan(p.range.lo - offset, p.range.size());
     if (sit == rec.stripes.end()) {
       std::memset(dst.data(), 0, dst.size());  // hole
     } else {
-      sit->second.read(lo - base, dst);
+      sit->second.read(p.range.lo - p.base, dst);
     }
   }
   return Status::ok();
@@ -134,14 +126,11 @@ Result<std::vector<StripePiece>> StripedFs::layout(FileId file, Bytes offset,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = files_.find(file);
   if (it == files_.end()) return not_found("file " + std::to_string(file));
-  const Bytes stripe = it->second.info.stripe_size;
   std::vector<StripePiece> out;
-  const Bytes end = offset + length;
-  for (std::uint64_t si = offset / stripe; si * stripe < end; ++si) {
-    const Bytes base = si * stripe;
-    const Bytes lo = std::max(offset, base);
-    const Bytes hi = std::min(end, base + stripe);
-    out.push_back(StripePiece{si, server_of(si), lo, lo - base, hi - lo});
+  for (const BlockPiece& p :
+       split_blocks({offset, offset + length}, it->second.info.stripe_size)) {
+    out.push_back(StripePiece{p.index, server_of(p.index), p.range.lo,
+                              p.range.lo - p.base, p.range.size()});
   }
   return out;
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "blob/chunk.hpp"
+#include "common/interval.hpp"
 #include "common/status.hpp"
 #include "common/units.hpp"
 

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <set>
 
+#include "common/interval.hpp"
+
 namespace vmstorm::imgfs {
 
 namespace {
@@ -32,7 +34,7 @@ Status FileSystem::compute_layout() {
   if (total_blocks_ < 8) return invalid_argument("device too small for imgfs");
   const std::uint64_t ipb = bs / kInodeDiskBytes;
   if (ipb == 0) return invalid_argument("block size below inode size");
-  inode_blocks_ = (opts_.max_inodes + ipb - 1) / ipb;
+  inode_blocks_ = block_count(opts_.max_inodes, ipb);
   // Fixed-point iteration: bitmap covers data blocks, which depend on the
   // bitmap's own size.
   bitmap_blocks_ = 1;
@@ -40,7 +42,7 @@ Status FileSystem::compute_layout() {
     const std::uint64_t meta = 1 + bitmap_blocks_ + inode_blocks_;
     if (meta >= total_blocks_) return invalid_argument("device too small");
     const std::uint64_t data = total_blocks_ - meta;
-    const std::uint64_t need = (data + bs * 8 - 1) / (bs * 8);
+    const std::uint64_t need = block_count(data, bs * 8);
     if (need == bitmap_blocks_) break;
     bitmap_blocks_ = need;
   }
@@ -238,13 +240,10 @@ Result<FileSystem::Extent> FileSystem::allocate_run(std::uint64_t want) {
     std::size_t j = i;
     while (j < bitmap_.size() && !bitmap_[j] && j - i < want) ++j;
     Extent e{data_start_ + i, j - i};
-    std::vector<std::uint64_t> dirty;
     for (std::size_t b = i; b < j; ++b) bitmap_[b] = true;
     free_blocks_ -= (j - i);
-    const Bytes bits_per_block = opts_.block_size * 8;
-    for (std::uint64_t b = i / bits_per_block; b <= (j - 1) / bits_per_block;
-         ++b) {
-      VMSTORM_RETURN_IF_ERROR(persist_bitmap_block(b));
+    for (const BlockPiece& p : split_blocks({i, j}, opts_.block_size * 8)) {
+      VMSTORM_RETURN_IF_ERROR(persist_bitmap_block(p.index));
     }
     return e;
   }
@@ -279,18 +278,11 @@ Result<std::pair<Bytes, Bytes>> FileSystem::map_offset(const Inode& ino,
 }
 
 Status FileSystem::grow_to(Inode& ino, InodeId id, Bytes new_size) {
-  const Bytes bs = opts_.block_size;
-  const std::uint64_t have =
-      ino.extent_count == 0
-          ? 0
-          : [&] {
-              std::uint64_t n = 0;
-              for (std::uint32_t e = 0; e < ino.extent_count; ++e) {
-                n += ino.extents[e].count;
-              }
-              return n;
-            }();
-  std::uint64_t need = (new_size + bs - 1) / bs;
+  std::uint64_t have = 0;
+  for (std::uint32_t e = 0; e < ino.extent_count; ++e) {
+    have += ino.extents[e].count;
+  }
+  const std::uint64_t need = block_count(new_size, opts_.block_size);
   if (need <= have) {
     ino.size = new_size;
     return persist_inode(id);
@@ -395,8 +387,7 @@ Status FileSystem::truncate(InodeId inode, Bytes new_size) {
     return Status::ok();
   }
   // Shrink: free whole blocks past the new end.
-  const Bytes bs = opts_.block_size;
-  const std::uint64_t keep = (new_size + bs - 1) / bs;
+  const std::uint64_t keep = block_count(new_size, opts_.block_size);
   std::uint64_t cursor = 0;
   std::vector<std::uint64_t> dirty;
   for (std::uint32_t e = 0; e < ino.extent_count; ++e) {

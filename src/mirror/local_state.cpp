@@ -22,37 +22,34 @@ void range_subtract(ByteRange r, ByteRange cut, std::vector<ByteRange>* out) {
 
 LocalState::LocalState(MirrorConfig cfg) : cfg_(cfg) {
   assert(cfg_.image_size > 0 && cfg_.chunk_size > 0);
-  const std::uint64_t n =
-      (cfg_.image_size + cfg_.chunk_size - 1) / cfg_.chunk_size;
-  chunks_.resize(n);
+  chunks_.resize(block_count(cfg_.image_size, cfg_.chunk_size));
 }
 
 ByteRange LocalState::chunk_range(std::uint64_t ci) const {
   const Bytes lo = ci * cfg_.chunk_size;
-  return {lo, std::min(lo + cfg_.chunk_size, cfg_.image_size)};
+  return {lo, lo + std::min(cfg_.chunk_size, cfg_.image_size - lo)};
 }
 
 std::vector<ByteRange> LocalState::plan_read(ByteRange req) const {
   std::vector<ByteRange> fetches;
   if (req.empty()) return fetches;
   assert(req.hi <= cfg_.image_size);
-  for (std::uint64_t ci = chunk_of(req.lo);
-       ci < chunks_.size() && ci * cfg_.chunk_size < req.hi; ++ci) {
-    const ByteRange cr = chunk_range(ci);
-    const ByteRange sub = req.intersect(cr);
-    if (chunks_[ci].mirrored.contains(sub)) continue;
+  for (const BlockPiece& p : pieces(req)) {
+    const RangeSet& mirrored = chunks_[p.index].mirrored;
+    if (mirrored.contains(p.range)) continue;
+    const ByteRange cr = chunk_range(p.index);
     // Strategy 1: fetch the chunk's full missing content, not just the
     // requested slice (minimal set of whole chunks covering the request).
-    ByteRange target = cfg_.prefetch_whole_chunks ? cr : sub;
+    ByteRange target = cfg_.prefetch_whole_chunks ? cr : p.range;
     if (!cfg_.prefetch_whole_chunks && cfg_.single_region_per_chunk) {
       // Without whole-chunk prefetch, a read could otherwise fragment the
       // chunk; widen it to the hull so the single-region invariant holds.
-      auto present = chunks_[ci].mirrored.present_within(cr);
+      auto present = mirrored.present_within(cr);
       if (!present.empty()) {
-        target = ByteRange{present.front().lo, present.back().hi}.hull(sub);
+        target = ByteRange{present.front().lo, present.back().hi}.hull(p.range);
       }
     }
-    for (const ByteRange& gap : chunks_[ci].mirrored.missing_within(target)) {
+    for (const ByteRange& gap : mirrored.missing_within(target)) {
       fetches.push_back(gap);
     }
   }
@@ -63,20 +60,17 @@ std::vector<ByteRange> LocalState::plan_write(ByteRange req) const {
   std::vector<ByteRange> fetches;
   if (req.empty() || !cfg_.single_region_per_chunk) return fetches;
   assert(req.hi <= cfg_.image_size);
-  for (std::uint64_t ci = chunk_of(req.lo);
-       ci < chunks_.size() && ci * cfg_.chunk_size < req.hi; ++ci) {
-    const ByteRange cr = chunk_range(ci);
-    const ByteRange sub = req.intersect(cr);
-    const ChunkState& st = chunks_[ci];
+  for (const BlockPiece& p : pieces(req)) {
+    const RangeSet& mirrored = chunks_[p.index].mirrored;
     // Current hull of mirrored content within this chunk.
-    auto present = st.mirrored.present_within(cr);
+    auto present = mirrored.present_within(chunk_range(p.index));
     if (present.empty()) continue;  // fresh chunk: the write itself is one region
     const ByteRange hull =
-        ByteRange{present.front().lo, present.back().hi}.hull(sub);
+        ByteRange{present.front().lo, present.back().hi}.hull(p.range);
     // Strategy 2: everything inside the hull must end up mirrored; fetch
     // the gaps that the write itself will not cover.
-    for (const ByteRange& gap : st.mirrored.missing_within(hull)) {
-      range_subtract(gap, sub, &fetches);
+    for (const ByteRange& gap : mirrored.missing_within(hull)) {
+      range_subtract(gap, p.range, &fetches);
     }
   }
   return fetches;
@@ -85,23 +79,19 @@ std::vector<ByteRange> LocalState::plan_write(ByteRange req) const {
 void LocalState::apply_fetch(ByteRange r) {
   if (r.empty()) return;
   assert(r.hi <= cfg_.image_size);
-  for (std::uint64_t ci = chunk_of(r.lo);
-       ci < chunks_.size() && ci * cfg_.chunk_size < r.hi; ++ci) {
-    const ByteRange sub = r.intersect(chunk_range(ci));
-    if (!sub.empty()) chunks_[ci].mirrored.insert(sub);
+  for (const BlockPiece& p : pieces(r)) {
+    chunks_[p.index].mirrored.insert(p.range);
   }
 }
 
 void LocalState::apply_write(ByteRange r) {
   if (r.empty()) return;
   assert(r.hi <= cfg_.image_size);
-  for (std::uint64_t ci = chunk_of(r.lo);
-       ci < chunks_.size() && ci * cfg_.chunk_size < r.hi; ++ci) {
-    const ByteRange sub = r.intersect(chunk_range(ci));
-    if (sub.empty()) continue;
-    chunks_[ci].mirrored.insert(sub);
-    chunks_[ci].dirty_ranges.insert(sub);
-    chunks_[ci].dirty = true;
+  for (const BlockPiece& p : pieces(r)) {
+    ChunkState& c = chunks_[p.index];
+    c.mirrored.insert(p.range);
+    c.dirty_ranges.insert(p.range);
+    c.dirty = true;
   }
 }
 
@@ -137,11 +127,8 @@ void LocalState::clear_dirty() {
 }
 
 bool LocalState::is_mirrored(ByteRange r) const {
-  if (r.empty()) return true;
-  for (std::uint64_t ci = chunk_of(r.lo);
-       ci < chunks_.size() && ci * cfg_.chunk_size < r.hi; ++ci) {
-    const ByteRange sub = r.intersect(chunk_range(ci));
-    if (!chunks_[ci].mirrored.contains(sub)) return false;
+  for (const BlockPiece& p : pieces(r)) {
+    if (!chunks_[p.index].mirrored.contains(p.range)) return false;
   }
   return true;
 }

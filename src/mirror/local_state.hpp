@@ -43,7 +43,7 @@ class LocalState {
   const MirrorConfig& config() const { return cfg_; }
   std::uint64_t chunk_count() const { return chunks_.size(); }
 
-  /// Byte range covered by chunk `ci` (last chunk may be short).
+  /// Byte range of chunk `ci` < chunk_count() (the last chunk may be short).
   ByteRange chunk_range(std::uint64_t ci) const;
 
   // ---- Read path ----------------------------------------------------------
@@ -106,7 +106,10 @@ class LocalState {
     bool dirty = false;
   };
 
-  std::uint64_t chunk_of(Bytes offset) const { return offset / cfg_.chunk_size; }
+  /// r's bytes inside the image, cut into chunks.
+  BlockSplit pieces(ByteRange r) const {
+    return split_blocks(r.intersect({0, cfg_.image_size}), cfg_.chunk_size);
+  }
 
   MirrorConfig cfg_;
   std::vector<ChunkState> chunks_;

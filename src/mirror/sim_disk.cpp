@@ -39,10 +39,8 @@ sim::Task<void> SimVirtualDisk::fetch_ranges(std::vector<ByteRange> ranges,
   std::vector<std::shared_ptr<sim::Event>> waits;
   std::vector<std::uint64_t> registered;
   for (const ByteRange& r : ranges) {
-    for (std::uint64_t ci = r.lo / chunk_size;
-         ci * chunk_size < r.hi; ++ci) {
-      const ByteRange sub = r.intersect(state_.chunk_range(ci));
-      if (sub.empty()) continue;
+    for (const BlockPiece& p : split_blocks(r, chunk_size)) {
+      const std::uint64_t ci = p.index;
       if (!first_touched_[ci]) {
         first_touched_[ci] = true;
         access_order_.push_back(ci);
@@ -61,18 +59,16 @@ sim::Task<void> SimVirtualDisk::fetch_ranges(std::vector<ByteRange> ranges,
         inflight_[ci] = std::make_shared<sim::Event>(engine, "mirror.inflight");
         registered.push_back(ci);
       }
-      fetches.push_back(cluster_->fetch(node_, it->second, sub.size()));
-      stats_.remote_bytes_fetched += sub.size();
+      fetches.push_back(cluster_->fetch(node_, it->second, p.range.size()));
+      stats_.remote_bytes_fetched += p.range.size();
       ++stats_.remote_fetches;
     }
   }
   co_await sim::when_all(engine, std::move(fetches));
   // Mirror the fetched bytes into the local file (write-back).
   for (const ByteRange& r : ranges) {
-    for (std::uint64_t ci = r.lo / chunk_size; ci * chunk_size < r.hi; ++ci) {
-      const ByteRange sub = r.intersect(state_.chunk_range(ci));
-      if (sub.empty()) continue;
-      co_await local_disk_->write_async(sub.size(), local_cache_key(ci));
+    for (const BlockPiece& p : split_blocks(r, chunk_size)) {
+      co_await local_disk_->write_async(p.range.size(), local_cache_key(p.index));
     }
     state_.apply_fetch(r);
   }
@@ -100,11 +96,9 @@ sim::Task<void> SimVirtualDisk::write(Bytes offset, Bytes length) {
   for (const ByteRange& g : gaps) stats_.gapfill_bytes += g.size();
   co_await fetch_ranges(std::move(gaps));
   // The write itself lands in the mmap; the kernel flushes asynchronously.
-  const Bytes chunk_size = state_.config().chunk_size;
-  for (std::uint64_t ci = offset / chunk_size; ci * chunk_size < req.hi; ++ci) {
-    const ByteRange sub = req.intersect(state_.chunk_range(ci));
-    if (sub.empty()) continue;
-    co_await local_disk_->write_async(sub.size(), local_cache_key(ci));
+  for (const BlockPiece& p :
+       split_blocks(req.intersect({0, size()}), state_.config().chunk_size)) {
+    co_await local_disk_->write_async(p.range.size(), local_cache_key(p.index));
   }
   state_.apply_write(req);
 }

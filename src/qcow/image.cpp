@@ -43,9 +43,8 @@ Result<std::unique_ptr<Image>> Image::create(std::unique_ptr<ByteFile> file,
   img->virtual_size_ = virtual_size;
   img->cluster_size_ = cluster_size;
   img->entries_per_l2_ = cluster_size / 8;
-  const std::uint64_t clusters = img->cluster_count();
   const std::uint64_t l1_entries =
-      (clusters + img->entries_per_l2_ - 1) / img->entries_per_l2_;
+      block_count(img->cluster_count(), img->entries_per_l2_);
   img->l1_.assign(l1_entries, 0);
   img->l2_.resize(l1_entries);
   VMSTORM_RETURN_IF_ERROR(img->persist_header());
@@ -177,20 +176,16 @@ Status Image::read(Bytes offset, std::span<std::byte> out) {
   if (offset > virtual_size_ || out.size() > virtual_size_ - offset) {
     return out_of_range("read past end");
   }
-  const Bytes end = offset + out.size();
-  for (std::uint64_t ci = offset / cluster_size_;
-       out.size() > 0 && ci * cluster_size_ < end; ++ci) {
-    const Bytes base = ci * cluster_size_;
-    const Bytes lo = std::max(offset, base);
-    const Bytes hi = std::min(end, base + cluster_size_);
-    auto dst = out.subspan(lo - offset, hi - lo);
-    VMSTORM_ASSIGN_OR_RETURN(host, cluster_host_offset(ci));
+  for (const BlockPiece& p :
+       split_blocks({offset, offset + out.size()}, cluster_size_)) {
+    auto dst = out.subspan(p.range.lo - offset, p.range.size());
+    VMSTORM_ASSIGN_OR_RETURN(host, cluster_host_offset(p.index));
     if (host != 0) {
-      VMSTORM_RETURN_IF_ERROR(file_->pread(host + (lo - base), dst));
+      VMSTORM_RETURN_IF_ERROR(file_->pread(host + (p.range.lo - p.base), dst));
     } else if (backing_ != nullptr) {
       // Unallocated: pass straight through to the backing file, reading
       // only the requested subrange (qcow2 does no read prefetch).
-      VMSTORM_RETURN_IF_ERROR(backing_->pread(lo, dst));
+      VMSTORM_RETURN_IF_ERROR(backing_->pread(p.range.lo, dst));
       stats_.backing_bytes_read += dst.size();
       ++stats_.backing_reads;
     } else {
@@ -204,15 +199,12 @@ Status Image::write(Bytes offset, std::span<const std::byte> in) {
   if (offset > virtual_size_ || in.size() > virtual_size_ - offset) {
     return out_of_range("write past end");
   }
-  const Bytes end = offset + in.size();
-  for (std::uint64_t ci = offset / cluster_size_;
-       in.size() > 0 && ci * cluster_size_ < end; ++ci) {
-    const Bytes base = ci * cluster_size_;
-    const Bytes lo = std::max(offset, base);
-    const Bytes hi = std::min(end, base + cluster_size_);
-    VMSTORM_ASSIGN_OR_RETURN(host, ensure_allocated(ci));
+  for (const BlockPiece& p :
+       split_blocks({offset, offset + in.size()}, cluster_size_)) {
+    VMSTORM_ASSIGN_OR_RETURN(host, ensure_allocated(p.index));
     VMSTORM_RETURN_IF_ERROR(
-        file_->pwrite(host + (lo - base), in.subspan(lo - offset, hi - lo)));
+        file_->pwrite(host + (p.range.lo - p.base),
+                      in.subspan(p.range.lo - offset, p.range.size())));
   }
   return Status::ok();
 }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/interval.hpp"
 #include "common/status.hpp"
 #include "common/units.hpp"
 #include "qcow/byte_file.hpp"
@@ -53,7 +54,7 @@ class Image {
   Bytes virtual_size() const { return virtual_size_; }
   Bytes cluster_size() const { return cluster_size_; }
   std::uint64_t cluster_count() const {
-    return (virtual_size_ + cluster_size_ - 1) / cluster_size_;
+    return block_count(virtual_size_, cluster_size_);
   }
 
   Status read(Bytes offset, std::span<std::byte> out);

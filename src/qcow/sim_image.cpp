@@ -33,32 +33,25 @@ sim::Task<void> SimImage::ensure_allocated(std::uint64_t index) {
 }
 
 sim::Task<void> SimImage::read(Bytes offset, Bytes length) {
-  const Bytes end = offset + length;
-  for (std::uint64_t ci = offset / cluster_size_;
-       length > 0 && ci * cluster_size_ < end; ++ci) {
-    const Bytes base = ci * cluster_size_;
-    const Bytes lo = std::max(offset, base);
-    const Bytes hi = std::min(end, base + cluster_size_);
-    if (allocated_[ci]) {
-      co_await local_disk_->read(local_cache_key(ci), hi - lo);
+  for (const BlockPiece& p :
+       split_blocks({offset, offset + length}, cluster_size_)) {
+    const Bytes n = p.range.size();
+    if (allocated_[p.index]) {
+      co_await local_disk_->read(local_cache_key(p.index), n);
     } else {
-      // Request-granularity pass-through: only [lo, hi) travels.
-      co_await dfs_->read(node_, backing_file_, lo, hi - lo);
-      backing_bytes_read_ += hi - lo;
+      // Request-granularity pass-through: only this piece travels.
+      co_await dfs_->read(node_, backing_file_, p.range.lo, n);
+      backing_bytes_read_ += n;
       ++backing_reads_;
     }
   }
 }
 
 sim::Task<void> SimImage::write(Bytes offset, Bytes length) {
-  const Bytes end = offset + length;
-  for (std::uint64_t ci = offset / cluster_size_;
-       length > 0 && ci * cluster_size_ < end; ++ci) {
-    const Bytes base = ci * cluster_size_;
-    const Bytes lo = std::max(offset, base);
-    const Bytes hi = std::min(end, base + cluster_size_);
-    co_await ensure_allocated(ci);
-    co_await local_disk_->write_async(hi - lo, local_cache_key(ci));
+  for (const BlockPiece& p :
+       split_blocks({offset, offset + length}, cluster_size_)) {
+    co_await ensure_allocated(p.index);
+    co_await local_disk_->write_async(p.range.size(), local_cache_key(p.index));
   }
 }
 
@@ -70,8 +63,7 @@ void SimImage::adopt_allocation(const SimImage& other) {
 Bytes SimImage::host_file_bytes() const {
   // Header + L1 + L2 tables (approximated as fully dense) + clusters.
   const std::uint64_t entries_per_l2 = cluster_size_ / 8;
-  const std::uint64_t l2_tables =
-      (cluster_count() + entries_per_l2 - 1) / entries_per_l2;
+  const std::uint64_t l2_tables = block_count(cluster_count(), entries_per_l2);
   return 64 + l2_tables * 8 + l2_tables * entries_per_l2 * 8 +
          allocated_count_ * cluster_size_;
 }

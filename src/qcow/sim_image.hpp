@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/interval.hpp"
 #include "common/units.hpp"
 #include "dfs/sim_dfs.hpp"
 #include "net/network.hpp"
@@ -29,7 +30,7 @@ class SimImage final : public storage::VmDisk {
   Bytes virtual_size() const { return virtual_size_; }
   Bytes cluster_size() const { return cluster_size_; }
   std::uint64_t cluster_count() const {
-    return (virtual_size_ + cluster_size_ - 1) / cluster_size_;
+    return block_count(virtual_size_, cluster_size_);
   }
 
   sim::Task<void> read(Bytes offset, Bytes length) override;

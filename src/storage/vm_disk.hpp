@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "common/interval.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sim/task.hpp"
@@ -22,13 +23,12 @@ class VmDisk {
 };
 
 /// Pre-propagation baseline: the raw image fully present on the local
-/// disk. First touch of a block pays platter time; re-reads hit the page
-/// cache. Writes are write-back.
+/// disk. First touch of a 256 KiB block pays platter time; re-reads hit
+/// the page cache. Writes are write-back.
 class LocalVmDisk final : public VmDisk {
  public:
-  LocalVmDisk(Disk& disk, std::uint64_t instance_salt,
-              Bytes cache_granularity = 256_KiB)
-      : disk_(&disk), salt_(instance_salt), gran_(cache_granularity) {}
+  LocalVmDisk(Disk& disk, std::uint64_t instance_salt)
+      : disk_(&disk), salt_(instance_salt) {}
 
   sim::Task<void> read(Bytes offset, Bytes length) override;
   sim::Task<void> write(Bytes offset, Bytes length) override;
@@ -37,9 +37,9 @@ class LocalVmDisk final : public VmDisk {
   std::uint64_t key(Bytes block) const {
     return mix64((salt_ << 22) ^ 0x10ca1d15cull ^ block);
   }
+  static constexpr Bytes kBlock = 256_KiB;
   Disk* disk_;
   std::uint64_t salt_;
-  Bytes gran_;
 };
 
 }  // namespace vmstorm::storage

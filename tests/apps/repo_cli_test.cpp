@@ -42,17 +42,25 @@ struct CliFixture : ::testing::Test {
 };
 
 TEST_F(CliFixture, UploadDownloadRoundTrip) {
-  const std::string src = make_file(10000, 7);
-  auto up = run_repo_cli({"upload", repo, src});
-  ASSERT_TRUE(up.is_ok()) << up.status().to_string();
-  EXPECT_NE(up->find("blob 1 version 1"), std::string::npos);
+  // The default chunk, then a chunk size near 2^64 (one chunk).
+  const std::vector<std::vector<std::string>> chunk_flags = {
+      {}, {"--chunk", "18446744073709551565"}};
+  for (std::size_t i = 0; i < chunk_flags.size(); ++i) {
+    const std::string blob = std::to_string(i + 1);
+    const std::string src = make_file(10000, 7);
+    std::vector<std::string> args = {"upload", repo, src};
+    args.insert(args.end(), chunk_flags[i].begin(), chunk_flags[i].end());
+    auto up = run_repo_cli(args);
+    ASSERT_TRUE(up.is_ok()) << up.status().to_string();
+    EXPECT_NE(up->find("blob " + blob + " version 1"), std::string::npos);
 
-  const std::string dst = src + ".out";
-  auto down = run_repo_cli({"download", repo, "1", "1", dst});
-  ASSERT_TRUE(down.is_ok()) << down.status().to_string();
-  EXPECT_EQ(slurp(src), slurp(dst));
-  std::remove(src.c_str());
-  std::remove(dst.c_str());
+    const std::string dst = src + ".out";
+    auto down = run_repo_cli({"download", repo, blob, "1", dst});
+    ASSERT_TRUE(down.is_ok()) << down.status().to_string();
+    EXPECT_EQ(slurp(src), slurp(dst));
+    std::remove(src.c_str());
+    std::remove(dst.c_str());
+  }
 }
 
 TEST_F(CliFixture, LsAndStat) {

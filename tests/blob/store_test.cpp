@@ -35,6 +35,11 @@ TEST(BlobStore, CreateAndInfo) {
   EXPECT_EQ(info->latest, 0u);
   EXPECT_EQ(info->chunk_count, 16u);
   EXPECT_EQ(s.blob_count(), 1u);
+  // A chunk size near 2^64 still makes one chunk; a count that wrapped to
+  // 0 would ask for an empty segment tree, whose build never finishes.
+  auto big = s.create(100, ~Bytes{0} - 50);
+  ASSERT_TRUE(big.is_ok());
+  EXPECT_EQ(s.info(*big)->chunk_count, 1u);
 }
 
 TEST(BlobStore, CreateRejectsZeroSizes) {

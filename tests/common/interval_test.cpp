@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -195,6 +197,81 @@ TEST_P(RangeSetPropertyTest, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RangeSetPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 42u, 2011u, 0xdeadbeefu));
+
+TEST(BlockCount, IsCeilDivisionWithoutWrap) {
+  EXPECT_EQ(block_count(0, 7), 0u);
+  EXPECT_EQ(block_count(21, 7), 3u);
+  EXPECT_EQ(block_count(22, 7), 4u);
+  EXPECT_EQ(block_count(~Bytes{0}, 2), Bytes{1} << 63);
+  EXPECT_EQ(block_count(~Bytes{0}, ~Bytes{0}), 1u);
+  EXPECT_EQ(block_count(100, ~Bytes{0} - 50), 1u);
+}
+
+// The reference: block pieces walked in 128-bit arithmetic, where no block
+// end can wrap.
+std::vector<BlockPiece> reference_walk(ByteRange r, Bytes block) {
+  using U128 = unsigned __int128;
+  std::vector<BlockPiece> out;
+  for (U128 i = r.lo / block; r.lo < r.hi && i * block < r.hi; ++i) {
+    const U128 base = i * block;
+    const U128 end = std::min<U128>(base + block, r.hi);
+    out.push_back({static_cast<std::uint64_t>(i), static_cast<Bytes>(base),
+                   {std::max<Bytes>(r.lo, static_cast<Bytes>(base)),
+                    static_cast<Bytes>(end)}});
+  }
+  return out;
+}
+
+TEST(BlockSplit, MatchesReferenceWalk) {
+  constexpr Bytes kMax = ~Bytes{0};
+  struct Case {
+    ByteRange r;
+    Bytes block;
+  };
+  // Empty and reversed ranges, then seeded random pairs.
+  std::vector<Case> cases = {{{0, 0}, 4},       {{5, 5}, 4},
+                             {{9, 3}, 4},       {{kMax, kMax}, 4},
+                             {{kMax, 0}, 4},    {{kMax - 1, kMax}, kMax},
+                             {{0, kMax}, kMax}, {{kMax - 9, kMax - 4}, 100}};
+  Rng rng(2011);
+  for (int k = 0; k < 120000; ++k) {
+    // Blocks from 1 to 2^40 at every scale, and 2^64 - 1.
+    const Bytes block =
+        k % 19 == 0 ? kMax : 1 + rng.uniform_u64(Bytes{1} << rng.uniform_u64(41));
+    // Up to 4 blocks long, so every walk stays short.
+    const Bytes span = block > kMax / 4 ? kMax : 4 * block;
+    const Bytes len = rng.uniform_u64(span) + (k % 7 == 0 ? 0 : 1);
+    ByteRange r;
+    if (k % 2 == 0) {
+      // End within 3 blocks of 2^64.
+      const Bytes back = block > kMax / 3 ? kMax : 3 * block;
+      r.hi = kMax - rng.uniform_u64(back);
+      r.lo = len > r.hi ? 0 : r.hi - len;
+    } else {
+      r.lo = rng.next_u64() >> rng.uniform_u64(64);
+      r.hi = len > kMax - r.lo ? kMax : r.lo + len;
+    }
+    if (k % 13 == 0) std::swap(r.lo, r.hi);  // reversed (or still empty)
+    cases.push_back({r, block});
+  }
+  for (const auto& [r, block] : cases) {
+    const std::vector<BlockPiece> want = reference_walk(r, block);
+    std::vector<BlockPiece> got;
+    for (const BlockPiece& p : split_blocks(r, block)) {
+      got.push_back(p);
+      if (got.size() > want.size()) break;  // a walk that never ends
+    }
+    ASSERT_EQ(got.size(), want.size()) << r.to_string() << " / " << block;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].index, want[i].index) << r.to_string() << " / " << block;
+      ASSERT_EQ(got[i].base, want[i].base) << r.to_string() << " / " << block;
+      ASSERT_EQ(got[i].range, want[i].range) << r.to_string() << " / " << block;
+    }
+    const unsigned __int128 ceil =
+        (static_cast<unsigned __int128>(r.hi) + block - 1) / block;
+    ASSERT_EQ(block_count(r.hi, block), static_cast<Bytes>(ceil)) << r.hi;
+  }
+}
 
 }  // namespace
 }  // namespace vmstorm

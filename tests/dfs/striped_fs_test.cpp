@@ -69,6 +69,35 @@ TEST(StripedFs, RangesWrappingPast2To64Fail) {
   EXPECT_EQ(fs.stored_bytes(), 0u);
 }
 
+TEST(StripedFs, LastStripeStraddling2To64) {
+  // Stripe 184467440737095516 spans [2^64 - 16, 2^64 + 84): its end is past
+  // 2^64, but the range [2^64 - 10, 2^64 - 5) is not, so all three calls
+  // serve it from that one stripe.
+  StripedFs fs(2, 100);
+  FileId f = fs.create("a").value();
+  const Bytes offset = ~Bytes{0} - 9;
+  auto layout = fs.layout(f, offset, 5);
+  ASSERT_TRUE(layout.is_ok());
+  ASSERT_EQ(layout->size(), 1u);
+  EXPECT_EQ((*layout)[0].stripe_index, 184467440737095516u);
+  EXPECT_EQ((*layout)[0].server, 0u);
+  EXPECT_EQ((*layout)[0].offset_in_file, offset);
+  EXPECT_EQ((*layout)[0].offset_in_stripe, 6u);
+  EXPECT_EQ((*layout)[0].length, 5u);
+
+  const auto in = make_bytes(5, 3);
+  ASSERT_TRUE(fs.write(f, offset, in).is_ok());
+  std::vector<std::byte> out(5);
+  ASSERT_TRUE(fs.read(f, offset, out).is_ok());
+  EXPECT_EQ(out, in);
+
+  ASSERT_TRUE(fs.write_pattern(f, offset, 5, 9).is_ok());
+  std::vector<std::byte> want(5);
+  blob::fill_pattern(9, offset, want);
+  ASSERT_TRUE(fs.read(f, offset, out).is_ok());
+  EXPECT_EQ(out, want);
+}
+
 TEST(StripedFs, RoundRobinLayout) {
   StripedFs fs(3, 100);
   FileId f = fs.create("a").value();

@@ -115,6 +115,16 @@ TEST(ImgFs, ReadPastEofFails) {
   EXPECT_EQ(fs->read(f, ~Bytes{0} - 9, std::span(out).first(100)).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(fs->write(f, ~Bytes{0} - 9, buf).code(), StatusCode::kOutOfRange);
+  // Growing to just below 2^64 needs more blocks than the device has; the
+  // block count must not wrap to a small number that looks already
+  // allocated, and the file keeps its size.
+  EXPECT_EQ(fs->write(f, ~Bytes{0} - 99, std::span(buf).first(50)).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(fs->stat(f)->size, 100u);
+  EXPECT_EQ(fs->truncate(f, ~Bytes{0} - 5).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(fs->stat(f)->size, 100u);
+  EXPECT_TRUE(fs->read(f, 0, std::span(out).first(10)).is_ok());
 }
 
 TEST(MemDevice, BoundsChecked) {

@@ -22,6 +22,13 @@ TEST(LocalState, ChunkGeometry) {
   EXPECT_EQ(st.chunk_count(), 10u);
   EXPECT_EQ(st.chunk_range(0), (ByteRange{0, 100}));
   EXPECT_EQ(st.chunk_range(9), (ByteRange{900, 950}));  // short tail
+  // A last chunk whose block end would pass 2^64 still ends at the image.
+  const Bytes half = Bytes{1} << 63;
+  LocalState big(cfg(~Bytes{0}, half));
+  EXPECT_EQ(big.chunk_count(), 2u);
+  EXPECT_EQ(big.chunk_range(1), (ByteRange{half, ~Bytes{0}}));
+  EXPECT_EQ(big.plan_read({half, half + 10}),
+            (std::vector<ByteRange>{{half, ~Bytes{0}}}));
 }
 
 TEST(LocalState, PlanReadFetchesWholeChunks) {

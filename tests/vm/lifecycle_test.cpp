@@ -86,7 +86,7 @@ TEST(Lifecycle, ZeroJitterMakesInstancesDifferOnlyBySkew) {
 TEST(LocalVmDisk, CachesBlocksAcrossReads) {
   Engine e;
   storage::Disk disk(e, disk_cfg());
-  storage::LocalVmDisk vmdisk(disk, 1, 256_KiB);
+  storage::LocalVmDisk vmdisk(disk, 1);
   double first = 0, second = 0;
   e.spawn([](Engine& eng, storage::LocalVmDisk& d, double* a, double* b) -> sim::Task<void> {
     co_await d.read(0, 64_KiB);
