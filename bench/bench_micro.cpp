@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: the
-// versioned segment tree, the mirroring translator, range sets, chunk
-// payload materialization, the qcow format, imgfs, the event engine, and
-// the trace pipeline (export, read-back, critical-path analysis).
+// versioned segment tree, the mirroring translator and its cold-read fill
+// path, range sets, chunk payload materialization, the qcow format, imgfs,
+// the event engine, and the trace pipeline (export, read-back,
+// critical-path analysis).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <string_view>
@@ -16,6 +19,7 @@
 #include "common/rng.hpp"
 #include "imgfs/filesystem.hpp"
 #include "mirror/local_state.hpp"
+#include "mirror/virtual_disk.hpp"
 #include "obs/critpath.hpp"
 #include "obs/trace.hpp"
 #include "qcow/image.hpp"
@@ -139,6 +143,51 @@ void BM_BlobStoreReadThrough(benchmark::State& state) {
                           static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_BlobStoreReadThrough);
+
+// A cold mirror read: a fresh VirtualDisk over a pattern image of 256 KiB
+// chunks, read in 64 KiB requests that start every `stride` chunks, so
+// each chunk touched is fetched from the store into the local file once.
+// Args: image MiB, stride in chunks. {64, 1} reads the image end to end;
+// {512, 12} touches one chunk in 12 of a sparse file, about the share of
+// the image real_mirror's boot trace fetches. Bytes/s counts fetched
+// bytes. The file and its sidecar are removed between iterations,
+// untimed. Timed in real time: the kernel does part of the work outside
+// this thread.
+void BM_VirtualDiskColdRead(benchmark::State& state) {
+  const Bytes image = static_cast<Bytes>(state.range(0)) << 20;
+  const Bytes stride = static_cast<Bytes>(state.range(1)) * 256_KiB;
+  blob::BlobStore store(blob::StoreConfig{.providers = 8});
+  const blob::BlobId b = store.create(image, 256_KiB).value();
+  store.write_pattern(b, 0, 0, image, 1).check();
+  mirror::VirtualDiskOptions opts;
+  opts.local_path = (std::filesystem::temp_directory_path() /
+                     ("vmstorm_micro_" + std::to_string(::getpid()) + ".img"))
+                        .string();
+  const auto remove_mirror = [&opts] {
+    std::filesystem::remove(opts.local_path);
+    std::filesystem::remove(opts.local_path + ".meta");
+  };
+  std::vector<std::byte> buf(64_KiB);
+  Bytes fetched = 0;
+  for (auto _ : state) {
+    auto disk = mirror::VirtualDisk::open(store, b, 1, opts).value();
+    for (Bytes off = 0; off < image; off += stride) {
+      disk->pread(off, buf).check();
+    }
+    benchmark::DoNotOptimize(buf.data());
+    fetched += disk->stats().remote_bytes_fetched;
+    state.PauseTiming();
+    disk.reset();
+    remove_mirror();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(fetched));
+}
+BENCHMARK(BM_VirtualDiskColdRead)
+    ->Args({64, 1})
+    ->Args({512, 12})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_QcowWrite(benchmark::State& state) {
   auto img = qcow::Image::create(std::make_unique<qcow::MemFile>(), 64_MiB,

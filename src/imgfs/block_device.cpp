@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstring>
 
+#include "common/file_io.hpp"
+
 namespace vmstorm::imgfs {
 
 Status MemDevice::pread(Bytes offset, std::span<std::byte> out) {
@@ -78,14 +80,7 @@ Status PosixFileDevice::pwrite(Bytes offset, std::span<const std::byte> in) {
   if (offset > size_ || in.size() > size_ - offset) {
     return out_of_range("write past end");
   }
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const ssize_t n = ::pwrite(fd_, in.data() + done, in.size() - done,
-                               static_cast<off_t>(offset + done));
-    if (n < 0) return unavailable(std::string("pwrite: ") + std::strerror(errno));
-    done += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
+  return pwrite_all(fd_, offset, in);
 }
 
 }  // namespace vmstorm::imgfs

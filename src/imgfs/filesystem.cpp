@@ -150,6 +150,15 @@ Status FileSystem::persist_bitmap_block(std::uint64_t bitmap_block) {
   return dev_->pwrite((bitmap_start_ + bitmap_block) * bs, raw);
 }
 
+Status FileSystem::persist_bitmap_blocks(std::vector<std::uint64_t> blocks) {
+  std::sort(blocks.begin(), blocks.end());
+  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+  for (std::uint64_t b : blocks) {
+    VMSTORM_RETURN_IF_ERROR(persist_bitmap_block(b));
+  }
+  return Status::ok();
+}
+
 Status FileSystem::persist_inode(InodeId id) {
   const Inode& ino = inodes_[id];
   std::vector<std::byte> raw(kInodeDiskBytes, std::byte{0});
@@ -201,11 +210,7 @@ Status FileSystem::remove(const std::string& name) {
     free_extent(ino.extents[e], &dirty);
   }
   ino = Inode{};
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  for (std::uint64_t b : dirty) {
-    VMSTORM_RETURN_IF_ERROR(persist_bitmap_block(b));
-  }
+  VMSTORM_RETURN_IF_ERROR(persist_bitmap_blocks(std::move(dirty)));
   return persist_inode(id);
 }
 
@@ -287,28 +292,37 @@ Status FileSystem::grow_to(Inode& ino, InodeId id, Bytes new_size) {
     ino.size = new_size;
     return persist_inode(id);
   }
-  std::uint64_t missing = need - have;
-  while (missing > 0) {
-    VMSTORM_ASSIGN_OR_RETURN(run, allocate_run(missing));
+  const Inode before = ino;
+  std::vector<Extent> runs;
+  Status failed = Status::ok();
+  for (std::uint64_t missing = need - have; missing > 0;) {
+    auto run = allocate_run(missing);
+    if (!run.is_ok()) {
+      failed = run.status();
+      break;
+    }
+    runs.push_back(*run);
     // Merge with the previous extent when contiguous.
     if (ino.extent_count > 0 &&
         ino.extents[ino.extent_count - 1].start +
                 ino.extents[ino.extent_count - 1].count ==
-            run.start) {
-      ino.extents[ino.extent_count - 1].count += run.count;
+            run->start) {
+      ino.extents[ino.extent_count - 1].count += run->count;
+    } else if (ino.extent_count == kMaxExtents) {
+      failed = resource_exhausted("file exceeds max extents");
+      break;
     } else {
-      if (ino.extent_count == kMaxExtents) {
-        // Roll back this run; the file is too fragmented.
-        std::vector<std::uint64_t> dirty;
-        free_extent(run, &dirty);
-        for (std::uint64_t b : dirty) {
-          VMSTORM_RETURN_IF_ERROR(persist_bitmap_block(b));
-        }
-        return resource_exhausted("file exceeds max extents");
-      }
-      ino.extents[ino.extent_count++] = run;
+      ino.extents[ino.extent_count++] = *run;
     }
-    missing -= run.count;
+    missing -= run->count;
+  }
+  if (!failed.is_ok()) {
+    // Give every run back: the file keeps its old extents and size.
+    ino = before;
+    std::vector<std::uint64_t> dirty;
+    for (const Extent& run : runs) free_extent(run, &dirty);
+    VMSTORM_RETURN_IF_ERROR(persist_bitmap_blocks(std::move(dirty)));
+    return failed;
   }
   ino.size = new_size;
   return persist_inode(id);
@@ -410,11 +424,7 @@ Status FileSystem::truncate(InodeId inode, Bytes new_size) {
     break;
   }
   ino.size = new_size;
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  for (std::uint64_t b : dirty) {
-    VMSTORM_RETURN_IF_ERROR(persist_bitmap_block(b));
-  }
+  VMSTORM_RETURN_IF_ERROR(persist_bitmap_blocks(std::move(dirty)));
   return persist_inode(inode);
 }
 

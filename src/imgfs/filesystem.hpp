@@ -98,6 +98,8 @@ class FileSystem {
   Status compute_layout();
   Status persist_superblock();
   Status persist_bitmap_block(std::uint64_t bitmap_block);
+  /// Persists each listed bitmap block once (the list may repeat blocks).
+  Status persist_bitmap_blocks(std::vector<std::uint64_t> blocks);
   Status persist_inode(InodeId id);
   Status load_all();
 

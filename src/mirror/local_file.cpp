@@ -9,6 +9,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/file_io.hpp"
+
 namespace vmstorm::mirror {
 
 namespace {
@@ -43,10 +45,16 @@ LocalMirrorFile::~LocalMirrorFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+Status LocalMirrorFile::fill(Bytes offset, std::span<const std::byte> bytes) {
+  VMSTORM_RETURN_IF_ERROR(pwrite_all(fd_, offset, bytes));
+  (void)::sync_file_range(fd_, static_cast<off_t>(offset),
+                          static_cast<off_t>(bytes.size()),
+                          SYNC_FILE_RANGE_WRITE);
+  return Status::ok();
+}
+
 Status LocalMirrorFile::sync() {
-  if (::msync(map_, size_, MS_SYNC) != 0) {
-    return unavailable(errno_message("msync"));
-  }
+  if (::fdatasync(fd_) != 0) return unavailable(errno_message("fdatasync"));
   return Status::ok();
 }
 

@@ -2,9 +2,15 @@
 //
 // "Whenever a VM image is opened for the first time, an initially empty
 // file of the same size is created on the local disk. ... the whole local
-// file is mmapped in the host's main memory", turning local reads and
-// writes into memory accesses and leaning on the kernel's asynchronous
-// write-back — the effect measured in Figure 6.
+// file is mmapped in the host's main memory", turning the guest's local
+// reads and writes into memory accesses and leaning on the kernel's
+// asynchronous write-back — the effect measured in Figure 6.
+//
+// Content fetched from the repository does not go through the mapping:
+// fill() stores it with pwrite(2) and starts its write-back at once, so a
+// fetched page costs no write fault and close() has little left to flush.
+// Linux's unified page cache keeps the mapping and the file coherent, and
+// sync() (fdatasync) makes pages dirtied through either path durable.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +39,14 @@ class LocalMirrorFile {
   Bytes size() const { return size_; }
   const std::string& path() const { return path_; }
 
-  /// msync: force dirty pages to the file (used before close for
-  /// durability; the kernel flushes asynchronously otherwise).
+  /// Writes `bytes` into the file at `offset` with pwrite(2), then asks
+  /// the kernel to start writing that range back (a hint: its result is
+  /// ignored, sync() decides durability and reports write errors).
+  Status fill(Bytes offset, std::span<const std::byte> bytes);
+
+  /// fdatasync: forces every dirty page to the disk, whether the guest
+  /// dirtied it through the mapping or fill() wrote it (used before close
+  /// for durability; the kernel flushes asynchronously otherwise).
   Status sync();
 
  private:

@@ -210,23 +210,38 @@ Result<LocalState> LocalState::deserialize(const std::string& data) {
   cfg.prefetch_whole_chunks = (flags & 1) != 0;
   cfg.single_region_per_chunk = (flags & 2) != 0;
   if (image_size == 0 || chunk_size == 0) return corruption("bad sizes");
-  LocalState st(cfg);
-  if (st.chunks_.size() != n) return corruption("chunk count mismatch");
-  for (auto& c : st.chunks_) {
-    std::uint64_t dirty = 0, count = 0;
-    if (!get_u64(&dirty)) return corruption("truncated chunk state");
-    c.dirty = dirty != 0;
+  if (n != block_count(image_size, chunk_size)) {
+    return corruption("chunk count mismatch");
+  }
+  // Each chunk record holds at least its flag and two range counts.
+  if (n > (data.size() - pos) / 24) return corruption("truncated chunk states");
+  // A count, then that many ranges, each non-empty and inside `chunk`.
+  auto get_ranges = [&](ByteRange chunk, RangeSet* out) -> Status {
+    std::uint64_t count = 0;
     if (!get_u64(&count)) return corruption("truncated range count");
     for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t lo = 0, hi = 0;
-      if (!get_u64(&lo) || !get_u64(&hi)) return corruption("truncated range");
-      c.mirrored.insert({lo, hi});
+      ByteRange r;
+      if (!get_u64(&r.lo) || !get_u64(&r.hi)) return corruption("truncated range");
+      if (r.empty() || !chunk.contains(r)) {
+        return corruption("range " + r.to_string() + " outside chunk " +
+                          chunk.to_string());
+      }
+      out->insert(r);
     }
-    if (!get_u64(&count)) return corruption("truncated dirty count");
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t lo = 0, hi = 0;
-      if (!get_u64(&lo) || !get_u64(&hi)) return corruption("truncated range");
-      c.dirty_ranges.insert({lo, hi});
+    return Status::ok();
+  };
+  LocalState st(cfg);
+  for (std::uint64_t ci = 0; ci < n; ++ci) {
+    ChunkState& c = st.chunks_[ci];
+    std::uint64_t dirty = 0;
+    if (!get_u64(&dirty)) return corruption("truncated chunk state");
+    c.dirty = dirty != 0;
+    VMSTORM_RETURN_IF_ERROR(get_ranges(st.chunk_range(ci), &c.mirrored));
+    VMSTORM_RETURN_IF_ERROR(get_ranges(st.chunk_range(ci), &c.dirty_ranges));
+    for (const ByteRange& r : c.dirty_ranges.to_vector()) {
+      if (!c.mirrored.contains(r)) {
+        return corruption("dirty range " + r.to_string() + " not mirrored");
+      }
     }
   }
   if (pos != data.size()) return corruption("trailing bytes in mirror state");

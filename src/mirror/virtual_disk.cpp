@@ -1,8 +1,14 @@
 #include "mirror/virtual_disk.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace vmstorm::mirror {
+
+namespace {
+/// Upper bound on the staging buffer, for images with very large chunks.
+constexpr Bytes kMaxStaging = 1_MiB;
+}  // namespace
 
 Result<std::unique_ptr<VirtualDisk>> VirtualDisk::open(
     blob::BlobStore& store, blob::BlobId blob, blob::Version version,
@@ -35,11 +41,17 @@ VirtualDisk::VirtualDisk(blob::BlobStore& store, blob::BlobId blob,
                          LocalState state,
                          std::unique_ptr<LocalMirrorFile> file)
     : store_(&store), opts_(std::move(opts)), state_(std::move(state)),
-      file_(std::move(file)), target_blob_(blob), target_version_(version) {}
+      file_(std::move(file)),
+      staging_(std::min<Bytes>(state_.config().chunk_size, kMaxStaging)),
+      target_blob_(blob), target_version_(version) {}
 
 Status VirtualDisk::fetch(ByteRange r) {
-  auto dst = file_->data().subspan(r.lo, r.size());
-  VMSTORM_RETURN_IF_ERROR(store_->read(target_blob_, target_version_, r.lo, dst));
+  for (const BlockPiece& p : split_blocks(r, staging_.size())) {
+    const auto buf = std::span(staging_).first(p.range.size());
+    VMSTORM_RETURN_IF_ERROR(
+        store_->read(target_blob_, target_version_, p.range.lo, buf));
+    VMSTORM_RETURN_IF_ERROR(file_->fill(p.range.lo, buf));
+  }
   state_.apply_fetch(r);
   stats_.remote_bytes_fetched += r.size();
   ++stats_.remote_fetches;

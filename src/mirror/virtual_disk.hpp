@@ -9,18 +9,23 @@
 // Lifecycle:
 //   open()  — creates/reopens the local mirror file; restores local-
 //             modification metadata from the sidecar if present (§4.2).
-//   pread/pwrite — reads fetch missing content from the blob store and
-//             redirect to the mirror; writes always land locally.
+//   pread/pwrite — the guest's I/O: memory copies on the mmapped mirror
+//             (§4.2). A read first fetches missing content from the blob
+//             store; a fetched range lands in the file with pwrite(2)
+//             through a staging buffer and its write-back starts at once.
+//             Writes always land locally.
 //   clone() — switches the disk's target to a fresh blob sharing all
 //             content with the opened snapshot (first phase of a global
 //             snapshot: CLONE then COMMIT).
 //   commit()— publishes dirty chunks as the target blob's next version,
 //             a standalone raw image to any other consumer.
-//   close() — msyncs and persists the sidecar metadata.
+//   close() — fdatasyncs the mirror file, then persists the sidecar
+//             metadata.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "blob/store.hpp"
 #include "common/status.hpp"
@@ -69,7 +74,7 @@ class VirtualDisk {
   /// version. No-op (returns current version) if nothing is dirty.
   Result<blob::Version> commit();
 
-  /// msync + persist sidecar. The disk stays usable.
+  /// fdatasync + persist sidecar. The disk stays usable.
   Status close();
 
   const VirtualDiskStats& stats() const { return stats_; }
@@ -80,12 +85,16 @@ class VirtualDisk {
               VirtualDiskOptions opts, LocalState state,
               std::unique_ptr<LocalMirrorFile> file);
 
+  /// Copies `r` from the store into the mirror file through staging_.
   Status fetch(ByteRange r);
 
   blob::BlobStore* store_;
   VirtualDiskOptions opts_;
   LocalState state_;
   std::unique_ptr<LocalMirrorFile> file_;
+  /// Fetched bytes pass through here on their way into the file:
+  /// min(chunk size, 1 MiB) long, reused by every fetch.
+  std::vector<std::byte> staging_;
   /// Blob/version that future COMMITs build on. Starts as the opened
   /// snapshot; redirected by clone().
   blob::BlobId target_blob_;

@@ -241,6 +241,59 @@ TEST(ImgFs, PersistsAcrossMount) {
   EXPECT_LT(stats.blocks_free, stats.blocks_total);
 }
 
+// A grow that cannot finish gives back every run it took, whether the
+// device runs out of blocks or the file runs out of extents, and the
+// bitmap on the device agrees after a remount.
+TEST(FileSystem, FailedGrowReturnsItsBlocks) {
+  MemDevice dev(1_MiB);
+  const Bytes bs = small_opts().block_size;
+  const Bytes kept = (FileSystem::kMaxExtents - 1) * bs;
+  std::uint64_t free_after = 0;
+  {
+    auto fs = FileSystem::format(dev, small_opts()).value();
+    const InodeId a = fs->create("a").value();
+    const InodeId b = fs->create("b").value();
+    const std::uint64_t free_before = fs->stats().blocks_free;
+    // Out of blocks: the write needs about twice the device.
+    EXPECT_EQ(fs->write(a, 2000000, make_bytes(100, 1)).code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_EQ(fs->stats().blocks_free, free_before);
+    EXPECT_EQ(fs->stat(a)->size, 0u);
+    ASSERT_TRUE(fs->write(b, 0, make_bytes(100, 2)).is_ok());
+    EXPECT_EQ(fs->stats().blocks_free, free_before - 1);
+
+    // Out of extents: a and a spacer c take alternate blocks, so a holds
+    // kMaxExtents - 1 one-block extents, and removing c leaves one-block
+    // holes. Growing a by 3 blocks takes one hole as its last extent and
+    // fails on the next.
+    const InodeId c = fs->create("c").value();
+    for (Bytes off = 0; off < kept; off += bs) {
+      ASSERT_TRUE(fs->write(a, off, make_bytes(bs, 3 + off)).is_ok());
+      ASSERT_TRUE(fs->write(c, off, make_bytes(bs, 4)).is_ok());
+    }
+    ASSERT_TRUE(fs->remove("c").is_ok());
+    ASSERT_EQ(fs->stat(a)->extents, FileSystem::kMaxExtents - 1);
+    free_after = fs->stats().blocks_free;
+    EXPECT_EQ(fs->write(a, kept, make_bytes(3 * bs, 5)).code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_EQ(fs->stats().blocks_free, free_after);
+    EXPECT_EQ(fs->stat(a)->size, kept);
+    EXPECT_EQ(fs->stat(a)->extents, FileSystem::kMaxExtents - 1);
+  }
+  auto fs = FileSystem::mount(dev).value();
+  EXPECT_EQ(fs->stats().blocks_free, free_after);
+  const InodeId a = fs->lookup("a").value();
+  EXPECT_EQ(fs->stat(a)->size, kept);
+  for (Bytes off = 0; off < kept; off += bs) {
+    std::vector<std::byte> out(bs);
+    ASSERT_TRUE(fs->read(a, off, out).is_ok());
+    EXPECT_EQ(out, make_bytes(bs, 3 + off)) << off;
+  }
+  std::vector<std::byte> out(100);
+  ASSERT_TRUE(fs->read(fs->lookup("b").value(), 0, out).is_ok());
+  EXPECT_EQ(out, make_bytes(100, 2));
+}
+
 TEST(ImgFs, MountRejectsUnformattedDevice) {
   MemDevice dev(1_MiB);
   EXPECT_FALSE(FileSystem::mount(dev).is_ok());

@@ -151,6 +151,16 @@ TEST(LocalState, SerializeRoundTrip) {
   EXPECT_EQ(restored->serialize(), blob);
 }
 
+/// A sidecar built word by word: the header, then whatever follows.
+std::string sidecar(Bytes image, Bytes chunk, std::uint64_t chunks,
+                    std::vector<std::uint64_t> records = {}) {
+  std::vector<std::uint64_t> words{0x4d49525253543031ull, image, chunk, 3,
+                                   chunks};
+  words.insert(words.end(), records.begin(), records.end());
+  return std::string(reinterpret_cast<const char*>(words.data()),
+                     words.size() * sizeof(std::uint64_t));
+}
+
 TEST(LocalState, DeserializeRejectsCorruption) {
   LocalState st(cfg());
   auto blob = st.serialize();
@@ -159,6 +169,36 @@ TEST(LocalState, DeserializeRejectsCorruption) {
   auto trailing = blob + "x";
   // 1-byte tail cannot even be parsed as a u64.
   EXPECT_FALSE(LocalState::deserialize(trailing).is_ok());
+
+  // The well-formed two-chunk sidecar the cases below break one way each:
+  // chunk 0 mirrored [0, 60) with [10, 20) dirty, chunk 1 untouched.
+  const std::vector<std::uint64_t> good{1, 1, 0, 60, 1, 10, 20, 0, 0, 0};
+  ASSERT_TRUE(LocalState::deserialize(sidecar(150, 100, 2, good)).is_ok());
+  const auto with = [&good](std::size_t word, std::uint64_t v) {
+    auto r = good;
+    r[word] = v;
+    return r;
+  };
+  const auto rejects = [](const std::string& raw) {
+    auto r = LocalState::deserialize(raw);
+    return !r.is_ok() && r.status().code() == StatusCode::kCorruption;
+  };
+  // A header claiming more chunk records than the bytes left can hold is
+  // rejected before anything is sized from it.
+  EXPECT_TRUE(rejects(sidecar(Bytes{1} << 62, 1, Bytes{1} << 62)));
+  EXPECT_TRUE(rejects(sidecar(Bytes{1} << 34, 1, Bytes{1} << 34)));
+  EXPECT_TRUE(rejects(sidecar(150, 100, 2, {0, 0, 0})));
+  // The chunk count must be the image's.
+  EXPECT_TRUE(rejects(sidecar(150, 100, 1, good)));
+  EXPECT_TRUE(rejects(sidecar(150, 100, 3, good)));
+  // Ranges are non-empty and inside their chunk.
+  EXPECT_TRUE(rejects(sidecar(150, 100, 2, with(3, 0))));    // [0, 0)
+  EXPECT_TRUE(rejects(sidecar(150, 100, 2, with(3, 101))));  // past chunk 0
+  EXPECT_TRUE(rejects(sidecar(150, 50, 3, good)));           // chunk is 50
+  EXPECT_TRUE(rejects(sidecar(150, 100, 2, with(6, 10))));   // [10, 10)
+  EXPECT_TRUE(rejects(sidecar(150, 100, 2, with(5, 30))));   // [30, 20)
+  // Every dirty range lies inside a mirrored one.
+  EXPECT_TRUE(rejects(sidecar(150, 100, 2, with(6, 70))));   // [10, 70)
 }
 
 // The §3.3 guarantee: with strategy 2, fragmentation is bounded by one

@@ -1,6 +1,8 @@
 #include "mirror/virtual_disk.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -19,6 +21,24 @@ using blob::pattern_byte;
 constexpr Bytes kImage = 64_KiB;
 constexpr Bytes kChunk = 4_KiB;
 constexpr std::uint64_t kSeed = 77;
+
+/// `n` bytes of the file at `path` from `offset`, read with pread(2).
+std::vector<std::byte> file_bytes(const std::string& path, Bytes offset,
+                                  Bytes n) {
+  std::vector<std::byte> out(n);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  EXPECT_GE(fd, 0) << path;
+  EXPECT_EQ(::pread(fd, out.data(), n, static_cast<off_t>(offset)),
+            static_cast<ssize_t>(n));
+  ::close(fd);
+  return out;
+}
+
+std::vector<std::byte> image_bytes(Bytes offset, Bytes n) {
+  std::vector<std::byte> out(n);
+  for (Bytes i = 0; i < n; ++i) out[i] = pattern_byte(kSeed, offset + i);
+  return out;
+}
 
 struct Fixture {
   BlobStore store{blob::StoreConfig{.providers = 4}};
@@ -212,6 +232,70 @@ TEST(VirtualDisk, LocalStatePersistsAcrossReopen) {
     for (std::size_t i = 0; i < 1000; ++i) EXPECT_EQ(out[i], std::byte{0xaa});
     EXPECT_FALSE(disk->local_state().dirty_chunks().empty());
   }
+}
+
+TEST(VirtualDisk, FetchedChunkReachesTheFile) {
+  Fixture fx;
+  const std::string path = fx.fresh_path();
+  const Bytes chunk = 3 * kChunk;
+  {
+    auto disk = fx.open_disk(path);
+    std::vector<std::byte> out(100);
+    ASSERT_TRUE(disk->pread(chunk + 50, out).is_ok());
+    ASSERT_EQ(disk->stats().remote_fetches, 1u);
+    ASSERT_TRUE(disk->close().is_ok());
+  }
+  // The whole fetched chunk is in the file, not only the bytes read.
+  EXPECT_EQ(file_bytes(path, chunk, kChunk), image_bytes(chunk, kChunk));
+  // A reopen restores it as mirrored and serves it from the file.
+  auto disk = fx.open_disk(path);
+  std::vector<std::byte> out(kChunk);
+  ASSERT_TRUE(disk->pread(chunk, out).is_ok());
+  EXPECT_EQ(disk->stats().remote_fetches, 0u);
+  EXPECT_EQ(out, image_bytes(chunk, kChunk));
+}
+
+TEST(VirtualDisk, GuestWriteIntoFilledChunkIsCoherent) {
+  Fixture fx;
+  const std::string path = fx.fresh_path();
+  auto disk = fx.open_disk(path);
+  const Bytes chunk = 2 * kChunk;
+  std::vector<std::byte> probe(10);
+  ASSERT_TRUE(disk->pread(chunk, probe).is_ok());  // fills the chunk
+  std::vector<std::byte> data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = pattern_byte(4, i);
+  ASSERT_TRUE(disk->pwrite(chunk + 1000, data).is_ok());
+  EXPECT_EQ(disk->stats().remote_fetches, 1u);
+
+  std::vector<std::byte> want = image_bytes(chunk, kChunk);
+  std::copy(data.begin(), data.end(), want.begin() + 1000);
+  std::vector<std::byte> out(kChunk);
+  ASSERT_TRUE(disk->pread(chunk, out).is_ok());
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(file_bytes(path, chunk, kChunk), want);
+  auto v = disk->commit();
+  ASSERT_TRUE(v.is_ok());
+  ASSERT_TRUE(fx.store.read(fx.image, *v, chunk, out).is_ok());
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(disk->stats().remote_fetches, 1u);
+}
+
+TEST(VirtualDisk, ChunkLongerThanStagingBufferFillsWhole) {
+  // A 3 MiB chunk passes through the 1 MiB staging buffer in three pieces.
+  BlobStore store{blob::StoreConfig{.providers = 2}};
+  const Bytes image = 4_MiB, chunk = 3_MiB;
+  const BlobId b = store.create(image, chunk).value();
+  ASSERT_TRUE(store.write_pattern(b, 0, 0, image, kSeed).is_ok());
+  Fixture fx;
+  VirtualDiskOptions opts;
+  opts.local_path = fx.fresh_path();
+  auto disk = VirtualDisk::open(store, b, 1, opts).value();
+  std::vector<std::byte> out(10);
+  ASSERT_TRUE(disk->pread(chunk - 10, out).is_ok());
+  EXPECT_EQ(disk->stats().remote_fetches, 1u);
+  EXPECT_EQ(disk->stats().remote_bytes_fetched, chunk);
+  EXPECT_EQ(out, image_bytes(chunk - 10, 10));
+  EXPECT_EQ(file_bytes(opts.local_path, 0, chunk), image_bytes(0, chunk));
 }
 
 TEST(VirtualDisk, BoundsChecked) {
