@@ -23,11 +23,29 @@ std::string sidecar_path(const std::string& mirror_path) {
 }  // namespace
 
 Result<std::unique_ptr<LocalMirrorFile>> LocalMirrorFile::open(
-    const std::string& path, Bytes size) {
+    const std::string& path, Bytes size, Existing existing) {
   if (size == 0) return invalid_argument("mirror file size must be > 0");
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) return unavailable(errno_message("open"));
-  if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+  const bool create = existing == Existing::kCreate;
+  const int fd = ::open(path.c_str(), create ? O_RDWR | O_CREAT : O_RDWR, 0644);
+  if (fd < 0) {
+    if (!create && errno == ENOENT) {
+      return corruption("sidecar without its mirror file " + path);
+    }
+    return unavailable(errno_message("open"));
+  }
+  if (!create) {
+    struct stat st {};
+    if (::fstat(fd, &st) != 0) {
+      ::close(fd);
+      return unavailable(errno_message("fstat"));
+    }
+    if (static_cast<Bytes>(st.st_size) != size) {
+      ::close(fd);
+      return corruption("mirror file " + path + " holds " +
+                        std::to_string(st.st_size) +
+                        " bytes, not the image's " + std::to_string(size));
+    }
+  } else if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
     ::close(fd);
     return unavailable(errno_message("ftruncate"));
   }

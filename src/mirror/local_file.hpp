@@ -25,10 +25,18 @@ namespace vmstorm::mirror {
 
 class LocalMirrorFile {
  public:
-  /// Creates (or opens, if it exists) a sparse file of exactly `size`
-  /// bytes at `path` and maps it read/write.
+  /// What open() asks of the file already at `path`.
+  enum class Existing {
+    kCreate,   ///< anything: a missing file is created, any size is set
+    kRequire,  ///< a file of exactly `size` bytes, else CORRUPTION; a
+               ///< sidecar describes its content, so none is created
+  };
+
+  /// Opens the file at `path` as `existing` says, sizes it to exactly
+  /// `size` bytes (sparse where it grows) and maps it read/write.
   static Result<std::unique_ptr<LocalMirrorFile>> open(const std::string& path,
-                                                       Bytes size);
+                                                       Bytes size,
+                                                       Existing existing);
 
   ~LocalMirrorFile();
   LocalMirrorFile(const LocalMirrorFile&) = delete;

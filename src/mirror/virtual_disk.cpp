@@ -22,6 +22,9 @@ Result<std::unique_ptr<VirtualDisk>> VirtualDisk::open(
   cfg.single_region_per_chunk = opts.single_region_per_chunk;
 
   LocalState state(cfg);
+  // A restored sidecar describes the bytes of the mirror file beside it,
+  // so that file must still be there, whole.
+  auto existing = LocalMirrorFile::Existing::kCreate;
   if (sidecar_exists(opts.local_path)) {
     VMSTORM_ASSIGN_OR_RETURN(raw, load_sidecar(opts.local_path));
     VMSTORM_ASSIGN_OR_RETURN(restored, LocalState::deserialize(raw));
@@ -30,8 +33,10 @@ Result<std::unique_ptr<VirtualDisk>> VirtualDisk::open(
       return failed_precondition("sidecar metadata does not match the image");
     }
     state = std::move(restored);
+    existing = LocalMirrorFile::Existing::kRequire;
   }
-  VMSTORM_ASSIGN_OR_RETURN(file, LocalMirrorFile::open(opts.local_path, info.size));
+  VMSTORM_ASSIGN_OR_RETURN(
+      file, LocalMirrorFile::open(opts.local_path, info.size, existing));
   return std::unique_ptr<VirtualDisk>(new VirtualDisk(
       store, blob, version, std::move(opts), std::move(state), std::move(file)));
 }

@@ -8,7 +8,9 @@
 //
 // Lifecycle:
 //   open()  — creates/reopens the local mirror file; restores local-
-//             modification metadata from the sidecar if present (§4.2).
+//             modification metadata from the sidecar if present (§4.2),
+//             and then the mirror file it describes must still exist at
+//             the image's size.
 //   pread/pwrite — the guest's I/O: memory copies on the mmapped mirror
 //             (§4.2). A read first fetches missing content from the blob
 //             store; a fetched range lands in the file with pwrite(2)
@@ -53,7 +55,9 @@ class VirtualDisk {
  public:
   /// Opens `blob`@`version` for mirroring. If a sidecar exists at
   /// `opts.local_path`, the previous session's local state is restored
-  /// (its config must match).
+  /// (its config must match, FAILED_PRECONDITION otherwise), and the mirror
+  /// file must exist with the image's size: CORRUPTION otherwise, and no
+  /// file is created.
   static Result<std::unique_ptr<VirtualDisk>> open(blob::BlobStore& store,
                                                    blob::BlobId blob,
                                                    blob::Version version,

@@ -1,10 +1,12 @@
 #include "obs/critpath.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <tuple>
 #include <utility>
 
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "obs/json.hpp"
 
@@ -94,7 +96,8 @@ void classify(const TraceEvent& ev, Hint hint, int* priority,
 /// Tiles row.[start, start+seconds) with `segs`, accumulating bucket totals
 /// and the coalesced winning-segment sequence. At any instant the winner is
 /// the live segment with the smallest (priority, bucket, index); gaps fall
-/// to `filler`.
+/// to `filler`. Both are built in locals and stored in *row once, so rows
+/// tiled on different threads share no cache line while they are built.
 void sweep(CritRow* row, const std::vector<Seg>& segs, CritBucket filler) {
   // Each segment opens at t0 and closes at t1. Walking the edges in time
   // order visits every slice between distinct bounds exactly once.
@@ -119,17 +122,19 @@ void sweep(CritRow* row, const std::vector<Seg>& segs, CritBucket filler) {
            std::tie(b->priority, b->bucket, b->index);
   };
   std::vector<const Seg*> live;
+  std::array<double, kCritBucketCount> buckets{};
+  std::vector<CritSegment> segments;
   const auto tile = [&](double from, double to) {
     const double width = to - from;
     const Seg* win = live.empty() ? nullptr : live.front();
     const CritBucket bucket =
         win != nullptr ? static_cast<CritBucket>(win->bucket) : filler;
-    row->buckets[static_cast<std::size_t>(bucket)] += width;
+    buckets[static_cast<std::size_t>(bucket)] += width;
     static const std::string kNoName;
     const std::string& name = win != nullptr ? *win->name : kNoName;
     const SpanId holder = win != nullptr ? win->holder : 0;
-    if (!row->segments.empty()) {
-      CritSegment& last = row->segments.back();
+    if (!segments.empty()) {
+      CritSegment& last = segments.back();
       if (last.bucket == bucket && last.name == name &&
           last.holder == holder) {
         last.seconds += width;
@@ -142,7 +147,7 @@ void sweep(CritRow* row, const std::vector<Seg>& segs, CritBucket filler) {
     seg.bucket = bucket;
     seg.name = name;
     seg.holder = holder;
-    row->segments.push_back(std::move(seg));
+    segments.push_back(std::move(seg));
   };
 
   double at = row->start;
@@ -160,6 +165,8 @@ void sweep(CritRow* row, const std::vector<Seg>& segs, CritBucket filler) {
   }
   const double end = row->start + row->seconds;
   if (end > at) tile(at, end);
+  row->buckets = buckets;
+  row->segments = std::move(segments);
 }
 
 }  // namespace
@@ -169,6 +176,13 @@ const char* crit_bucket_name(CritBucket b) {
 }
 
 CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
+  return analyze_critical_paths(events, part_count(events.size(), kCritPart));
+}
+
+CritReport analyze_critical_paths(const std::vector<TraceEvent>& events,
+                                  std::size_t parts) {
+  parts = std::clamp<std::size_t>(parts, 1,
+                                  std::max<std::size_t>(events.size(), 1));
   CritReport report;
 
   // Pass 1: one index entry per span event, and the root rows.
@@ -229,42 +243,70 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
     if (info.hint == Hint::kNone) info.hint = parent->hint;
   }
 
-  // Pass 3: clip cost events into their root's window.
-  std::vector<std::vector<Seg>> per_row(report.rows.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& ev = events[i];
-    if (ev.phase != 'X' || ev.dur <= 0) continue;
-    if (ev.cat != "wait" && ev.cat != "svc") continue;
-    if (ev.span == 0) continue;
-    ++report.cost_events;
-    const SpanInfo* res = find_span(spans, ev.span);
-    if (res == nullptr || res->row < 0) {
-      continue;  // background or phase-level work
+  // Pass 3: each part clips the cost events of its index range into its
+  // roots' windows, one list per row.
+  struct Clipped {
+    std::vector<std::vector<Seg>> per_row;
+    std::uint64_t cost_events = 0;
+  };
+  std::vector<Clipped> clipped(parts);
+  fork_join(parts, [&](std::size_t p) {
+    const PartRange range = part_range(events.size(), parts, p);
+    std::vector<std::vector<Seg>> per_row(report.rows.size());
+    std::uint64_t cost_events = 0;
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      const TraceEvent& ev = events[i];
+      if (ev.phase != 'X' || ev.dur <= 0) continue;
+      if (ev.cat != "wait" && ev.cat != "svc") continue;
+      if (ev.span == 0) continue;
+      ++cost_events;
+      const SpanInfo* res = find_span(spans, ev.span);
+      if (res == nullptr || res->row < 0) {
+        continue;  // background or phase-level work
+      }
+      const CritRow& row = report.rows[static_cast<std::size_t>(res->row)];
+      Seg seg;
+      seg.t0 = std::max(ev.ts, row.start);
+      seg.t1 = std::min(ev.ts + ev.dur, row.start + row.seconds);
+      if (seg.t1 <= seg.t0) continue;
+      seg.index = i;
+      seg.name = &ev.name;
+      int priority = 0;
+      CritBucket bucket = CritBucket::kCompute;
+      classify(ev, res->hint, &priority, &bucket);
+      seg.priority = priority;
+      seg.bucket = static_cast<int>(bucket);
+      if (const TraceArg* holder = find_arg(ev, "holder")) {
+        seg.holder = holder->u;
+      }
+      per_row[static_cast<std::size_t>(res->row)].push_back(seg);
     }
-    CritRow& row = report.rows[static_cast<std::size_t>(res->row)];
-    Seg seg;
-    seg.t0 = std::max(ev.ts, row.start);
-    seg.t1 = std::min(ev.ts + ev.dur, row.start + row.seconds);
-    if (seg.t1 <= seg.t0) continue;
-    seg.index = i;
-    seg.name = &ev.name;
-    int priority = 0;
-    CritBucket bucket = CritBucket::kCompute;
-    classify(ev, res->hint, &priority, &bucket);
-    seg.priority = priority;
-    seg.bucket = static_cast<int>(bucket);
-    if (const TraceArg* holder = find_arg(ev, "holder")) seg.holder = holder->u;
-    per_row[static_cast<std::size_t>(res->row)].push_back(seg);
-  }
+    clipped[p].per_row = std::move(per_row);
+    clipped[p].cost_events = cost_events;
+  });
+  for (const Clipped& c : clipped) report.cost_events += c.cost_events;
 
-  // Pass 4: tile each root. Uncovered time in a boot/resume is the guest
-  // actually booting; elsewhere it is generic compute.
-  for (std::size_t r = 0; r < report.rows.size(); ++r) {
-    CritRow& row = report.rows[r];
-    const CritBucket filler = row.kind == "snapshot" ? CritBucket::kCompute
-                                                     : CritBucket::kBootInit;
-    sweep(&row, per_row[r], filler);
-  }
+  // Pass 4: tile each root. Each part takes the next untiled row until
+  // none is left: rows differ widely in cost, so fixed ranges of rows would
+  // leave parts idle. A row's segments are the parts' lists joined in part
+  // order, which is recording order. Uncovered time in a boot/resume is the
+  // guest actually booting; elsewhere it is generic compute.
+  const std::size_t tile_parts =
+      std::clamp<std::size_t>(report.rows.size(), 1, parts);
+  std::atomic<std::size_t> next_row{0};
+  fork_join(tile_parts, [&](std::size_t) {
+    std::vector<Seg> segs;
+    for (std::size_t r = next_row++; r < report.rows.size(); r = next_row++) {
+      segs.clear();
+      for (const Clipped& c : clipped) {
+        segs.insert(segs.end(), c.per_row[r].begin(), c.per_row[r].end());
+      }
+      CritRow& row = report.rows[r];
+      const CritBucket filler = row.kind == "snapshot" ? CritBucket::kCompute
+                                                       : CritBucket::kBootInit;
+      sweep(&row, segs, filler);
+    }
+  });
 
   std::sort(report.rows.begin(), report.rows.end(),
             [](const CritRow& a, const CritRow& b) {

@@ -23,6 +23,14 @@
 // or from a jsonl() export read back by parse_trace_jsonl() (obs/trace.hpp,
 // next to the writer) for `vmstormctl critpath`; this module knows nothing
 // of the file format.
+//
+// Host threads: analyze_critical_paths() builds the span index on the
+// caller, then fork-joins one host thread per part of at least kCritPart
+// events (common/parallel.hpp; none below two parts) to clip the cost
+// events and to tile the rows. A segment keeps its index in the whole
+// trace and a row's segments join in part order, so the report cannot
+// depend on the thread count. The threads cost the rest of the process
+// what obs/trace.hpp says.
 #pragma once
 
 #include <array>
@@ -79,8 +87,20 @@ struct CritReport {
   std::uint64_t cost_events = 0;
 };
 
-/// Walks the span DAG and tiles every root span with cost intervals.
+/// Trace events per analyzer part: a trace under two parts is analyzed on
+/// the caller's thread alone.
+inline constexpr std::size_t kCritPart = std::size_t{1} << 13;
+
+/// Walks the span DAG and tiles every root span with cost intervals. The
+/// span index is built on the caller; then k = part_count(events.size(),
+/// kCritPart) threads (common/parallel.hpp) clip and classify the cost
+/// events of one index range each into per-row lists, and tile a range of
+/// rows each, a row's lists joined in range order. The `parts` overload
+/// fixes k (clamped to [1, events.size()]) for tests; every k gives the
+/// same report.
 CritReport analyze_critical_paths(const std::vector<TraceEvent>& events);
+CritReport analyze_critical_paths(const std::vector<TraceEvent>& events,
+                                  std::size_t parts);
 
 /// Deterministic JSON for the bench artifact `attribution` section
 /// (schema vmstorm-bench-v2): bucket names, per-row breakdowns, and a

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/json.hpp"
 #include "obs/selfprof.hpp"
@@ -185,7 +185,8 @@ void Tracer::clear() {
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out(size());
   std::size_t i = 0;
-  for_each_retained([&](const TraceEvent& ev) { out[i++] = ev; });
+  for_each_retained(0, out.size(),
+                    [&](const TraceEvent& ev) { out[i++] = ev; });
   return out;
 }
 
@@ -377,61 +378,136 @@ Status read_event(JsonLexer& lx, std::vector<TraceArg>* arg_buf,
   return Status::ok();
 }
 
+/// Calls fn(line) on each line of `text` in order: the bytes before each
+/// '\n', then what follows the last one if anything does. Stops when fn
+/// returns false.
+template <typename Fn>
+void for_each_line(std::string_view text, Fn&& fn) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    if (!fn(text.substr(pos, nl - pos))) return;
+    pos = nl + 1;
+  }
+}
+
 }  // namespace
 
 std::string Tracer::jsonl() const {
-  std::string out;
-  // The traced fig4/fig5 run averages 124 bytes a line (131 in Chrome
-  // form), so these reservations hold a typical export in one allocation.
-  out.reserve(size() * 128);
-  for_each_retained([&out](const TraceEvent& ev) {
-    write_event(ev, /*chrome=*/false, &out);
-    out += '\n';
-  });
-  return out;
+  return render(/*chrome=*/false, part_count(size(), kExportPart));
+}
+
+std::string Tracer::jsonl(std::size_t parts) const {
+  return render(/*chrome=*/false, parts);
 }
 
 std::string Tracer::chrome_json() const {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  out.reserve(size() * 144);
-  bool first = true;
-  for_each_retained([&out, &first](const TraceEvent& ev) {
-    if (!first) out += ',';
-    first = false;
-    write_event(ev, /*chrome=*/true, &out);
+  return render(/*chrome=*/true, part_count(size(), kExportPart));
+}
+
+std::string Tracer::chrome_json(std::size_t parts) const {
+  return render(/*chrome=*/true, parts);
+}
+
+std::string Tracer::render(bool chrome, std::size_t parts) const {
+  const std::size_t n = size();
+  parts = std::clamp<std::size_t>(parts, 1, std::max<std::size_t>(n, 1));
+  std::string out =
+      chrome ? "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[" : "";
+  // The traced fig4/fig5 run averages 124 bytes a line (131 in Chrome
+  // form), so these reservations hold a typical part in one allocation.
+  const std::size_t per_event = chrome ? 144 : 128;
+  out.reserve(n * per_event);
+  // Part 0 renders straight into `out`; the others into strings of their
+  // own (adjacent strings in one vector would share their length fields'
+  // cache lines between threads), moved out once done.
+  std::vector<std::string> rendered(parts);
+  fork_join(parts, [&](std::size_t p) {
+    const PartRange r = part_range(n, parts, p);
+    std::string local;
+    std::string& text = p == 0 ? out : local;
+    if (p != 0) local.reserve((r.end - r.begin) * per_event);
+    std::size_t i = r.begin;
+    for_each_retained(r.begin, r.end, [&](const TraceEvent& ev) {
+      if (chrome && i++ != 0) text += ',';
+      write_event(ev, chrome, &text);
+      if (!chrome) text += '\n';
+    });
+    if (p != 0) rendered[p] = std::move(local);
   });
-  out += "]}";
+  for (const std::string& part : rendered) out += part;
+  if (chrome) out += "]}";
   return out;
 }
 
 Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text) {
-  // One event per non-blank line, so the newline count bounds the vector.
-  std::size_t lines = 1;
-  const char* const end = text.data() + text.size();
-  for (const char* p = text.data(); p != end; ++lines) {
-    const void* nl = std::memchr(p, '\n', static_cast<std::size_t>(end - p));
-    if (nl == nullptr) break;
-    p = static_cast<const char*>(nl) + 1;
-  }
-  std::vector<TraceEvent> events;
-  events.reserve(lines);
-  std::vector<TraceArg> arg_buf;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string_view line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    JsonLexer lx(line);
-    TraceEvent& ev = events.emplace_back();
-    Status st = read_event(lx, &arg_buf, &ev);
-    if (!st.is_ok()) {
-      return Status(st.code(), "line " + std::to_string(line_no) + ": " +
-                                   st.message());
+  return parse_trace_jsonl(text, part_count(text.size(), kParsePart));
+}
+
+Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text,
+                                                  std::size_t parts) {
+  parts = std::clamp<std::size_t>(parts, 1,
+                                  std::max<std::size_t>(text.size(), 1));
+  struct Part {
+    std::string_view text;  ///< whole lines; all but the last end in '\n'
+    std::size_t lines = 0;
+    std::size_t events = 0;       ///< non-blank lines
+    std::size_t first_line = 0;   ///< lines in the parts before this one
+    std::size_t first_event = 0;  ///< events in the parts before this one
+    Status error;                 ///< the part's first malformed line
+  };
+  std::vector<Part> part(parts);
+  std::size_t lo = 0;
+  for (std::size_t p = 0; p < parts; ++p) {
+    std::size_t hi = text.size();
+    if (p + 1 < parts) {
+      const std::size_t share = part_range(text.size(), parts, p + 1).begin;
+      hi = text.find('\n', std::max(lo, share));
+      hi = hi == std::string_view::npos ? text.size() : hi + 1;
     }
+    part[p].text = text.substr(lo, hi - lo);
+    lo = hi;
+  }
+
+  fork_join(parts, [&part](std::size_t p) {
+    std::size_t lines = 0;
+    std::size_t events = 0;
+    for_each_line(part[p].text, [&](std::string_view line) {
+      ++lines;
+      events += line.empty() ? 0 : 1;
+      return true;
+    });
+    part[p].lines = lines;
+    part[p].events = events;
+  });
+  std::size_t lines = 0;
+  std::size_t total = 0;
+  for (Part& pt : part) {
+    pt.first_line = lines;
+    pt.first_event = total;
+    lines += pt.lines;
+    total += pt.events;
+  }
+
+  std::vector<TraceEvent> events(total);
+  fork_join(parts, [&part, &events](std::size_t p) {
+    Part& pt = part[p];
+    std::vector<TraceArg> arg_buf;
+    std::size_t line_no = pt.first_line;
+    TraceEvent* ev = events.data() + pt.first_event;
+    for_each_line(pt.text, [&](std::string_view line) {
+      ++line_no;
+      if (line.empty()) return true;
+      JsonLexer lx(line);
+      const Status st = read_event(lx, &arg_buf, ev++);
+      if (st.is_ok()) return true;
+      pt.error = Status(st.code(), "line " + std::to_string(line_no) + ": " +
+                                       st.message());
+      return false;
+    });
+  });
+  for (const Part& pt : part) {
+    if (!pt.error.is_ok()) return pt.error;
   }
   return events;
 }

@@ -41,6 +41,17 @@
 // on wall-clock state, and span ids are allocated whether or not the span
 // is kept — a sampled run records a strict subset of the full run's spans,
 // with identical ids.
+//
+// Host threads: recording is single-threaded, like the engine that calls
+// it. The two exports and parse_trace_jsonl() cut their input into parts
+// and fork-join one host thread per part (common/parallel.hpp), at most
+// one per hardware thread, each part at least kExportPart events or
+// kParsePart bytes; an input under two parts, such as every export of a
+// tracer that stayed disabled, starts no thread. Each part renders or parses its own
+// contiguous range into its own string or slice, and the parts join in
+// index order, so the bytes and events cannot depend on the thread count.
+// Once a thread has run, the rest of the process pays for it: glibc's
+// malloc locks its arena and shared_ptr counts atomically from then on.
 #pragma once
 
 #include <cstdint>
@@ -179,8 +190,20 @@ class Tracer {
   /// kTracer bucket). Null (default) skips all wall-clock reads.
   void set_profiler(SelfProfiler* profiler) { profiler_ = profiler; }
 
+  /// Retained events per export part (about 1 MB of JSONL): a ring under
+  /// two parts renders on the caller's thread alone.
+  static constexpr std::size_t kExportPart = std::size_t{1} << 13;
+
+  /// The exports split the retained events into
+  /// part_count(size(), kExportPart) index ranges (common/parallel.hpp),
+  /// render each into a string of its own on its own thread and join the
+  /// strings in order. The `parts` overloads fix the count (clamped to
+  /// [1, size()]); they exist for tests, and every count gives the same
+  /// bytes.
   std::string jsonl() const;
+  std::string jsonl(std::size_t parts) const;
   std::string chrome_json() const;
+  std::string chrome_json(std::size_t parts) const;
 
  private:
   TraceEvent& push(double ts, double dur, char phase, std::uint32_t lane,
@@ -188,12 +211,15 @@ class Tracer {
                    std::vector<TraceArg> args);
   void add_chunk();
   void ensure_sampled_slot(SpanId id);
+  std::string render(bool chrome, std::size_t parts) const;
+  /// Calls fn on retained events [from, to), counted from the oldest.
   template <typename Fn>
-  void for_each_retained(Fn&& fn) const {
-    const std::size_t n = size();
-    std::size_t slot =
+  void for_each_retained(std::size_t from, std::size_t to, Fn&& fn) const {
+    const std::size_t oldest =
         count_ > capacity_ ? static_cast<std::size_t>(count_ % capacity_) : 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    std::size_t slot =
+        from < capacity_ - oldest ? oldest + from : from - (capacity_ - oldest);
+    for (std::size_t i = from; i < to; ++i) {
       fn(chunks_[slot / kRingChunk][slot % kRingChunk]);
       if (++slot == capacity_) slot = 0;
     }
@@ -221,12 +247,28 @@ class Tracer {
   SelfProfiler* profiler_ = nullptr;
 };
 
+/// Bytes of JSONL per reader part (about 8,500 lines): a text under two
+/// parts is read on the caller's thread alone.
+inline constexpr std::size_t kParsePart = std::size_t{1} << 20;
+
 /// Reads a jsonl() export back into events, one per non-blank line, so
 /// `vmstormctl critpath` reproduces in-process attribution byte-for-byte
 /// (numbers round-trip through shortest-form representation; ids and uint
 /// args through their exact integer token). Streams each line through
 /// obs/json's JsonLexer, as strict as parse_json(); keys the writer does
-/// not emit are skipped. Errors start with "line N: ".
+/// not emit are skipped. Errors start with "line N: ", N counted over the
+/// whole text.
+///
+/// The text is cut into k = part_count(text.size(), kParsePart) parts at
+/// line boundaries: part p starts after the first '\n' at or past byte
+/// part_range(text.size(), k, p).begin (common/parallel.hpp). Each part
+/// counts its lines on its own thread, the event vector is sized once, and
+/// each part then parses its lines into its own slice of it. The first
+/// malformed line in file order is reported, so every k gives the same
+/// result; the `parts` overload fixes k (clamped to [1, text.size()]) for
+/// tests.
 Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text);
+Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text,
+                                                  std::size_t parts);
 
 }  // namespace vmstorm::obs

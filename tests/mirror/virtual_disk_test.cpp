@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -231,6 +232,41 @@ TEST(VirtualDisk, LocalStatePersistsAcrossReopen) {
     EXPECT_EQ(disk->stats().remote_bytes_fetched, fetched_before);
     for (std::size_t i = 0; i < 1000; ++i) EXPECT_EQ(out[i], std::byte{0xaa});
     EXPECT_FALSE(disk->local_state().dirty_chunks().empty());
+  }
+}
+
+TEST(VirtualDisk, SidecarWithoutItsMirrorFileIsRejected) {
+  Fixture fx;
+  for (const bool deleted : {true, false}) {
+    SCOPED_TRACE(deleted ? "mirror file deleted" : "mirror file truncated");
+    const std::string path = fx.fresh_path();
+    {
+      auto disk = fx.open_disk(path);
+      std::vector<std::byte> out(100);
+      ASSERT_TRUE(disk->pread(0, out).is_ok());
+      std::vector<std::byte> data(100, std::byte{0xaa});
+      ASSERT_TRUE(disk->pwrite(kImage - kChunk, data).is_ok());
+      ASSERT_TRUE(disk->close().is_ok());
+    }
+    if (deleted) {
+      ASSERT_EQ(std::remove(path.c_str()), 0);
+    } else {
+      ASSERT_EQ(::truncate(path.c_str(), kImage / 2), 0);
+    }
+    VirtualDiskOptions opts;
+    opts.local_path = path;
+    auto r = VirtualDisk::open(fx.store, fx.image, 1, opts);
+    ASSERT_FALSE(r.is_ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+        << r.status().to_string();
+    // Nothing was created or resized in the sidecar's name.
+    struct stat st {};
+    if (deleted) {
+      EXPECT_NE(::stat(path.c_str(), &st), 0);
+    } else {
+      ASSERT_EQ(::stat(path.c_str(), &st), 0);
+      EXPECT_EQ(static_cast<Bytes>(st.st_size), kImage / 2);
+    }
   }
 }
 

@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "blob/sim_cluster.hpp"
 #include "blob/store.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "mirror/sim_disk.hpp"
 #include "net/network.hpp"
@@ -311,6 +315,103 @@ TEST(Critpath, RepeatedSpanIdKeepsItsRootRowAndTakesTheLastHint) {
   EXPECT_EQ(other.span, 2u);
   EXPECT_DOUBLE_EQ(bucket_of(other, obs::CritBucket::kLocalDisk), 1.0);
   EXPECT_DOUBLE_EQ(bucket_of(other, obs::CritBucket::kBootInit), 9.0);
+}
+
+/// 60,448 events: 48 roots (boots, resumes, snapshots), 400 child spans
+/// under earlier spans, some with a bucket hint, and 60,000 cost events
+/// under random spans (a few unknown), shuffled so every root's costs are
+/// spread over every part. Times sit on a 10 ms grid, so many segments of
+/// one bucket start and end together and recording order breaks the tie.
+std::vector<obs::TraceEvent> shuffled_trace() {
+  constexpr std::size_t kRoots = 48;
+  constexpr std::size_t kChildren = 400;
+  constexpr std::size_t kCosts = 60000;
+  Rng rng(2011);
+  const auto grid = [&rng](std::uint64_t steps) {
+    return static_cast<double>(rng.uniform_u64(steps)) * 0.01;
+  };
+  std::vector<obs::TraceEvent> events;
+  for (std::size_t r = 0; r < kRoots; ++r) {
+    obs::TraceEvent& ev = events.emplace_back();
+    ev.phase = 'X';
+    ev.id = r + 1;
+    ev.lane = static_cast<std::uint32_t>(r % 5);
+    ev.ts = grid(100);
+    ev.dur = 0.5 + grid(200);
+    ev.cat = r % 3 == 2 ? "cloud" : "vm";
+    ev.name = r % 3 == 0 ? "boot" : r % 3 == 1 ? "resume" : "snapshot";
+    ev.args.push_back(obs::TraceArg::uint("instance", r / 3));
+  }
+  for (std::size_t c = 0; c < kChildren; ++c) {
+    obs::TraceEvent& ev = events.emplace_back();
+    ev.phase = 'X';
+    ev.id = kRoots + 1 + c;
+    ev.parent = 1 + rng.uniform_u64(kRoots + c);
+    ev.ts = grid(300);
+    ev.dur = grid(50);
+    ev.cat = "blob";
+    ev.name = "fetch";
+    switch (rng.uniform_u64(3)) {
+      case 0: ev.args.push_back(obs::TraceArg::str("bucket", "repo")); break;
+      case 1:
+        ev.args.push_back(obs::TraceArg::str("bucket", "metadata"));
+        break;
+      default: break;
+    }
+  }
+  static constexpr const char* kNames[] = {"disk", "net.tx", "dfs.read",
+                                           "rpc",  "sim.join", "sem"};
+  for (std::size_t i = 0; i < kCosts; ++i) {
+    obs::TraceEvent& ev = events.emplace_back();
+    ev.phase = 'X';
+    ev.cat = rng.bernoulli(0.4) ? "wait" : "svc";
+    ev.name = kNames[rng.uniform_u64(std::size(kNames))];
+    ev.span = 1 + rng.uniform_u64(kRoots + kChildren + 8);
+    ev.ts = grid(350);
+    ev.dur = 0.01 + grid(30);
+    if (rng.bernoulli(0.5)) {
+      ev.args.push_back(obs::TraceArg::uint("holder", rng.uniform_u64(50)));
+    }
+  }
+  for (std::size_t i = events.size() - 1; i > 0; --i) {
+    std::swap(events[i], events[rng.uniform_u64(i + 1)]);
+  }
+  return events;
+}
+
+TEST(Critpath, EveryPartCountGivesTheSameAttribution) {
+  const std::vector<obs::TraceEvent> events = shuffled_trace();
+  ASSERT_GE(events.size(), 7 * obs::kCritPart);
+  const obs::CritReport want = obs::analyze_critical_paths(events, 1);
+  ASSERT_EQ(want.rows.size(), 48u);
+  const std::string json = obs::attribution_json(want);
+  const std::string table = obs::attribution_table(want);
+  for (std::size_t parts : {0, 2, 3, 7}) {
+    SCOPED_TRACE(parts == 0 ? std::string("automatic part count")
+                            : std::to_string(parts) + " parts");
+    const obs::CritReport got =
+        parts == 0 ? obs::analyze_critical_paths(events)
+                   : obs::analyze_critical_paths(events, parts);
+    EXPECT_EQ(obs::attribution_json(got), json);
+    EXPECT_EQ(obs::attribution_table(got), table);
+    EXPECT_EQ(got.spans_seen, want.spans_seen);
+    EXPECT_EQ(got.cost_events, want.cost_events);
+    ASSERT_EQ(got.rows.size(), want.rows.size());
+    for (std::size_t r = 0; r < want.rows.size(); ++r) {
+      const auto& g = got.rows[r].segments;
+      const auto& w = want.rows[r].segments;
+      ASSERT_EQ(g.size(), w.size()) << "row " << r;
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        SCOPED_TRACE("row " + std::to_string(r) + " segment " +
+                     std::to_string(i));
+        EXPECT_EQ(g[i].start, w[i].start);
+        EXPECT_EQ(g[i].seconds, w[i].seconds);
+        EXPECT_EQ(g[i].bucket, w[i].bucket);
+        EXPECT_EQ(g[i].name, w[i].name);
+        EXPECT_EQ(g[i].holder, w[i].holder);
+      }
+    }
+  }
 }
 
 TEST(Critpath, EmptyTraceYieldsEmptyReport) {

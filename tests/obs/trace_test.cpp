@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/json.hpp"
 
@@ -488,27 +489,176 @@ void record(Tracer& t, const TraceEvent& ev) {
 }
 
 TEST(TraceExport, EventWriterMatchesJsonWriterAndRoundTrips) {
+  // Enough events for four export parts, and a ring that wraps while still
+  // holding that many.
+  constexpr std::size_t kEvents = 5 * Tracer::kExportPart + 123;
   Rng rng(2011);
   Tracer all;
   Tracer finite;
-  all.set_enabled(true);
-  finite.set_enabled(true);
-  for (int i = 0; i < 4000; ++i) {
+  Tracer wrapped;
+  wrapped.set_ring_capacity(4 * Tracer::kExportPart + 1001);
+  for (Tracer* t : {&all, &finite, &wrapped}) t->set_enabled(true);
+  for (std::size_t i = 0; i < kEvents; ++i) {
     bool is_finite = true;
     const TraceEvent ev = random_event(rng, &is_finite);
     record(all, ev);
+    record(wrapped, ev);
     if (is_finite) record(finite, ev);
   }
   ASSERT_LT(finite.size(), all.size());
-  const std::vector<TraceEvent> recorded = all.events();
-  EXPECT_EQ(all.jsonl(), reference_jsonl(recorded));
-  EXPECT_EQ(all.chrome_json(), reference_chrome_json(recorded));
+  ASSERT_GT(wrapped.dropped_ring(), 0u);
+  for (const Tracer* t : {&all, &wrapped}) {
+    const std::vector<TraceEvent> recorded = t->events();
+    const std::string jsonl = reference_jsonl(recorded);
+    const std::string chrome = reference_chrome_json(recorded);
+    EXPECT_EQ(t->jsonl(), jsonl);
+    EXPECT_EQ(t->chrome_json(), chrome);
+    for (std::size_t parts : {1, 2, 3, 7}) {
+      EXPECT_EQ(t->jsonl(parts), jsonl) << parts << " parts";
+      EXPECT_EQ(t->chrome_json(parts), chrome) << parts << " parts";
+    }
+  }
 
   // Every finite event reads back to what renders the same bytes again.
   const std::string text = finite.jsonl();
   auto parsed = parse_trace_jsonl(text);
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   EXPECT_EQ(reference_jsonl(*parsed), text);
+}
+
+// ---- The reader's parts ---------------------------------------------------
+
+constexpr std::size_t kSlot = 640;     ///< bytes per line of split_text()
+constexpr std::size_t kSlots = 8192;   ///< lines: 5 MiB, five reader parts
+constexpr std::size_t kPartCounts[] = {2, 3, 4, 7};
+
+/// Where parse_trace_jsonl cuts part p of `parts`: just past the first
+/// '\n' at or after that part's even share (obs/trace.hpp).
+std::size_t cut(std::string_view text, std::size_t parts, std::size_t p) {
+  return text.find('\n', part_range(text.size(), parts, p).begin) + 1;
+}
+
+/// kSlots lines of kSlot bytes: finite random events, padded with spaces.
+/// Wherever a part count in kPartCounts cuts, the line before the cut ends
+/// in "\r\n" and the part starts with a blank line. Padding keeps every
+/// line at kSlot bytes (a blank line takes one byte off the event after
+/// it), so the text's size, and with it every cut, is known in advance.
+std::string split_text() {
+  enum : std::uint8_t { kCr = 1, kBlankFirst = 2 };
+  std::vector<std::uint8_t> marks(kSlots, 0);
+  for (std::size_t parts : kPartCounts) {
+    for (std::size_t p = 1; p < parts; ++p) {
+      const std::size_t slot =
+          part_range(kSlots * kSlot, parts, p).begin / kSlot;
+      marks[slot] |= kCr;
+      marks[slot + 1] |= kBlankFirst;
+    }
+  }
+  Rng rng(7);
+  Tracer events;
+  events.set_enabled(true);
+  while (events.size() < kSlots + kSlots / 8) {
+    bool is_finite = true;
+    const TraceEvent ev = random_event(rng, &is_finite);
+    if (is_finite) record(events, ev);
+  }
+  const std::string lines = events.jsonl();
+  std::string text;
+  text.reserve(kSlots * kSlot);
+  std::size_t pos = 0;
+  for (std::size_t slot = 0; slot < kSlots;) {
+    const std::size_t nl = lines.find('\n', pos);
+    if (nl == std::string::npos) break;
+    const std::string_view line(lines.data() + pos, nl - pos);
+    pos = nl + 1;
+    if (line.size() > kSlot - 3) continue;
+    const std::size_t start = text.size();
+    if (marks[slot] & kBlankFirst) text += '\n';
+    text += line;
+    text.resize(start + kSlot - ((marks[slot] & kCr) ? 2 : 1), ' ');
+    if (marks[slot] & kCr) text += '\r';
+    text += '\n';
+    ++slot;
+  }
+  return text;
+}
+
+/// The reference: each non-blank line parsed on its own.
+std::vector<TraceEvent> parse_line_by_line(std::string_view text) {
+  std::vector<TraceEvent> out;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line.empty()) continue;
+    auto one = parse_trace_jsonl(line);
+    EXPECT_TRUE(one.is_ok()) << one.status().to_string();
+    if (!one.is_ok() || one->size() != 1) return {};
+    out.push_back(std::move((*one)[0]));
+  }
+  return out;
+}
+
+TEST(TraceJsonl, PartsCutAtLineBoundariesReadLikeOneLineAtATime) {
+  const std::string text = split_text();
+  ASSERT_EQ(text.size(), kSlots * kSlot);
+  // The automatic count reaches four parts on a host with four threads.
+  ASSERT_GE(text.size(), 4 * kParsePart);
+  for (std::size_t parts : kPartCounts) {
+    for (std::size_t p = 1; p < parts; ++p) {
+      const std::size_t at = cut(text, parts, p);
+      EXPECT_EQ(text.substr(at - 2, 3), "\r\n\n")
+          << parts << " parts, cut " << p;
+    }
+  }
+  const std::vector<TraceEvent> want = parse_line_by_line(text);
+  ASSERT_EQ(want.size(), kSlots);
+  auto got = parse_trace_jsonl(text);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  expect_same_events(*got, want);
+  for (std::size_t parts : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                            std::size_t{4}, std::size_t{7}}) {
+    SCOPED_TRACE(std::to_string(parts) + " parts");
+    got = parse_trace_jsonl(text, parts);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    expect_same_events(*got, want);
+  }
+}
+
+TEST(TraceJsonl, PartsReportTheFirstMalformedLineInTheWholeText) {
+  std::string text = split_text();
+  // The 1-based line number of the event starting at byte `at`.
+  const auto line_of = [&text](std::size_t at) {
+    return 1 + static_cast<std::size_t>(std::count(
+                   text.begin(), text.begin() + static_cast<std::ptrdiff_t>(at),
+                   '\n'));
+  };
+  // The last line of all sits in the last part at every part count.
+  const std::size_t last = text.rfind('\n', text.size() - 2) + 1;
+  ASSERT_EQ(text[last], '{');
+  text[last] = 'x';
+  const std::string want_last = "line " + std::to_string(line_of(last)) + ":";
+  // A second error in the second of four parts: every count above one
+  // puts it in an earlier part than the last line.
+  std::size_t second = text.find('\n', cut(text, 4, 1) + kSlot) + 1;
+  while (text[second] == '\n') ++second;
+  ASSERT_EQ(text[second], '{');
+  const std::string want_second =
+      "line " + std::to_string(line_of(second)) + ":";
+  for (bool both : {false, true}) {
+    std::string input = text;
+    if (both) input[second] = 'x';
+    const std::string& want = both ? want_second : want_last;
+    for (std::size_t parts : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{4}, std::size_t{7}}) {
+      auto got = parse_trace_jsonl(input, parts);
+      ASSERT_FALSE(got.is_ok()) << parts << " parts";
+      EXPECT_EQ(got.status().message().rfind(want, 0), 0u)
+          << parts << " parts: " << got.status().message() << " (want " << want
+          << ")";
+    }
+  }
 }
 
 }  // namespace
