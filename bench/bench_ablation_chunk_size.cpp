@@ -21,8 +21,6 @@ int run() {
   auto& traf = report.panel("traffic_per_instance", "chunk_bytes", "MB");
   auto& msgp = report.panel("messages_per_instance", "chunk_bytes", "count");
 
-  Table t({"chunk", "avg boot (s)", "completion (s)", "traffic/inst (MB)",
-           "remote fetches/inst"});
   const std::vector<Bytes> chunks = {64_KiB, 128_KiB, 256_KiB,
                                      512_KiB, 1_MiB, 4_MiB};
   for (Bytes chunk : chunks) {
@@ -31,27 +29,22 @@ int run() {
     cloud::Cloud c(cfg, cloud::Strategy::kOurs);
     if (chunk == chunks.back()) c.obs().trace.set_enabled(true);
     auto m = c.multideploy(n, tp);
-    const double msgs =
-        static_cast<double>(c.network().total_messages()) / n;
     const double x = static_cast<double>(chunk);
     boot.at("ours").add(x, m.boot_seconds.mean());
     comp.at("ours").add(x, m.completion_seconds);
     traf.at("ours").add(x, static_cast<double>(m.network_traffic) / 1e6 / n);
-    msgp.at("ours").add(x, msgs);
+    msgp.at("ours").add(
+        x, static_cast<double>(c.network().total_messages()) / n);
     if (chunk == chunks.back()) bench::capture_obs(report, c);
-    t.add_row({format_bytes(static_cast<double>(chunk)),
-               Table::num(m.boot_seconds.mean(), 2),
-               Table::num(m.completion_seconds, 2),
-               Table::num(static_cast<double>(m.network_traffic) / 1e6 / n, 1),
-               Table::num(msgs, 0)});
     std::fprintf(stderr, "  [chunk] %s done\n",
                  format_bytes(static_cast<double>(chunk)).c_str());
   }
-  t.print();
-  report.write();
+  report.print("Ours at N = " + std::to_string(n) + ", per chunk size",
+               {"avg_boot", "completion", "traffic_per_instance",
+                "messages_per_instance"});
   std::printf("\nThe paper fixes 256 KiB as the sweet spot between per-chunk\n"
               "overhead (small chunks) and false sharing (large chunks).\n");
-  return 0;
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

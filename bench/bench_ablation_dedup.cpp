@@ -29,8 +29,6 @@ int run() {
   auto& hits = report.panel("dedup_hits", "dedup", "count");
   auto& save = report.panel("saved", "dedup", "GB");
 
-  Table t({"dedup", "repo growth/inst (MB)", "snapshot traffic (GB)",
-           "completion (s)", "dedup hits", "saved (GB)"});
   for (bool dedup : {false, true}) {
     auto cfg = bench::paper_cloud_config(n);
     cfg.dedup = dedup;
@@ -52,21 +50,16 @@ int run() {
     save.at("ours").add(label,
                         static_cast<double>(c.dedup_saved_bytes()) / 1e9);
     if (dedup) bench::capture_obs(report, c);
-    t.add_row({label,
-               Table::num(static_cast<double>(s->repository_growth) / 1e6 /
-                              static_cast<double>(n), 1),
-               Table::num(static_cast<double>(s->network_traffic) / 1e9, 2),
-               Table::num(s->completion_seconds, 2),
-               std::to_string(c.dedup_hits()),
-               Table::num(static_cast<double>(c.dedup_saved_bytes()) / 1e9, 2)});
     std::fprintf(stderr, "  [dedup] %s done\n", label);
   }
-  t.print();
-  report.write();
+  report.print("Ours at N = " + std::to_string(n) +
+                   ", multisnapshot with and without dedup",
+               {"repo_growth_per_instance", "snapshot_traffic", "completion",
+                "dedup_hits", "saved"});
   std::printf("\nDeduplicated chunks skip both storage and the commit-time\n"
               "data push (only metadata is written), cutting snapshot\n"
               "traffic and repository growth by roughly the shared fraction.\n");
-  return 0;
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

@@ -24,8 +24,6 @@ int run() {
   auto& traf = report.panel("traffic_per_instance", "combination", "MB");
   auto& msgp = report.panel("messages_per_instance", "combination", "count");
 
-  Table t({"prefetch", "gap-fill", "avg boot (s)", "completion (s)",
-           "traffic/inst (MB)", "msgs/inst"});
   for (bool s1 : {true, false}) {
     for (bool s2 : {true, false}) {
       auto cfg = bench::paper_cloud_config(n);
@@ -44,20 +42,17 @@ int run() {
           combo, static_cast<double>(c.network().total_messages()) / n);
       // Snapshot the fully-enabled configuration (both strategies on).
       if (s1 && s2) bench::capture_obs(report, c);
-      t.add_row({s1 ? "on" : "off", s2 ? "on" : "off",
-                 Table::num(m.boot_seconds.mean(), 2),
-                 Table::num(m.completion_seconds, 2),
-                 Table::num(static_cast<double>(m.network_traffic) / 1e6 / n, 1),
-                 Table::num(static_cast<double>(c.network().total_messages()) / n, 0)});
       std::fprintf(stderr, "  [mirror] s1=%d s2=%d done\n", s1, s2);
     }
   }
-  t.print();
-  report.write();
+  report.print("Ours at N = " + std::to_string(n) +
+                   ", per mirroring-strategy combination",
+               {"avg_boot", "completion", "traffic_per_instance",
+                "messages_per_instance"});
   std::printf("\nWhole-chunk prefetch trades a little extra traffic for far\n"
               "fewer (and cheaper) remote requests; gap filling bounds\n"
               "fragmentation metadata to one region per chunk.\n");
-  return 0;
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

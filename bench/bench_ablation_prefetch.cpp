@@ -32,8 +32,6 @@ int run() {
                  profile.size());
   }
 
-  Table t({"prefetch window", "avg boot (s)", "completion (s)",
-           "traffic/inst (MB)"});
   for (std::size_t window : {0u, 4u, 16u, 64u}) {
     auto cfg = bench::paper_cloud_config(n);
     cfg.prefetch_window = window;
@@ -48,19 +46,15 @@ int run() {
                                static_cast<double>(n));
     // Snapshot the widest window — the run where the prefetcher matters.
     if (window == 64u) bench::capture_obs(report, c);
-    t.add_row({window == 0 ? "off" : std::to_string(window),
-               Table::num(m.boot_seconds.mean(), 2),
-               Table::num(m.completion_seconds, 2),
-               Table::num(static_cast<double>(m.network_traffic) / 1e6 /
-                              static_cast<double>(n), 1)});
     std::fprintf(stderr, "  [prefetch] window=%zu done\n", window);
   }
-  t.print();
-  report.write();
+  report.print("Ours at N = " + std::to_string(n) +
+                   ", per prefetch window (0 = off)",
+               {"avg_boot", "completion", "traffic_per_instance"});
   std::printf("\nWith the profile in hand, chunk transfers overlap the boot's\n"
               "CPU bursts instead of stalling it: boot time approaches the\n"
               "pre-propagation floor at (almost) lazy-transfer traffic.\n");
-  return 0;
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

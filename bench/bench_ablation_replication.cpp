@@ -23,8 +23,6 @@ int run() {
   auto& snapt = report.panel("avg_snapshot", "replicas", "seconds");
   auto& straf = report.panel("snapshot_traffic", "replicas", "GB");
 
-  Table t({"replicas", "repo image (GB)", "avg boot (s)", "deploy traffic (GB)",
-           "avg snapshot (s)", "snapshot traffic (GB)"});
   for (std::size_t r : {1u, 2u, 3u}) {
     auto cfg = bench::paper_cloud_config(n);
     cfg.replication = r;
@@ -44,18 +42,15 @@ int run() {
     snapt.at("ours").add(x, snap->snapshot_seconds.mean());
     straf.at("ours").add(x, static_cast<double>(snap->network_traffic) / 1e9);
     if (r == 3u) bench::capture_obs(report, c);
-    t.add_row({std::to_string(r), Table::num(repo_gb, 2),
-               Table::num(dep.boot_seconds.mean(), 2),
-               Table::num(static_cast<double>(dep.network_traffic) / 1e9, 2),
-               Table::num(snap->snapshot_seconds.mean(), 2),
-               Table::num(static_cast<double>(snap->network_traffic) / 1e9, 2)});
     std::fprintf(stderr, "  [replication] r=%zu done\n", r);
   }
-  t.print();
-  report.write();
+  report.print("Ours at N = " + std::to_string(n) +
+                   ", per replication degree",
+               {"repo_image", "avg_boot", "deploy_traffic", "avg_snapshot",
+                "snapshot_traffic"});
   std::printf("\nReplication multiplies storage and snapshot push traffic,\n"
               "while deployment reads can pick any replica.\n");
-  return 0;
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

@@ -13,7 +13,6 @@
 namespace vmstorm {
 namespace {
 
-using bench::paper_ref;
 using cloud::Strategy;
 
 struct Row {
@@ -127,68 +126,14 @@ int run() {
       }
     }
   }
-  report.write();
-
-  std::printf("\nFig 4(a): average time to boot one instance (s)\n");
-  Table a({"instances", "taktuk", "paper", "qcow2/PVFS", "paper", "ours", "paper"});
-  for (std::size_t n : sweep) {
-    a.add_row({std::to_string(n),
-               Table::num(rows[Strategy::kPrepropagation][n].avg_boot, 1),
-               Table::num(paper_ref(kPaper4aTaktuk, n), 0),
-               Table::num(rows[Strategy::kQcowOverPvfs][n].avg_boot, 1),
-               Table::num(paper_ref(kPaper4aQcow, n), 0),
-               Table::num(rows[Strategy::kOurs][n].avg_boot, 1),
-               Table::num(paper_ref(kPaper4aOurs, n), 0)});
-  }
-  a.print();
-
-  std::printf("\nFig 4(a'): boot-time tails for our approach (s)\n");
-  Table tails({"instances", "p50", "p95", "p99"});
-  for (std::size_t n : sweep) {
-    const Row& r = rows[Strategy::kOurs][n];
-    tails.add_row({std::to_string(n), Table::num(r.p50, 2), Table::num(r.p95, 2),
-                   Table::num(r.p99, 2)});
-  }
-  tails.print();
-
-  std::printf("\nFig 4(b): completion time to boot all instances (s)\n");
-  Table b({"instances", "taktuk", "paper", "qcow2/PVFS", "paper", "ours", "paper"});
-  for (std::size_t n : sweep) {
-    b.add_row({std::to_string(n),
-               Table::num(rows[Strategy::kPrepropagation][n].completion, 1),
-               Table::num(paper_ref(kPaper4bTaktuk, n), 0),
-               Table::num(rows[Strategy::kQcowOverPvfs][n].completion, 1),
-               Table::num(paper_ref(kPaper4bQcow, n), 0),
-               Table::num(rows[Strategy::kOurs][n].completion, 1),
-               Table::num(paper_ref(kPaper4bOurs, n), 0)});
-  }
-  b.print();
-
-  std::printf("\nFig 4(c): speedup of our completion time\n");
-  Table c({"instances", "vs taktuk", "paper", "vs qcow2/PVFS", "paper"});
-  for (std::size_t n : sweep) {
-    const double ours = rows[Strategy::kOurs][n].completion;
-    c.add_row({std::to_string(n),
-               Table::num(rows[Strategy::kPrepropagation][n].completion / ours, 2),
-               Table::num(paper_ref(kPaper4bTaktuk, n) / paper_ref(kPaper4bOurs, n), 1),
-               Table::num(rows[Strategy::kQcowOverPvfs][n].completion / ours, 2),
-               Table::num(paper_ref(kPaper4bQcow, n) / paper_ref(kPaper4bOurs, n), 1)});
-  }
-  c.print();
-
-  std::printf("\nFig 4(d): total network traffic (GB)\n");
-  Table d({"instances", "taktuk", "paper", "qcow2/PVFS", "paper", "ours", "paper"});
-  for (std::size_t n : sweep) {
-    d.add_row({std::to_string(n),
-               Table::num(rows[Strategy::kPrepropagation][n].traffic_gb, 1),
-               Table::num(paper_ref(kPaper4dTaktuk, n), 0),
-               Table::num(rows[Strategy::kQcowOverPvfs][n].traffic_gb, 2),
-               Table::num(paper_ref(kPaper4dQcow, n), 1),
-               Table::num(rows[Strategy::kOurs][n].traffic_gb, 2),
-               Table::num(paper_ref(kPaper4dOurs, n), 1)});
-  }
-  d.print();
-  return 0;
+  report.print("Fig 4(a): average time to boot one instance (s)",
+               {"4a_avg_boot"});
+  report.print("Fig 4(a'): boot-time tails (s)", {"4a_boot_tails"});
+  report.print("Fig 4(b): completion time to boot all instances (s)",
+               {"4b_completion"});
+  report.print("Fig 4(c): speedup of our completion time", {"4c_speedup"});
+  report.print("Fig 4(d): total network traffic (GB)", {"4d_traffic"});
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

@@ -12,7 +12,6 @@
 namespace vmstorm {
 namespace {
 
-using bench::paper_ref;
 using cloud::Strategy;
 
 struct Row {
@@ -107,49 +106,15 @@ int run() {
       }
     }
   }
-  report.write();
-
-  std::printf("\nFig 5(a): average time to snapshot one instance (s)\n");
-  Table a({"instances", "qcow2/PVFS", "paper", "ours", "paper"});
-  for (std::size_t n : sweep) {
-    a.add_row({std::to_string(n),
-               Table::num(rows[Strategy::kQcowOverPvfs][n].avg_snap, 2),
-               Table::num(paper_ref(kPaper5aQcow, n), 1),
-               Table::num(rows[Strategy::kOurs][n].avg_snap, 2),
-               Table::num(paper_ref(kPaper5aOurs, n), 1)});
-  }
-  a.print();
-
-  std::printf("\nFig 5(a'): snapshot-time tails for our approach (s)\n");
-  Table tails({"instances", "p50", "p95", "p99"});
-  for (std::size_t n : sweep) {
-    const Row& r = rows[Strategy::kOurs][n];
-    tails.add_row({std::to_string(n), Table::num(r.p50, 2), Table::num(r.p95, 2),
-                   Table::num(r.p99, 2)});
-  }
-  tails.print();
-
-  std::printf("\nFig 5(b): completion time to snapshot all instances (s)\n");
-  Table b({"instances", "qcow2/PVFS", "paper", "ours", "paper"});
-  for (std::size_t n : sweep) {
-    b.add_row({std::to_string(n),
-               Table::num(rows[Strategy::kQcowOverPvfs][n].completion, 2),
-               Table::num(paper_ref(kPaper5bQcow, n), 1),
-               Table::num(rows[Strategy::kOurs][n].completion, 2),
-               Table::num(paper_ref(kPaper5bOurs, n), 1)});
-  }
-  b.print();
-
-  std::printf("\nRepository growth per snapshot (MB/instance; shadowing "
-              "stores diffs only):\n");
-  Table g({"instances", "qcow2/PVFS", "ours"});
-  for (std::size_t n : sweep) {
-    g.add_row({std::to_string(n),
-               Table::num(rows[Strategy::kQcowOverPvfs][n].diff_mb, 1),
-               Table::num(rows[Strategy::kOurs][n].diff_mb, 1)});
-  }
-  g.print();
-  return 0;
+  report.print("Fig 5(a): average time to snapshot one instance (s)",
+               {"5a_avg_snapshot"});
+  report.print("Fig 5(a'): snapshot-time tails (s)", {"5a_snapshot_tails"});
+  report.print("Fig 5(b): completion time to snapshot all instances (s)",
+               {"5b_completion"});
+  report.print("Repository growth per snapshot (MB/instance; shadowing "
+               "stores diffs only)",
+               {"repo_growth"});
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

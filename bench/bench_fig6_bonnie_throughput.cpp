@@ -12,13 +12,9 @@
 // overhead does not exist in-library, so ours has a smaller handicap here
 // than in the paper (see EXPERIMENTS.md).
 #include <cstdio>
-#include <string>
 
-#include "apps/bonnie.hpp"
-#include "blob/store.hpp"
-#include "imgfs/block_device.hpp"
-#include "mirror/virtual_disk.hpp"
 #include "util/bench_util.hpp"
+#include "util/bonnie_arm.hpp"
 #include "util/report.hpp"
 
 namespace vmstorm {
@@ -37,68 +33,45 @@ apps::BonnieConfig bonnie_config() {
 
 Bytes image_size() { return bench::quick_mode() ? 256_MiB : 2_GiB; }
 
-Result<apps::BonnieResult> run_local(const std::string& dir) {
-  VMSTORM_ASSIGN_OR_RETURN(
-      dev, imgfs::PosixFileDevice::open(dir + "/local_raw.img", image_size()));
-  VMSTORM_ASSIGN_OR_RETURN(fs, imgfs::FileSystem::format(*dev));
-  return apps::run_bonnie(*fs, bonnie_config());
-}
-
-Result<apps::BonnieResult> run_ours(const std::string& dir) {
-  blob::BlobStore store(blob::StoreConfig{.providers = 4});
-  VMSTORM_ASSIGN_OR_RETURN(blob, store.create(image_size(), 256_KiB));
-  VMSTORM_ASSIGN_OR_RETURN(v, store.write_pattern(blob, 0, 0, image_size(), 1));
-  mirror::VirtualDiskOptions opts;
-  opts.local_path = dir + "/mirror_raw.img";
-  VMSTORM_ASSIGN_OR_RETURN(disk, mirror::VirtualDisk::open(store, blob, v, opts));
-  imgfs::MirrorDevice dev(*disk);
-  VMSTORM_ASSIGN_OR_RETURN(fs, imgfs::FileSystem::format(dev));
-  return apps::run_bonnie(*fs, bonnie_config());
-}
-
 }  // namespace
 
 int run() {
   bench::print_header("Figure 6",
                       "Bonnie++ sustained throughput, 8 KiB blocks (real I/O)");
-  const std::string dir = "vmstorm_bench_tmp";
-  (void)std::system(("mkdir -p " + dir).c_str());
-
-  auto local = run_local(dir);
-  auto ours = run_ours(dir);
-  (void)std::system(("rm -rf " + dir).c_str());
-  if (!local.is_ok() || !ours.is_ok()) {
-    std::fprintf(stderr, "bonnie failed: %s %s\n",
-                 local.status().to_string().c_str(),
-                 ours.status().to_string().c_str());
-    return 1;
+  const apps::BonnieConfig bc = bonnie_config();
+  apps::BonnieResult local, ours;
+  for (auto [arm, out] : {std::pair{bench::BonnieArm::kLocal, &local},
+                          std::pair{bench::BonnieArm::kMirror, &ours}}) {
+    auto r = bench::run_bonnie_arm(arm, "vmstorm_bench_tmp", image_size(), bc);
+    if (!r.is_ok()) {
+      std::fprintf(stderr, "bonnie failed: %s\n",
+                   r.status().to_string().c_str());
+      return 1;
+    }
+    *out = *r;
   }
 
   bench::Report report("fig6_bonnie_throughput", "Figure 6",
                        "Bonnie++ sustained throughput, 8 KiB blocks (real I/O)");
-  const apps::BonnieConfig bc = bonnie_config();
   report.config("total_bytes", static_cast<std::uint64_t>(bc.total));
   report.config("block_bytes", static_cast<std::uint64_t>(bc.block));
   report.config("image_size", static_cast<std::uint64_t>(image_size()));
 
-  std::printf("\nThroughput (KB/s); paper columns digitized from Figure 6\n");
-  Table t({"pattern", "local", "our-approach", "ours/local", "paper ours/local"});
   auto& panel = report.panel("throughput", "pattern", "KB_per_s");
   auto& ratio = report.panel("ratio", "pattern", "ours_over_local");
   auto row = [&](const char* name, double l, double o, double paper_ratio) {
-    t.add_row({name, Table::num(l, 0), Table::num(o, 0), Table::num(o / l, 2),
-               Table::num(paper_ratio, 2)});
     panel.at("local").add(name, l);
     panel.at("ours").add(name, o);
     ratio.at("measured").add(name, o / l);
     ratio.at("paper").add(name, paper_ratio);
   };
-  row("BlockW", local->block_write_kbps, ours->block_write_kbps, 1.9);
-  row("BlockR", local->block_read_kbps, ours->block_read_kbps, 1.0);
-  row("BlockO", local->block_overwrite_kbps, ours->block_overwrite_kbps, 1.9);
-  t.print();
-  report.write();
-  return 0;
+  row("BlockW", local.block_write_kbps, ours.block_write_kbps, 1.9);
+  row("BlockR", local.block_read_kbps, ours.block_read_kbps, 1.0);
+  row("BlockO", local.block_overwrite_kbps, ours.block_overwrite_kbps, 1.9);
+  report.print("Throughput (KB/s) and ours/local; ratio.paper digitized from "
+               "Figure 6",
+               {"throughput", "ratio"});
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

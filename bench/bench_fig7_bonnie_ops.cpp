@@ -7,13 +7,9 @@
 // In-library we lack FUSE's context switches, so the gap is smaller (see
 // EXPERIMENTS.md).
 #include <cstdio>
-#include <string>
 
-#include "apps/bonnie.hpp"
-#include "blob/store.hpp"
-#include "imgfs/block_device.hpp"
-#include "mirror/virtual_disk.hpp"
 #include "util/bench_util.hpp"
+#include "util/bonnie_arm.hpp"
 #include "util/report.hpp"
 
 namespace vmstorm {
@@ -36,79 +32,34 @@ Bytes image_size() { return bench::quick_mode() ? 128_MiB : 1_GiB; }
 int run() {
   bench::print_header("Figure 7",
                       "Bonnie++ operations per second (real I/O)");
-  const std::string dir = "vmstorm_bench_tmp7";
-  (void)std::system(("mkdir -p " + dir).c_str());
-
+  const apps::BonnieConfig bc = bonnie_config();
   apps::BonnieResult local, ours, ours_fuse;
-  {
-    auto dev = imgfs::PosixFileDevice::open(dir + "/local.img", image_size());
-    auto fs = imgfs::FileSystem::format(**dev);
-    auto r = apps::run_bonnie(**fs, bonnie_config());
+  using bench::BonnieArm;
+  for (auto [arm, out] : {std::pair{BonnieArm::kLocal, &local},
+                          std::pair{BonnieArm::kMirror, &ours},
+                          std::pair{BonnieArm::kMirrorFuse, &ours_fuse}}) {
+    auto r = bench::run_bonnie_arm(arm, "vmstorm_bench_tmp7", image_size(), bc);
     if (!r.is_ok()) {
-      std::fprintf(stderr, "local bonnie failed: %s\n", r.status().to_string().c_str());
-      return 1;
-    }
-    local = *r;
-  }
-  {
-    blob::BlobStore store(blob::StoreConfig{.providers = 4});
-    auto blob = store.create(image_size(), 256_KiB).value();
-    auto v = store.write_pattern(blob, 0, 0, image_size(), 1).value();
-    mirror::VirtualDiskOptions opts;
-    opts.local_path = dir + "/mirror.img";
-    auto disk = mirror::VirtualDisk::open(store, blob, v, opts).value();
-    imgfs::MirrorDevice dev(*disk);
-    auto fs = imgfs::FileSystem::format(dev);
-    auto r = apps::run_bonnie(**fs, bonnie_config());
-    if (!r.is_ok()) {
-      std::fprintf(stderr, "mirror bonnie failed: %s\n", r.status().to_string().c_str());
-      return 1;
-    }
-    ours = *r;
-  }
-  {
-    // The paper's module sits behind FUSE: every request crosses
-    // user/kernel twice. Emulate that crossing (~12 µs/op on 2011-era
-    // hardware) to recover Figure 7's shape.
-    blob::BlobStore store(blob::StoreConfig{.providers = 4});
-    auto blob = store.create(image_size(), 256_KiB).value();
-    auto v = store.write_pattern(blob, 0, 0, image_size(), 1).value();
-    mirror::VirtualDiskOptions opts;
-    opts.local_path = dir + "/mirror_fuse.img";
-    auto disk = mirror::VirtualDisk::open(store, blob, v, opts).value();
-    imgfs::MirrorDevice raw(*disk);
-    imgfs::LatencyDevice dev(raw, 12000);
-    auto fs = imgfs::FileSystem::format(dev);
-    auto r = apps::run_bonnie(**fs, bonnie_config());
-    if (!r.is_ok()) {
-      std::fprintf(stderr, "fuse-emu bonnie failed: %s\n",
+      std::fprintf(stderr, "bonnie failed: %s\n",
                    r.status().to_string().c_str());
       return 1;
     }
-    ours_fuse = *r;
+    *out = *r;
   }
-  (void)std::system(("rm -rf " + dir).c_str());
 
-  std::printf("\nOperations per second; paper columns digitized from Figure 7.\n"
-              "ours+fuse adds an emulated 12 us/op user/kernel crossing (the\n"
-              "overhead the paper's FUSE-based module pays; in-library we\n"
-              "don't, so plain 'ours' shows little penalty).\n");
+  std::printf("\nours_fuse adds an emulated 12 us/op user/kernel crossing\n"
+              "(the overhead the paper's FUSE-based module pays; in-library\n"
+              "we don't, so plain 'ours' shows little penalty).\n");
   bench::Report report("fig7_bonnie_ops", "Figure 7",
                        "Bonnie++ operations per second (real I/O)");
-  const apps::BonnieConfig bc = bonnie_config();
   report.config("seek_ops", static_cast<std::uint64_t>(bc.seek_ops));
   report.config("file_ops", static_cast<std::uint64_t>(bc.file_ops));
   report.config("image_size", static_cast<std::uint64_t>(image_size()));
 
-  Table t({"operation", "local", "ours", "ours/local", "ours+fuse",
-           "+fuse/local", "paper ours/local"});
   auto& panel = report.panel("ops_per_s", "operation", "ops_per_s");
   auto& ratio = report.panel("ratio", "operation", "ours_over_local");
   auto row = [&](const char* name, double l, double o, double of,
                  double paper_ratio) {
-    t.add_row({name, Table::num(l, 0), Table::num(o, 0), Table::num(o / l, 2),
-               Table::num(of, 0), Table::num(of / l, 2),
-               Table::num(paper_ratio, 2)});
     panel.at("local").add(name, l);
     panel.at("ours").add(name, o);
     panel.at("ours_fuse").add(name, of);
@@ -122,9 +73,10 @@ int run() {
       ours_fuse.creates_per_s, 0.85);
   row("DelF", local.deletes_per_s, ours.deletes_per_s,
       ours_fuse.deletes_per_s, 0.40);
-  t.print();
-  report.write();
-  return 0;
+  report.print("Operations per second and ratios to local; ratio.paper "
+               "digitized from Figure 7",
+               {"ops_per_s", "ratio"});
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

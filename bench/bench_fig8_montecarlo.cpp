@@ -48,15 +48,10 @@ int run() {
   auto& up = report.panel("uninterrupted", "strategy", "seconds");
   auto& rp = report.panel("suspend_resume", "strategy", "seconds");
 
-  std::printf("\nSetting: Uninterrupted\n");
-  Table u({"strategy", "completion (s)", "paper", "deploy (s)"});
   int i = 0;
   for (auto s : {cloud::Strategy::kPrepropagation,
                  cloud::Strategy::kQcowOverPvfs, cloud::Strategy::kOurs}) {
     auto out = apps::run_montecarlo_uninterrupted(s, cfg, p);
-    u.add_row({cloud::strategy_name(s), Table::num(out.completion_seconds, 0),
-               Table::num(kPaperUninterrupted[i], 0),
-               Table::num(out.deploy_seconds, 1)});
     up.at("completion").add(cloud::strategy_name(s), out.completion_seconds);
     up.at("paper").add(cloud::strategy_name(s), kPaperUninterrupted[i]);
     up.at("deploy").add(cloud::strategy_name(s), out.deploy_seconds);
@@ -64,11 +59,7 @@ int run() {
     std::fprintf(stderr, "  [fig8] uninterrupted %-22s done\n",
                  cloud::strategy_name(s));
   }
-  u.print();
 
-  std::printf("\nSetting: Suspend/Resume (snapshot, terminate, resume on "
-              "fresh nodes)\n");
-  Table r({"strategy", "completion (s)", "paper", "snapshot (s)", "resume (s)"});
   i = 0;
   double completions[2] = {0, 0};
   for (auto s : {cloud::Strategy::kQcowOverPvfs, cloud::Strategy::kOurs}) {
@@ -79,10 +70,6 @@ int run() {
       return 1;
     }
     completions[i] = out->completion_seconds;
-    r.add_row({cloud::strategy_name(s), Table::num(out->completion_seconds, 0),
-               Table::num(kPaperSuspendResume[i], 0),
-               Table::num(out->snapshot_seconds, 2),
-               Table::num(out->resume_seconds, 1)});
     rp.at("completion").add(cloud::strategy_name(s), out->completion_seconds);
     rp.at("paper").add(cloud::strategy_name(s), kPaperSuspendResume[i]);
     rp.at("snapshot").add(cloud::strategy_name(s), out->snapshot_seconds);
@@ -91,12 +78,14 @@ int run() {
     std::fprintf(stderr, "  [fig8] suspend/resume %-22s done\n",
                  cloud::strategy_name(s));
   }
-  r.print();
-  report.write();
+  report.print("Setting: Uninterrupted", {"uninterrupted"});
+  report.print("Setting: Suspend/Resume (snapshot, terminate, resume on "
+               "fresh nodes)",
+               {"suspend_resume"});
   std::printf("\nOurs resumes faster than qcow2/PVFS by %.1f%% "
               "(paper: \"by almost 5%%\").\n",
               100.0 * (completions[0] - completions[1]) / completions[0]);
-  return 0;
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace vmstorm

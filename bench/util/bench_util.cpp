@@ -34,25 +34,11 @@ vm::BootTraceParams paper_boot_params() {
   return p;
 }
 
-double paper_ref(const std::vector<std::pair<double, double>>& curve,
-                 double x) {
-  if (curve.empty()) return 0;
-  if (x <= curve.front().first) return curve.front().second;
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    if (x <= curve[i].first) {
-      const auto [x0, y0] = curve[i - 1];
-      const auto [x1, y1] = curve[i];
-      return y0 + (y1 - y0) * (x - x0) / (x1 - x0);
-    }
-  }
-  return curve.back().second;
-}
-
 void print_header(const std::string& figure, const std::string& what) {
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", figure.c_str(), what.c_str());
   std::printf("Paper: Nicolae et al., \"Going Back and Forth\", HPDC'11.\n");
-  std::printf("paper_* columns are digitized from the published figure;\n");
+  std::printf("paper columns are digitized from the published figure;\n");
   std::printf("shapes/orderings are the reproduction target, not absolutes.\n");
   if (quick_mode()) std::printf("[VMSTORM_QUICK=1: reduced sweep]\n");
   std::printf("==============================================================\n");

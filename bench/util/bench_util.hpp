@@ -32,9 +32,6 @@ cloud::CloudConfig paper_cloud_config(std::size_t nodes);
 /// ~15 MB of contextualization writes on a 2 GiB image.
 vm::BootTraceParams paper_boot_params();
 
-/// Linear interpolation into a digitized paper curve (x = instances).
-double paper_ref(const std::vector<std::pair<double, double>>& curve, double x);
-
 /// Prints the standard bench header.
 void print_header(const std::string& figure, const std::string& what);
 

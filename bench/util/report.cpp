@@ -1,11 +1,12 @@
 #include "util/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "cloud/cloud.hpp"
 #include "common/env.hpp"
+#include "common/table.hpp"
 #include "obs/critpath.hpp"
 #include "util/bench_util.hpp"
 
@@ -177,24 +178,96 @@ std::string bench_dir() {
 
 namespace {
 
-bool write_file(const std::string& path, const std::string& body) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "bench: cannot open %s for writing\n", path.c_str());
-    return false;
+/// A digitized paper curve at x: linear between its points, held flat past
+/// its ends.
+double paper_ref(const std::vector<std::pair<double, double>>& curve,
+                 double x) {
+  if (curve.empty()) return 0;
+  if (x <= curve.front().first) return curve.front().second;
+  for (std::size_t i = 1; i < curve.size(); ++i) {
+    if (x <= curve[i].first) {
+      const auto [x0, y0] = curve[i - 1];
+      const auto [x1, y1] = curve[i];
+      return y0 + (y1 - y0) * (x - x0) / (x1 - x0);
+    }
   }
-  out << body << '\n';
-  out.close();
-  return out.good();
+  return curve.back().second;
+}
+
+bool same_x(const SeriesPoint& a, const SeriesPoint& b) {
+  return a.numeric_x ? b.numeric_x && a.x == b.x
+                     : !b.numeric_x && a.x_label == b.x_label;
 }
 
 }  // namespace
 
-std::string Report::write() const {
-  const std::string path = bench_dir() + "/BENCH_" + name_ + ".json";
-  if (!write_file(path, to_json())) return "";
-  std::printf("\n[artifact] %s\n", path.c_str());
-  return path;
+std::string Report::render(const std::string& caption,
+                           const std::vector<std::string>& panel_titles) const {
+  std::vector<const Panel*> shown;
+  for (const std::string& title : panel_titles) {
+    for (const Panel& p : panels_) {
+      if (p.title == title) shown.push_back(&p);
+    }
+  }
+  std::vector<const SeriesPoint*> xs;
+  for (const Panel* p : shown) {
+    for (const Series& s : p->series) {
+      for (const SeriesPoint& pt : s.points) {
+        if (std::none_of(xs.begin(), xs.end(), [&](const SeriesPoint* x) {
+              return same_x(*x, pt);
+            })) {
+          xs.push_back(&pt);
+        }
+      }
+    }
+  }
+
+  std::vector<std::string> header{shown.empty() ? "" : shown[0]->x_label};
+  std::vector<std::vector<std::string>> rows;
+  for (const SeriesPoint* x : xs) {
+    rows.push_back({x->numeric_x ? obs::json_number(x->x) : x->x_label});
+  }
+  for (const Panel* p : shown) {
+    for (const Series& s : p->series) {
+      header.push_back(shown.size() > 1 ? p->title + "." + s.name : s.name);
+      if (!s.reference.empty()) header.push_back("paper");
+      for (std::size_t r = 0; r < xs.size(); ++r) {
+        const auto pt = std::find_if(
+            s.points.begin(), s.points.end(),
+            [&](const SeriesPoint& q) { return same_x(*xs[r], q); });
+        rows[r].push_back(pt == s.points.end() ? "" : Table::num(pt->y, 2));
+        if (!s.reference.empty()) {
+          rows[r].push_back(Table::num(paper_ref(s.reference, xs[r]->x), 2));
+        }
+      }
+    }
+  }
+  Table table(std::move(header));
+  for (std::vector<std::string>& row : rows) table.add_row(std::move(row));
+  return "\n" + caption + "\n" + table.to_string();
+}
+
+void Report::print(const std::string& caption,
+                   const std::vector<std::string>& panel_titles) const {
+  std::fputs(render(caption, panel_titles).c_str(), stdout);
+}
+
+void Report::write_artifact(const std::string& file, const std::string& body) {
+  const std::string path = bench_dir() + "/" + file;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << body << '\n';
+  out.close();  // a stream that never opened fails here too
+  if (out) {
+    std::printf("[artifact] %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+    write_failed_ = true;
+  }
+}
+
+bool Report::write() {
+  write_artifact("BENCH_" + name_ + ".json", to_json());
+  return !write_failed_;
 }
 
 void add_timeline_panels(Report& report, cloud::Cloud& cloud,
@@ -247,16 +320,10 @@ void capture_obs(Report& report, cloud::Cloud& cloud) {
     const obs::CritReport crit =
         obs::analyze_critical_paths(cloud.obs().trace.events());
     report.set_attribution_json(obs::attribution_json(crit));
-    const std::string path =
-        bench_dir() + "/TRACE_" + report.name() + ".json";
-    if (write_file(path, cloud.trace_chrome_json())) {
-      std::printf("[artifact] %s (chrome://tracing)\n", path.c_str());
-    }
-    const std::string jsonl_path =
-        bench_dir() + "/TRACE_" + report.name() + ".jsonl";
-    if (write_file(jsonl_path, cloud.obs().trace.jsonl())) {
-      std::printf("[artifact] %s (vmstormctl critpath)\n", jsonl_path.c_str());
-    }
+    report.write_artifact("TRACE_" + report.name() + ".json",
+                          cloud.trace_chrome_json());
+    report.write_artifact("TRACE_" + report.name() + ".jsonl",
+                          cloud.obs().trace.jsonl());
   }
 }
 

@@ -1,9 +1,10 @@
 // Machine-readable benchmark reports (schema "vmstorm-bench-v3").
 //
-// Every bench binary builds one Report mirroring the tables it prints:
-// panels hold named series of (x, y) points (x numeric for sweeps,
-// categorical for Bonnie-style rows) plus optional digitized paper
-// reference curves. write() serializes the report as deterministic JSON to
+// Every figure and ablation bench records each number it measures once, in
+// one Report, and prints its tables from it (print()): panels hold named
+// series of (x, y) points (x numeric for sweeps, categorical for
+// Bonnie-style rows) plus optional digitized paper reference curves.
+// write() serializes the report as deterministic JSON to
 // BENCH_<name>.json in $VMSTORM_BENCH_DIR (default: the current
 // directory), together with a metrics-registry snapshot captured from a
 // designated run (capture_obs) and a fingerprint of the configuration, so
@@ -91,9 +92,29 @@ class Report {
 
   std::string to_json() const;
 
-  /// Writes BENCH_<name>.json under $VMSTORM_BENCH_DIR (default ".").
-  /// Returns the path written, or "" on I/O failure (reported to stderr).
-  std::string write() const;
+  /// The named panels as one table, under `caption`. The first column is x
+  /// (headed by the first panel's x label, each x as the artifact records
+  /// it), one row per x in order of first appearance. Then one column per
+  /// series, in panel and series order, headed `<series>`, or
+  /// `<panel>.<series>` when several panels share the table. A series with
+  /// a reference curve is followed by a `paper` column: the curve at the
+  /// row's x, linear between its points and flat past its ends. Every other
+  /// cell is "%.2f", or empty where the series has no point at that x.
+  std::string render(const std::string& caption,
+                     const std::vector<std::string>& panel_titles) const;
+
+  /// Prints render(caption, panel_titles) to stdout.
+  void print(const std::string& caption,
+             const std::vector<std::string>& panel_titles) const;
+
+  /// Writes `body` and a newline to `<bench_dir()>/<file>`. A failure is
+  /// reported to stderr and remembered for write().
+  void write_artifact(const std::string& file, const std::string& body);
+
+  /// Writes BENCH_<name>.json under $VMSTORM_BENCH_DIR (default "."). False
+  /// if it, or any earlier write_artifact() of this report (capture_obs's
+  /// TRACE files), was not written.
+  bool write();
 
   const std::string& name() const { return name_; }
 
@@ -107,6 +128,7 @@ class Report {
   std::string metrics_json_;      ///< empty = "metrics": null
   std::string attribution_json_;  ///< empty = "attribution": null
   std::string timeline_json_;     ///< empty = "timeline": null
+  bool write_failed_ = false;
 };
 
 /// FNV-1a 64-bit over "key=value;" in entry order, as 16 hex digits: the
@@ -117,10 +139,11 @@ std::string config_fingerprint(
 /// Captures the Cloud's metrics registry into the report (collect + JSON).
 /// When tracing is enabled it additionally runs the critical-path analyzer
 /// over the recorded spans (the "attribution" section of the artifact) and
-/// writes the trace alongside it, as TRACE_<name>.json (chrome://tracing)
-/// and TRACE_<name>.jsonl (the `vmstormctl critpath` input). When timeline
-/// sampling is enabled, the sampled series plus their phase segmentation
-/// land in the "timeline" section.
+/// writes the trace alongside it with write_artifact(), as
+/// TRACE_<name>.json (chrome://tracing) and TRACE_<name>.jsonl (the
+/// `vmstormctl critpath` input). When timeline sampling is enabled, the
+/// sampled series plus their phase segmentation land in the "timeline"
+/// section.
 void capture_obs(Report& report, cloud::Cloud& cloud);
 
 /// Adds the paper-style temporal panels from the cloud's sampled timeline:

@@ -378,6 +378,14 @@ Status read_event(JsonLexer& lx, std::vector<TraceArg>* arg_buf,
   return Status::ok();
 }
 
+/// True when `line` holds only the bytes JsonLexer skips as whitespace
+/// (space, tab, '\r'): a blank line, which the reader skips. An event line
+/// is told apart by its first byte, '{'.
+bool blank_line(std::string_view line) {
+  if (!line.empty() && line[0] == '{') return false;
+  return line.find_first_not_of(" \t\r") == std::string_view::npos;
+}
+
 /// Calls fn(line) on each line of `text` in order: the bytes before each
 /// '\n', then what follows the last one if anything does. Stops when fn
 /// returns false.
@@ -474,7 +482,7 @@ Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text,
     std::size_t events = 0;
     for_each_line(part[p].text, [&](std::string_view line) {
       ++lines;
-      events += line.empty() ? 0 : 1;
+      events += blank_line(line) ? 0 : 1;
       return true;
     });
     part[p].lines = lines;
@@ -497,7 +505,7 @@ Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text,
     TraceEvent* ev = events.data() + pt.first_event;
     for_each_line(pt.text, [&](std::string_view line) {
       ++line_no;
-      if (line.empty()) return true;
+      if (blank_line(line)) return true;
       JsonLexer lx(line);
       const Status st = read_event(lx, &arg_buf, ev++);
       if (st.is_ok()) return true;

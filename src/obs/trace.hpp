@@ -251,13 +251,14 @@ class Tracer {
 /// parts is read on the caller's thread alone.
 inline constexpr std::size_t kParsePart = std::size_t{1} << 20;
 
-/// Reads a jsonl() export back into events, one per non-blank line, so
-/// `vmstormctl critpath` reproduces in-process attribution byte-for-byte
-/// (numbers round-trip through shortest-form representation; ids and uint
-/// args through their exact integer token). Streams each line through
-/// obs/json's JsonLexer, as strict as parse_json(); keys the writer does
-/// not emit are skipped. Errors start with "line N: ", N counted over the
-/// whole text.
+/// Reads a jsonl() export back into events, one per line that is not blank
+/// (a blank line holds only spaces, tabs and '\r', so CRLF text reads like
+/// LF text), so `vmstormctl critpath` reproduces in-process attribution
+/// byte-for-byte (numbers round-trip through shortest-form representation;
+/// ids and uint args through their exact integer token). Streams each line
+/// through obs/json's JsonLexer, as strict as parse_json(); keys the writer
+/// does not emit are skipped. Errors start with "line N: ", N counted over
+/// the whole text.
 ///
 /// The text is cut into k = part_count(text.size(), kParsePart) parts at
 /// line boundaries: part p starts after the first '\n' at or past byte

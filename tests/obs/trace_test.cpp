@@ -334,6 +334,45 @@ TEST(TraceJsonl, DecodesWideEscapesAndSkipsBlankLinesAndUnknownKeys) {
   EXPECT_EQ(e.id, 3u);
 }
 
+TEST(TraceJsonl, CrlfTextWithWhitespaceOnlyLinesReadsLikeItsLfForm) {
+  Tracer t;
+  t.set_enabled(true);
+  for (int i = 0; i < 8; ++i) {
+    t.complete_span(0.5 * i, 0.25, static_cast<std::uint32_t>(i % 3), "vm",
+                    "boot", t.new_span(), 0,
+                    {TraceArg::uint("bytes", 4096u * static_cast<unsigned>(i))});
+  }
+  const std::string lf = t.jsonl();
+  auto want = parse_trace_jsonl(lf);
+  ASSERT_TRUE(want.is_ok()) << want.status().to_string();
+  ASSERT_EQ(want->size(), 8u);
+  // The same lines ending in "\r\n", with a blank line after the second
+  // and a line of spaces and a tab after the fifth: ten lines in all.
+  std::string crlf;
+  std::size_t line = 0;
+  for (std::size_t pos = 0; pos < lf.size();) {
+    const std::size_t nl = lf.find('\n', pos);
+    crlf.append(lf, pos, nl - pos).append("\r\n");
+    pos = nl + 1;
+    ++line;
+    if (line == 2) crlf += "\r\n";
+    if (line == 5) crlf += "  \t \r\n";
+  }
+  for (std::size_t parts = 1; parts <= 4; ++parts) {
+    SCOPED_TRACE(std::to_string(parts) + " parts");
+    auto got = parse_trace_jsonl(crlf, parts);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    expect_same_events(*got, *want);
+    auto bad = parse_trace_jsonl(crlf + "{\"name\":\r\n", parts);
+    ASSERT_FALSE(bad.is_ok());
+    EXPECT_EQ(bad.status().message().rfind("line 11:", 0), 0u)
+        << bad.status().message();
+  }
+  auto spaces = parse_trace_jsonl("   \n" + lf);
+  ASSERT_TRUE(spaces.is_ok()) << spaces.status().to_string();
+  expect_same_events(*spaces, *want);
+}
+
 // ---- The event writer against a JsonWriter reference ----------------------
 
 void reference_event(JsonWriter& w, const TraceEvent& ev, bool chrome) {
