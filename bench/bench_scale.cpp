@@ -24,11 +24,11 @@
 //
 // Full mode: 10240 instances. VMSTORM_QUICK=1: 256 (CI budget ~60 s).
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "cloud/scale_workload.hpp"
+#include "common/file_io.hpp"
 #include "obs/selfprof.hpp"
 #include "obs/timeline.hpp"
 #include "util/bench_util.hpp"
@@ -259,10 +259,9 @@ int run() {
   w.end_object();
 
   const std::string path = bench::bench_dir() + "/BENCH_engine.json";
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << w.str() << "\n";
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  const Status st = write_file(path, w.str() + "\n");
+  if (!st.is_ok()) {
+    std::fprintf(stderr, "cannot write: %s\n", st.to_string().c_str());
     return 1;
   }
   std::printf("\nwrote %s\n", path.c_str());

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "cloud/cloud.hpp"
 #include "common/env.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "obs/critpath.hpp"
 #include "util/bench_util.hpp"
@@ -252,15 +252,14 @@ void Report::print(const std::string& caption,
   std::fputs(render(caption, panel_titles).c_str(), stdout);
 }
 
-void Report::write_artifact(const std::string& file, const std::string& body) {
+void Report::write_artifact(const std::string& file, std::string body) {
   const std::string path = bench_dir() + "/" + file;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << body << '\n';
-  out.close();  // a stream that never opened fails here too
-  if (out) {
+  body.push_back('\n');
+  const Status st = write_file(path, body);
+  if (st.is_ok()) {
     std::printf("[artifact] %s\n", path.c_str());
   } else {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+    std::fprintf(stderr, "bench: cannot write: %s\n", st.to_string().c_str());
     write_failed_ = true;
   }
 }

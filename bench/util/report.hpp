@@ -107,9 +107,9 @@ class Report {
   void print(const std::string& caption,
              const std::vector<std::string>& panel_titles) const;
 
-  /// Writes `body` and a newline to `<bench_dir()>/<file>`. A failure is
-  /// reported to stderr and remembered for write().
-  void write_artifact(const std::string& file, const std::string& body);
+  /// Writes `body` and a newline to `<bench_dir()>/<file>` (replaced by
+  /// rename). A failure is reported to stderr and remembered for write().
+  void write_artifact(const std::string& file, std::string body);
 
   /// Writes BENCH_<name>.json under $VMSTORM_BENCH_DIR (default "."). False
   /// if it, or any earlier write_artifact() of this report (capture_obs's

@@ -5,14 +5,13 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <map>
-#include <fstream>
 #include <sstream>
 
 #include "blob/persist.hpp"
 #include "blob/store.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "obs/critpath.hpp"
@@ -24,24 +23,6 @@ namespace vmstorm::apps {
 namespace {
 
 constexpr Bytes kDefaultChunk = 256_KiB;
-
-Result<std::vector<std::byte>> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return not_found("cannot open " + path);
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  std::vector<std::byte> out(raw.size());
-  std::memcpy(out.data(), raw.data(), raw.size());
-  return out;
-}
-
-Status write_file(const std::string& path, std::span<const std::byte> data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return unavailable("cannot open " + path);
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  return out ? Status::ok() : unavailable("write failed");
-}
 
 Result<std::uint64_t> parse_u64(const std::string& text) {
   // Digits only: strtoull would also skip blanks and negate a '-'.
@@ -85,10 +66,6 @@ Result<Parsed> parse_args(const std::vector<std::string>& args) {
   return p;
 }
 
-Result<std::unique_ptr<blob::BlobStore>> open_repo(const std::string& path) {
-  return blob::load_store_file(path);
-}
-
 Result<std::string> cmd_init(const Parsed& p) {
   if (p.positional.size() != 1) return invalid_argument("init <repo>");
   blob::StoreConfig cfg;
@@ -114,7 +91,7 @@ Result<std::string> cmd_init(const Parsed& p) {
 
 Result<std::string> cmd_ls(const Parsed& p) {
   if (p.positional.size() != 1) return invalid_argument("ls <repo>");
-  VMSTORM_ASSIGN_OR_RETURN(store, open_repo(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(store, blob::load_store_file(p.positional[0]));
   Table t({"blob", "size", "chunk", "latest", "versions"});
   // Blob ids are dense from 1; probe until the directory runs out.
   std::size_t seen = 0;
@@ -137,7 +114,7 @@ Result<std::string> cmd_ls(const Parsed& p) {
 
 Result<std::string> cmd_stat(const Parsed& p) {
   if (p.positional.size() != 2) return invalid_argument("stat <repo> <blob>");
-  VMSTORM_ASSIGN_OR_RETURN(store, open_repo(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(store, blob::load_store_file(p.positional[0]));
   VMSTORM_ASSIGN_OR_RETURN(id, parse_u64(p.positional[1]));
   VMSTORM_ASSIGN_OR_RETURN(info, store->info(static_cast<blob::BlobId>(id)));
   std::ostringstream os;
@@ -151,7 +128,7 @@ Result<std::string> cmd_stat(const Parsed& p) {
 
 Result<std::string> cmd_upload(const Parsed& p) {
   if (p.positional.size() != 2) return invalid_argument("upload <repo> <file>");
-  VMSTORM_ASSIGN_OR_RETURN(store, open_repo(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(store, blob::load_store_file(p.positional[0]));
   VMSTORM_ASSIGN_OR_RETURN(data, read_file(p.positional[1]));
   if (data.empty()) return invalid_argument("refusing to upload an empty file");
   Bytes chunk = kDefaultChunk;
@@ -160,7 +137,8 @@ Result<std::string> cmd_upload(const Parsed& p) {
     chunk = c;
   }
   VMSTORM_ASSIGN_OR_RETURN(id, store->create(data.size(), chunk));
-  VMSTORM_ASSIGN_OR_RETURN(v, store->write(id, 0, 0, data));
+  VMSTORM_ASSIGN_OR_RETURN(
+      v, store->write(id, 0, 0, std::as_bytes(std::span(data))));
   VMSTORM_RETURN_IF_ERROR(blob::save_store_file(*store, p.positional[0]));
   std::ostringstream os;
   os << "uploaded " << p.positional[1] << " as blob " << id << " version " << v
@@ -172,14 +150,14 @@ Result<std::string> cmd_download(const Parsed& p) {
   if (p.positional.size() != 4) {
     return invalid_argument("download <repo> <blob> <version> <file>");
   }
-  VMSTORM_ASSIGN_OR_RETURN(store, open_repo(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(store, blob::load_store_file(p.positional[0]));
   VMSTORM_ASSIGN_OR_RETURN(id, parse_u64(p.positional[1]));
   VMSTORM_ASSIGN_OR_RETURN(version, parse_u64(p.positional[2]));
   VMSTORM_ASSIGN_OR_RETURN(info, store->info(static_cast<blob::BlobId>(id)));
-  std::vector<std::byte> data(info.size);
+  std::string data(info.size, '\0');
   VMSTORM_RETURN_IF_ERROR(store->read(static_cast<blob::BlobId>(id),
                                       static_cast<blob::Version>(version), 0,
-                                      data));
+                                      std::as_writable_bytes(std::span(data))));
   VMSTORM_RETURN_IF_ERROR(write_file(p.positional[3], data));
   std::ostringstream os;
   os << "downloaded blob " << id << " v" << version << " to " << p.positional[3]
@@ -191,7 +169,7 @@ Result<std::string> cmd_clone(const Parsed& p) {
   if (p.positional.size() != 3) {
     return invalid_argument("clone <repo> <blob> <version>");
   }
-  VMSTORM_ASSIGN_OR_RETURN(store, open_repo(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(store, blob::load_store_file(p.positional[0]));
   VMSTORM_ASSIGN_OR_RETURN(id, parse_u64(p.positional[1]));
   VMSTORM_ASSIGN_OR_RETURN(version, parse_u64(p.positional[2]));
   VMSTORM_ASSIGN_OR_RETURN(
@@ -208,13 +186,14 @@ Result<std::string> cmd_patch(const Parsed& p) {
   if (p.positional.size() != 4) {
     return invalid_argument("patch <repo> <blob> <offset> <file>");
   }
-  VMSTORM_ASSIGN_OR_RETURN(store, open_repo(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(store, blob::load_store_file(p.positional[0]));
   VMSTORM_ASSIGN_OR_RETURN(id, parse_u64(p.positional[1]));
   VMSTORM_ASSIGN_OR_RETURN(offset, parse_size(p.positional[2]));
   VMSTORM_ASSIGN_OR_RETURN(data, read_file(p.positional[3]));
   VMSTORM_ASSIGN_OR_RETURN(info, store->info(static_cast<blob::BlobId>(id)));
   VMSTORM_ASSIGN_OR_RETURN(
-      v, store->write(static_cast<blob::BlobId>(id), info.latest, offset, data));
+      v, store->write(static_cast<blob::BlobId>(id), info.latest, offset,
+                      std::as_bytes(std::span(data))));
   VMSTORM_RETURN_IF_ERROR(blob::save_store_file(*store, p.positional[0]));
   std::ostringstream os;
   os << "patched blob " << id << " at offset " << offset << ": new version "
@@ -226,11 +205,8 @@ Result<std::string> cmd_critpath(const Parsed& p) {
   if (p.positional.size() != 1) {
     return invalid_argument("critpath <trace.jsonl>");
   }
-  std::ifstream in(p.positional[0], std::ios::binary);
-  if (!in) return not_found("cannot open " + p.positional[0]);
-  std::ostringstream text;
-  text << in.rdbuf();
-  VMSTORM_ASSIGN_OR_RETURN(events, obs::parse_trace_jsonl(text.str()));
+  VMSTORM_ASSIGN_OR_RETURN(text, read_file(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(events, obs::parse_trace_jsonl(text));
   const obs::CritReport report = obs::analyze_critical_paths(events);
   return obs::attribution_table(report);
 }
@@ -239,11 +215,8 @@ Result<std::string> cmd_engine_stats(const Parsed& p) {
   if (p.positional.size() != 1) {
     return invalid_argument("engine-stats <BENCH_engine.json>");
   }
-  std::ifstream in(p.positional[0], std::ios::binary);
-  if (!in) return not_found("cannot open " + p.positional[0]);
-  std::ostringstream text;
-  text << in.rdbuf();
-  VMSTORM_ASSIGN_OR_RETURN(doc, obs::parse_json(text.str()));
+  VMSTORM_ASSIGN_OR_RETURN(text, read_file(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(doc, obs::parse_json(text));
   if (doc["schema"].as_string() != "vmstorm-engine-v1") {
     return invalid_argument("not a vmstorm-engine-v1 artifact (schema: \"" +
                             doc["schema"].as_string() + "\")");
@@ -348,11 +321,8 @@ Result<std::string> cmd_timeline(const Parsed& p) {
   if (p.positional.size() != 1) {
     return invalid_argument("timeline <BENCH.json>");
   }
-  std::ifstream in(p.positional[0], std::ios::binary);
-  if (!in) return not_found("cannot open " + p.positional[0]);
-  std::ostringstream text;
-  text << in.rdbuf();
-  VMSTORM_ASSIGN_OR_RETURN(doc, obs::parse_json(text.str()));
+  VMSTORM_ASSIGN_OR_RETURN(text, read_file(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(doc, obs::parse_json(text));
   const obs::JsonValue& tl = doc["timeline"];
   if (!tl.is_object()) {
     return invalid_argument(

@@ -18,6 +18,10 @@
 //                                           prints the new version
 //   critpath <trace.jsonl>               -> critical-path attribution tables
 //                                           from a TRACE_*.jsonl artifact
+//   engine-stats <BENCH_engine.json>     -> engine counters and the tracing
+//                                           ablation of bench_scale
+//   timeline <BENCH.json>                -> sparklines and bottleneck phases
+//                                           of a bench's timeline section
 #pragma once
 
 #include <string>

@@ -1,49 +1,16 @@
 #include "blob/persist.hpp"
 
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
+#include "common/byte_codec.hpp"
+#include "common/file_io.hpp"
 
 namespace vmstorm::blob {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'M', 'S', 'T', 'R', 'E', 'P', 'O'};
+constexpr std::string_view kMagic = "VMSTREPO";
 constexpr std::uint64_t kFormatVersion = 1;
 
-class Writer {
- public:
-  explicit Writer(std::ostream& out) : out_(&out) {}
-  void u64(std::uint64_t v) {
-    out_->write(reinterpret_cast<const char*>(&v), 8);
-  }
-  void bytes(const void* p, std::size_t n) {
-    out_->write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-  }
-  bool ok() const { return out_->good(); }
-
- private:
-  std::ostream* out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::istream& in) : in_(&in) {}
-  bool u64(std::uint64_t* v) {
-    in_->read(reinterpret_cast<char*>(v), 8);
-    return in_->good();
-  }
-  bool bytes(void* p, std::size_t n) {
-    in_->read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-    return in_->good();
-  }
-
- private:
-  std::istream* in_;
-};
-
-void write_payload(Writer& w, const ChunkPayload& p) {
+void write_payload(ByteWriter& w, const ChunkPayload& p) {
   w.u64(static_cast<std::uint64_t>(p.kind()));
   w.u64(p.size());
   switch (p.kind()) {
@@ -54,12 +21,12 @@ void write_payload(Writer& w, const ChunkPayload& p) {
       w.u64(p.bias());
       break;
     case ChunkPayload::Kind::kBytes:
-      w.bytes(p.raw_bytes().data(), p.raw_bytes().size());
+      w.bytes(p.raw_bytes());
       break;
   }
 }
 
-Result<ChunkPayload> read_payload(Reader& r) {
+Result<ChunkPayload> read_payload(ByteReader& r) {
   std::uint64_t kind = 0, size = 0;
   if (!r.u64(&kind) || !r.u64(&size)) return corruption("truncated payload");
   switch (static_cast<ChunkPayload::Kind>(kind)) {
@@ -71,9 +38,10 @@ Result<ChunkPayload> read_payload(Reader& r) {
       return ChunkPayload::pattern(seed, size, bias);
     }
     case ChunkPayload::Kind::kBytes: {
-      std::vector<std::byte> raw(size);
-      if (!r.bytes(raw.data(), raw.size())) return corruption("truncated bytes");
-      return ChunkPayload::own(std::move(raw));
+      std::string_view raw;
+      if (!r.bytes(size, &raw)) return corruption("truncated bytes");
+      const auto b = std::as_bytes(std::span(raw));
+      return ChunkPayload::own({b.begin(), b.end()});
     }
   }
   return corruption("unknown payload kind");
@@ -81,10 +49,10 @@ Result<ChunkPayload> read_payload(Reader& r) {
 
 }  // namespace
 
-Status save_store(const BlobStore& store, std::ostream& out) {
+Result<std::string> save_store(const BlobStore& store) {
   std::shared_lock lock(store.mutex_);
-  Writer w(out);
-  w.bytes(kMagic, sizeof(kMagic));
+  ByteWriter w;
+  w.bytes(std::as_bytes(std::span(kMagic)));
   w.u64(kFormatVersion);
 
   // Config.
@@ -156,21 +124,23 @@ Status save_store(const BlobStore& store, std::ostream& out) {
       write_payload(w, *payload);
     }
   }
-  if (!w.ok()) return unavailable("write failed");
-  return Status::ok();
+  return std::move(w).str();
 }
 
 Status save_store_file(const BlobStore& store, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return unavailable("cannot open " + path);
-  return save_store(store, out);
+  VMSTORM_ASSIGN_OR_RETURN(bytes, save_store(store));
+  return write_file(path, bytes);
 }
 
-Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
-  Reader r(in);
-  char magic[8];
-  if (!r.bytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(magic)) != 0) {
+Result<std::unique_ptr<BlobStore>> load_store(std::string_view bytes) {
+  ByteReader r(bytes);
+  // A count of records of at least `words` u64s each fails here unless
+  // the bytes left can hold them, so nothing is sized from a wild count.
+  const auto count = [&r](std::uint64_t* n, std::uint64_t words) {
+    return r.u64(n) && *n <= r.remaining() / (8 * words);
+  };
+  std::string_view magic;
+  if (!r.bytes(kMagic.size(), &magic) || magic != kMagic) {
     return corruption("bad repository magic");
   }
   std::uint64_t format = 0;
@@ -184,6 +154,8 @@ Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
       !r.u64(&dedup) || !r.u64(&seed)) {
     return corruption("truncated config");
   }
+  // Each provider's load, chunk count and chunk-store size come later.
+  if (providers > r.remaining() / 24) return corruption("truncated providers");
   cfg.providers = providers;
   cfg.policy = static_cast<AllocationPolicy>(policy);
   cfg.replication = replication;
@@ -193,7 +165,7 @@ Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
 
   // Arena.
   std::uint64_t node_count = 0;
-  if (!r.u64(&node_count)) return corruption("truncated arena");
+  if (!count(&node_count, 7)) return corruption("truncated arena");
   std::vector<SegmentTreeArena::Node> nodes(node_count);
   for (auto& n : nodes) {
     std::uint64_t prov = 0;
@@ -207,10 +179,11 @@ Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
 
   // Blobs.
   std::uint64_t blob_count = 0;
-  if (!r.u64(&blob_count)) return corruption("truncated blob directory");
+  if (!count(&blob_count, 4)) return corruption("truncated blob directory");
   for (std::uint64_t i = 0; i < blob_count; ++i) {
     std::uint64_t id = 0, size = 0, chunk_size = 0, roots = 0;
-    if (!r.u64(&id) || !r.u64(&size) || !r.u64(&chunk_size) || !r.u64(&roots)) {
+    if (!r.u64(&id) || !r.u64(&size) || !r.u64(&chunk_size) ||
+        !count(&roots, 1)) {
       return corruption("truncated blob record");
     }
     BlobStore::BlobRecord rec;
@@ -230,10 +203,10 @@ Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
 
   // Replica map.
   std::uint64_t replica_count = 0;
-  if (!r.u64(&replica_count)) return corruption("truncated replica map");
+  if (!count(&replica_count, 2)) return corruption("truncated replica map");
   for (std::uint64_t i = 0; i < replica_count; ++i) {
     std::uint64_t key = 0, reps = 0;
-    if (!r.u64(&key) || !r.u64(&reps)) return corruption("truncated replicas");
+    if (!r.u64(&key) || !count(&reps, 1)) return corruption("truncated replicas");
     std::vector<ProviderId> v(reps);
     for (auto& p : v) {
       std::uint64_t pv = 0;
@@ -246,7 +219,7 @@ Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
 
   // Dedup state.
   std::uint64_t dedup_count = 0;
-  if (!r.u64(&dedup_count)) return corruption("truncated dedup map");
+  if (!count(&dedup_count, 3)) return corruption("truncated dedup map");
   for (std::uint64_t i = 0; i < dedup_count; ++i) {
     std::uint64_t hash = 0, key = 0, size = 0;
     if (!r.u64(&hash) || !r.u64(&key) || !r.u64(&size)) {
@@ -283,7 +256,8 @@ Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
   }
   for (std::uint64_t p = 0; p < provider_stores; ++p) {
     std::uint64_t chunk_count = 0;
-    if (!r.u64(&chunk_count)) return corruption("truncated chunk store");
+    // A chunk record is at least its key and its payload's kind and size.
+    if (!count(&chunk_count, 3)) return corruption("truncated chunk store");
     for (std::uint64_t i = 0; i < chunk_count; ++i) {
       std::uint64_t key = 0;
       if (!r.u64(&key)) return corruption("truncated chunk key");
@@ -295,9 +269,8 @@ Result<std::unique_ptr<BlobStore>> load_store(std::istream& in) {
 }
 
 Result<std::unique_ptr<BlobStore>> load_store_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return not_found("cannot open " + path);
-  return load_store(in);
+  VMSTORM_ASSIGN_OR_RETURN(bytes, read_file(path));
+  return load_store(bytes);
 }
 
 }  // namespace vmstorm::blob

@@ -20,12 +20,13 @@
 
 #include <atomic>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/interval.hpp"
@@ -149,8 +150,8 @@ class BlobStore {
   std::uint64_t dedup_hits() const;
   Bytes dedup_saved_bytes() const;
 
-  friend Status save_store(const BlobStore& store, std::ostream& out);
-  friend Result<std::unique_ptr<BlobStore>> load_store(std::istream& in);
+  friend Result<std::string> save_store(const BlobStore& store);
+  friend Result<std::unique_ptr<BlobStore>> load_store(std::string_view bytes);
 
  private:
   struct BlobRecord {

@@ -42,12 +42,10 @@ void LatencyDevice::spin() const {
 Result<std::unique_ptr<PosixFileDevice>> PosixFileDevice::open(
     const std::string& path, Bytes size) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return unavailable(std::string("open: ") + std::strerror(errno));
-  }
+  if (fd < 0) return errno_status("open", path);
   if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
     ::close(fd);
-    return unavailable(std::string("ftruncate: ") + std::strerror(errno));
+    return errno_status("ftruncate", path);
   }
   return std::unique_ptr<PosixFileDevice>(new PosixFileDevice(fd, size));
 }

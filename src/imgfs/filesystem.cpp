@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 
+#include "common/byte_codec.hpp"
 #include "common/interval.hpp"
 
 namespace vmstorm::imgfs {
@@ -13,18 +14,6 @@ namespace {
 
 constexpr std::uint64_t kSuperMagic = 0x494d474653303176ull;  // "IMGFS01v"
 constexpr Bytes kInodeDiskBytes = 256;
-
-struct SuperBlock {
-  std::uint64_t magic;
-  std::uint64_t block_size;
-  std::uint64_t max_inodes;
-  std::uint64_t bitmap_start;
-  std::uint64_t bitmap_blocks;
-  std::uint64_t inode_start;
-  std::uint64_t inode_blocks;
-  std::uint64_t data_start;
-  std::uint64_t total_blocks;
-};
 
 }  // namespace
 
@@ -73,20 +62,19 @@ Result<std::unique_ptr<FileSystem>> FileSystem::format(BlockDevice& dev,
 Result<std::unique_ptr<FileSystem>> FileSystem::mount(BlockDevice& dev) {
   FsOptions probe;
   auto fs = std::unique_ptr<FileSystem>(new FileSystem(dev, probe));
-  std::vector<std::byte> raw(sizeof(SuperBlock));
+  std::vector<std::byte> raw(72);  // nine u64 fields
   VMSTORM_RETURN_IF_ERROR(dev.pread(0, raw));
-  SuperBlock sb;
-  std::memcpy(&sb, raw.data(), sizeof(sb));
-  if (sb.magic != kSuperMagic) return corruption("bad imgfs superblock magic");
-  fs->opts_.block_size = sb.block_size;
-  fs->opts_.max_inodes = static_cast<std::uint32_t>(sb.max_inodes);
-  fs->bitmap_start_ = sb.bitmap_start;
-  fs->bitmap_blocks_ = sb.bitmap_blocks;
-  fs->inode_start_ = sb.inode_start;
-  fs->inode_blocks_ = sb.inode_blocks;
-  fs->data_start_ = sb.data_start;
-  fs->total_blocks_ = sb.total_blocks;
-  if (sb.total_blocks * sb.block_size > dev.size()) {
+  ByteReader sb(raw);
+  std::uint64_t magic = 0, max_inodes = 0;
+  // All nine fields were read, so none of these reads can fail.
+  (void)(sb.u64(&magic) && sb.u64(&fs->opts_.block_size) &&
+         sb.u64(&max_inodes) && sb.u64(&fs->bitmap_start_) &&
+         sb.u64(&fs->bitmap_blocks_) && sb.u64(&fs->inode_start_) &&
+         sb.u64(&fs->inode_blocks_) && sb.u64(&fs->data_start_) &&
+         sb.u64(&fs->total_blocks_));
+  if (magic != kSuperMagic) return corruption("bad imgfs superblock magic");
+  fs->opts_.max_inodes = static_cast<std::uint32_t>(max_inodes);
+  if (fs->total_blocks_ * fs->opts_.block_size > dev.size()) {
     return corruption("superblock larger than device");
   }
   VMSTORM_RETURN_IF_ERROR(fs->load_all());
@@ -110,30 +98,30 @@ Status FileSystem::load_all() {
   for (InodeId i = 0; i < opts_.max_inodes; ++i) {
     VMSTORM_RETURN_IF_ERROR(
         dev_->pread(inode_start_ * bs + i * kInodeDiskBytes, ibuf));
+    ByteReader in(ibuf);
     Inode& ino = inodes_[i];
-    std::uint32_t used = 0;
-    std::memcpy(&used, ibuf.data(), 4);
+    std::uint32_t used = 0, reserved = 0;
+    std::string_view name;
+    // kInodeDiskBytes bytes were read, so none of these reads can fail.
+    (void)(in.u32(&used) && in.u32(&ino.extent_count) && in.u64(&ino.size) &&
+           in.bytes(kMaxName + 1, &name) && in.u32(&reserved));
+    for (Extent& e : ino.extents) (void)(in.u64(&e.start) && in.u64(&e.count));
     ino.used = used != 0;
-    std::memcpy(&ino.extent_count, ibuf.data() + 4, 4);
-    std::memcpy(&ino.size, ibuf.data() + 8, 8);
-    std::memcpy(ino.name, ibuf.data() + 16, kMaxName + 1);
-    ino.name[kMaxName] = '\0';
-    for (std::uint32_t e = 0; e < kMaxExtents; ++e) {
-      std::memcpy(&ino.extents[e].start, ibuf.data() + 64 + e * 16, 8);
-      std::memcpy(&ino.extents[e].count, ibuf.data() + 64 + e * 16 + 8, 8);
-    }
+    name.copy(ino.name, kMaxName);  // ino.name[kMaxName] stays '\0'
     if (ino.extent_count > kMaxExtents) return corruption("inode extent count");
   }
   return Status::ok();
 }
 
 Status FileSystem::persist_superblock() {
-  SuperBlock sb{kSuperMagic, opts_.block_size, opts_.max_inodes,
-                bitmap_start_, bitmap_blocks_, inode_start_, inode_blocks_,
-                data_start_, total_blocks_};
-  std::vector<std::byte> raw(sizeof(sb));
-  std::memcpy(raw.data(), &sb, sizeof(sb));
-  return dev_->pwrite(0, raw);
+  ByteWriter w;
+  for (const std::uint64_t v :
+       {kSuperMagic, opts_.block_size, std::uint64_t{opts_.max_inodes},
+        bitmap_start_, bitmap_blocks_, inode_start_, inode_blocks_,
+        data_start_, total_blocks_}) {
+    w.u64(v);
+  }
+  return dev_->pwrite(0, std::as_bytes(std::span(w.str())));
 }
 
 Status FileSystem::persist_bitmap_block(std::uint64_t bitmap_block) {
@@ -161,18 +149,18 @@ Status FileSystem::persist_bitmap_blocks(std::vector<std::uint64_t> blocks) {
 
 Status FileSystem::persist_inode(InodeId id) {
   const Inode& ino = inodes_[id];
-  std::vector<std::byte> raw(kInodeDiskBytes, std::byte{0});
-  const std::uint32_t used = ino.used ? 1 : 0;
-  std::memcpy(raw.data(), &used, 4);
-  std::memcpy(raw.data() + 4, &ino.extent_count, 4);
-  std::memcpy(raw.data() + 8, &ino.size, 8);
-  std::memcpy(raw.data() + 16, ino.name, kMaxName + 1);
-  for (std::uint32_t e = 0; e < kMaxExtents; ++e) {
-    std::memcpy(raw.data() + 64 + e * 16, &ino.extents[e].start, 8);
-    std::memcpy(raw.data() + 64 + e * 16 + 8, &ino.extents[e].count, 8);
+  ByteWriter w;
+  w.u32(ino.used ? 1 : 0);
+  w.u32(ino.extent_count);
+  w.u64(ino.size);
+  w.bytes(std::as_bytes(std::span(ino.name)));
+  w.u32(0);  // reserved: the extents start at byte 64
+  for (const Extent& e : ino.extents) {
+    w.u64(e.start);
+    w.u64(e.count);
   }
   return dev_->pwrite(inode_start_ * opts_.block_size + id * kInodeDiskBytes,
-                      raw);
+                      std::as_bytes(std::span(w.str())));
 }
 
 Result<InodeId> FileSystem::create(const std::string& name) {

@@ -6,21 +6,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
-#include <fstream>
 
 #include "common/file_io.hpp"
 
 namespace vmstorm::mirror {
-
-namespace {
-std::string errno_message(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-std::string sidecar_path(const std::string& mirror_path) {
-  return mirror_path + ".meta";
-}
-}  // namespace
 
 Result<std::unique_ptr<LocalMirrorFile>> LocalMirrorFile::open(
     const std::string& path, Bytes size, Existing existing) {
@@ -31,13 +20,13 @@ Result<std::unique_ptr<LocalMirrorFile>> LocalMirrorFile::open(
     if (!create && errno == ENOENT) {
       return corruption("sidecar without its mirror file " + path);
     }
-    return unavailable(errno_message("open"));
+    return errno_status("open", path);
   }
   if (!create) {
     struct stat st {};
     if (::fstat(fd, &st) != 0) {
       ::close(fd);
-      return unavailable(errno_message("fstat"));
+      return errno_status("fstat", path);
     }
     if (static_cast<Bytes>(st.st_size) != size) {
       ::close(fd);
@@ -47,12 +36,12 @@ Result<std::unique_ptr<LocalMirrorFile>> LocalMirrorFile::open(
     }
   } else if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
     ::close(fd);
-    return unavailable(errno_message("ftruncate"));
+    return errno_status("ftruncate", path);
   }
   void* map = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
   if (map == MAP_FAILED) {
     ::close(fd);
-    return unavailable(errno_message("mmap"));
+    return errno_status("mmap", path);
   }
   return std::unique_ptr<LocalMirrorFile>(new LocalMirrorFile(
       path, fd, static_cast<std::byte*>(map), size));
@@ -72,29 +61,8 @@ Status LocalMirrorFile::fill(Bytes offset, std::span<const std::byte> bytes) {
 }
 
 Status LocalMirrorFile::sync() {
-  if (::fdatasync(fd_) != 0) return unavailable(errno_message("fdatasync"));
+  if (::fdatasync(fd_) != 0) return errno_status("fdatasync", path_);
   return Status::ok();
-}
-
-Status save_sidecar(const std::string& mirror_path, const std::string& blob) {
-  std::ofstream out(sidecar_path(mirror_path), std::ios::binary | std::ios::trunc);
-  if (!out) return unavailable("cannot open sidecar for writing");
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!out) return unavailable("sidecar write failed");
-  return Status::ok();
-}
-
-Result<std::string> load_sidecar(const std::string& mirror_path) {
-  std::ifstream in(sidecar_path(mirror_path), std::ios::binary);
-  if (!in) return not_found("no sidecar at " + sidecar_path(mirror_path));
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return blob;
-}
-
-bool sidecar_exists(const std::string& mirror_path) {
-  struct stat st;
-  return ::stat(sidecar_path(mirror_path).c_str(), &st) == 0;
 }
 
 }  // namespace vmstorm::mirror

@@ -67,10 +67,4 @@ class LocalMirrorFile {
   Bytes size_ = 0;
 };
 
-/// Sidecar metadata helpers: the local-modification manager's state is
-/// persisted next to the mirror file on close and restored on reopen.
-Status save_sidecar(const std::string& mirror_path, const std::string& blob);
-Result<std::string> load_sidecar(const std::string& mirror_path);
-bool sidecar_exists(const std::string& mirror_path);
-
 }  // namespace vmstorm::mirror

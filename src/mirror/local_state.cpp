@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+
+#include "common/byte_codec.hpp"
 
 namespace vmstorm::mirror {
 
 namespace {
+
+constexpr std::uint64_t kSidecarMagic = 0x4d49525253543031ull;  // "MIRRST01"
 
 /// r minus cut: zero, one or two pieces appended to out.
 void range_subtract(ByteRange r, ByteRange cut, std::vector<ByteRange>* out) {
@@ -160,48 +163,35 @@ bool LocalState::single_region_invariant_holds() const {
 
 // Binary layout: magic, config, then per chunk: dirty flag + range lists.
 std::string LocalState::serialize() const {
-  std::string out;
-  auto put_u64 = [&out](std::uint64_t v) {
-    out.append(reinterpret_cast<const char*>(&v), 8);
-  };
-  put_u64(0x4d49525253543031ull);  // "MIRRST01"
-  put_u64(cfg_.image_size);
-  put_u64(cfg_.chunk_size);
-  put_u64((cfg_.prefetch_whole_chunks ? 1u : 0u) |
-          (cfg_.single_region_per_chunk ? 2u : 0u));
-  put_u64(chunks_.size());
+  ByteWriter w;
+  w.u64(kSidecarMagic);
+  w.u64(cfg_.image_size);
+  w.u64(cfg_.chunk_size);
+  w.u64((cfg_.prefetch_whole_chunks ? 1u : 0u) |
+        (cfg_.single_region_per_chunk ? 2u : 0u));
+  w.u64(chunks_.size());
   for (const auto& c : chunks_) {
-    put_u64(c.dirty ? 1 : 0);
-    auto m = c.mirrored.to_vector();
-    put_u64(m.size());
-    for (const auto& r : m) {
-      put_u64(r.lo);
-      put_u64(r.hi);
-    }
-    auto d = c.dirty_ranges.to_vector();
-    put_u64(d.size());
-    for (const auto& r : d) {
-      put_u64(r.lo);
-      put_u64(r.hi);
+    w.u64(c.dirty ? 1 : 0);
+    for (const RangeSet* set : {&c.mirrored, &c.dirty_ranges}) {
+      const auto ranges = set->to_vector();
+      w.u64(ranges.size());
+      for (const auto& r : ranges) {
+        w.u64(r.lo);
+        w.u64(r.hi);
+      }
     }
   }
-  return out;
+  return std::move(w).str();
 }
 
 Result<LocalState> LocalState::deserialize(const std::string& data) {
-  std::size_t pos = 0;
-  auto get_u64 = [&](std::uint64_t* v) -> bool {
-    if (pos + 8 > data.size()) return false;
-    std::memcpy(v, data.data() + pos, 8);
-    pos += 8;
-    return true;
-  };
+  ByteReader in(data);
   std::uint64_t magic = 0, image_size = 0, chunk_size = 0, flags = 0, n = 0;
-  if (!get_u64(&magic) || magic != 0x4d49525253543031ull) {
+  if (!in.u64(&magic) || magic != kSidecarMagic) {
     return corruption("bad mirror-state magic");
   }
-  if (!get_u64(&image_size) || !get_u64(&chunk_size) || !get_u64(&flags) ||
-      !get_u64(&n)) {
+  if (!in.u64(&image_size) || !in.u64(&chunk_size) || !in.u64(&flags) ||
+      !in.u64(&n)) {
     return corruption("truncated mirror-state header");
   }
   MirrorConfig cfg;
@@ -214,14 +204,14 @@ Result<LocalState> LocalState::deserialize(const std::string& data) {
     return corruption("chunk count mismatch");
   }
   // Each chunk record holds at least its flag and two range counts.
-  if (n > (data.size() - pos) / 24) return corruption("truncated chunk states");
+  if (n > in.remaining() / 24) return corruption("truncated chunk states");
   // A count, then that many ranges, each non-empty and inside `chunk`.
-  auto get_ranges = [&](ByteRange chunk, RangeSet* out) -> Status {
+  auto get_ranges = [&in](ByteRange chunk, RangeSet* out) -> Status {
     std::uint64_t count = 0;
-    if (!get_u64(&count)) return corruption("truncated range count");
+    if (!in.u64(&count)) return corruption("truncated range count");
     for (std::uint64_t i = 0; i < count; ++i) {
       ByteRange r;
-      if (!get_u64(&r.lo) || !get_u64(&r.hi)) return corruption("truncated range");
+      if (!in.u64(&r.lo) || !in.u64(&r.hi)) return corruption("truncated range");
       if (r.empty() || !chunk.contains(r)) {
         return corruption("range " + r.to_string() + " outside chunk " +
                           chunk.to_string());
@@ -234,7 +224,7 @@ Result<LocalState> LocalState::deserialize(const std::string& data) {
   for (std::uint64_t ci = 0; ci < n; ++ci) {
     ChunkState& c = st.chunks_[ci];
     std::uint64_t dirty = 0;
-    if (!get_u64(&dirty)) return corruption("truncated chunk state");
+    if (!in.u64(&dirty)) return corruption("truncated chunk state");
     c.dirty = dirty != 0;
     VMSTORM_RETURN_IF_ERROR(get_ranges(st.chunk_range(ci), &c.mirrored));
     VMSTORM_RETURN_IF_ERROR(get_ranges(st.chunk_range(ci), &c.dirty_ranges));
@@ -244,7 +234,7 @@ Result<LocalState> LocalState::deserialize(const std::string& data) {
       }
     }
   }
-  if (pos != data.size()) return corruption("trailing bytes in mirror state");
+  if (in.remaining() != 0) return corruption("trailing bytes in mirror state");
   return st;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/file_io.hpp"
+
 namespace vmstorm::mirror {
 
 namespace {
@@ -25,9 +27,12 @@ Result<std::unique_ptr<VirtualDisk>> VirtualDisk::open(
   // A restored sidecar describes the bytes of the mirror file beside it,
   // so that file must still be there, whole.
   auto existing = LocalMirrorFile::Existing::kCreate;
-  if (sidecar_exists(opts.local_path)) {
-    VMSTORM_ASSIGN_OR_RETURN(raw, load_sidecar(opts.local_path));
-    VMSTORM_ASSIGN_OR_RETURN(restored, LocalState::deserialize(raw));
+  auto raw = read_file(opts.local_path + ".meta");
+  if (!raw.is_ok() && raw.status().code() != StatusCode::kNotFound) {
+    return raw.status();
+  }
+  if (raw.is_ok()) {
+    VMSTORM_ASSIGN_OR_RETURN(restored, LocalState::deserialize(*raw));
     if (restored.config().image_size != cfg.image_size ||
         restored.config().chunk_size != cfg.chunk_size) {
       return failed_precondition("sidecar metadata does not match the image");
@@ -126,7 +131,7 @@ Result<blob::Version> VirtualDisk::commit() {
 
 Status VirtualDisk::close() {
   VMSTORM_RETURN_IF_ERROR(file_->sync());
-  return save_sidecar(opts_.local_path, state_.serialize());
+  return write_file(opts_.local_path + ".meta", state_.serialize());
 }
 
 }  // namespace vmstorm::mirror

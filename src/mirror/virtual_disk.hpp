@@ -21,8 +21,8 @@
 //             snapshot: CLONE then COMMIT).
 //   commit()— publishes dirty chunks as the target blob's next version,
 //             a standalone raw image to any other consumer.
-//   close() — fdatasyncs the mirror file, then persists the sidecar
-//             metadata.
+//   close() — fdatasyncs the mirror file, then replaces the sidecar
+//             metadata by rename, so a failed save keeps the previous one.
 #pragma once
 
 #include <memory>
@@ -78,7 +78,7 @@ class VirtualDisk {
   /// version. No-op (returns current version) if nothing is dirty.
   Result<blob::Version> commit();
 
-  /// fdatasync + persist sidecar. The disk stays usable.
+  /// fdatasync, then replaces the sidecar by rename. The disk stays usable.
   Status close();
 
   const VirtualDiskStats& stats() const { return stats_; }

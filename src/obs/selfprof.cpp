@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <string>
+#include <string_view>
 
+#include "common/file_io.hpp"
 #include "obs/json.hpp"
 
 namespace vmstorm::obs {
@@ -37,33 +39,22 @@ void SelfProfiler::write_json(JsonWriter& w) const {
   w.end_object();
 }
 
-namespace {
-
-/// Reads a "Vm...: N kB" line from /proc/self/status; returns bytes.
-std::uint64_t proc_status_kb(const char* field) {
+std::uint64_t peak_rss_bytes() {
 #if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::uint64_t kb = 0;
-  const std::size_t field_len = std::strlen(field);
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, field, field_len) == 0 && line[field_len] == ':') {
-      unsigned long long v = 0;
-      if (std::sscanf(line + field_len + 1, "%llu", &v) == 1) kb = v;
-      break;
-    }
+  // The "VmHWM:  N kB" line; the file's first line is "Name:".
+  constexpr std::string_view kField = "\nVmHWM:";
+  auto status = read_file("/proc/self/status");
+  const std::size_t at =
+      status.is_ok() ? status->find(kField) : std::string::npos;
+  unsigned long long kb = 0;
+  if (at == std::string::npos ||
+      std::sscanf(status->c_str() + at + kField.size(), "%llu", &kb) != 1) {
+    return 0;
   }
-  std::fclose(f);
   return kb * 1024;
 #else
-  (void)field;
   return 0;
 #endif
 }
-
-}  // namespace
-
-std::uint64_t peak_rss_bytes() { return proc_status_kb("VmHWM"); }
 
 }  // namespace vmstorm::obs

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <string>
+
+#include "common/byte_codec.hpp"
 
 namespace vmstorm::qcow {
 
@@ -11,17 +14,10 @@ namespace {
 
 constexpr Bytes kHeaderBytes = 64;
 
-void put_u32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
-void put_u64(std::byte* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
+Status write_entry(ByteFile& file, Bytes offset, std::uint64_t entry) {
+  ByteWriter w;
+  w.u64(entry);
+  return file.pwrite(offset, std::as_bytes(std::span(w.str())));
 }
 
 }  // namespace
@@ -58,18 +54,20 @@ Result<std::unique_ptr<Image>> Image::open(std::unique_ptr<ByteFile> file,
                                            ByteFile* backing) {
   std::byte hdr[kHeaderBytes];
   VMSTORM_RETURN_IF_ERROR(file->pread(0, hdr));
-  if (get_u32(hdr) != kQcowMagic) return corruption("bad qcow magic");
-  if (get_u32(hdr + 4) != kQcowVersion) return corruption("bad qcow version");
+  ByteReader h(hdr);
   auto img = std::unique_ptr<Image>(new Image());
+  std::uint32_t magic = 0, version = 0, cluster_bits = 0, l1_entries = 0;
+  std::uint64_t l1_offset = 0, backing_size = 0;
+  // kHeaderBytes bytes were read, so none of these reads can fail.
+  (void)(h.u32(&magic) && h.u32(&version) && h.u64(&img->virtual_size_) &&
+         h.u32(&cluster_bits) && h.u32(&l1_entries) && h.u64(&l1_offset) &&
+         h.u64(&backing_size));
+  if (magic != kQcowMagic) return corruption("bad qcow magic");
+  if (version != kQcowVersion) return corruption("bad qcow version");
   img->file_ = std::move(file);
   img->backing_ = backing;
-  img->virtual_size_ = get_u64(hdr + 8);
-  const std::uint32_t cluster_bits = get_u32(hdr + 16);
   img->cluster_size_ = Bytes{1} << cluster_bits;
   img->entries_per_l2_ = img->cluster_size_ / 8;
-  const std::uint32_t l1_entries = get_u32(hdr + 20);
-  const std::uint64_t l1_offset = get_u64(hdr + 24);
-  const std::uint64_t backing_size = get_u64(hdr + 32);
   if (backing_size == 0 && backing != nullptr) {
     return invalid_argument("image was created without a backing file");
   }
@@ -81,9 +79,8 @@ Result<std::unique_ptr<Image>> Image::open(std::unique_ptr<ByteFile> file,
   img->l2_.resize(l1_entries);
   std::vector<std::byte> raw(l1_entries * 8);
   VMSTORM_RETURN_IF_ERROR(img->file_->pread(l1_offset, raw));
-  for (std::uint32_t i = 0; i < l1_entries; ++i) {
-    img->l1_[i] = get_u64(raw.data() + i * 8);
-  }
+  ByteReader l1(raw);
+  for (std::uint64_t& e : img->l1_) (void)l1.u64(&e);
   VMSTORM_RETURN_IF_ERROR(img->load_tables());
   return img;
 }
@@ -93,27 +90,28 @@ Status Image::load_tables() {
   for (std::size_t i = 0; i < l1_.size(); ++i) {
     if (l1_[i] == 0) continue;
     VMSTORM_RETURN_IF_ERROR(file_->pread(l1_[i], raw));
+    ByteReader in(raw);
     l2_[i].resize(entries_per_l2_);
-    for (std::uint64_t j = 0; j < entries_per_l2_; ++j) {
-      l2_[i][j] = get_u64(raw.data() + j * 8);
-    }
-    for (std::uint64_t j = 0; j < entries_per_l2_; ++j) {
-      if (l2_[i][j] != 0) ++stats_.allocated_clusters;
+    for (std::uint64_t& e : l2_[i]) {
+      (void)in.u64(&e);
+      if (e != 0) ++stats_.allocated_clusters;
     }
   }
   return Status::ok();
 }
 
 Status Image::persist_header() {
-  std::byte hdr[kHeaderBytes] = {};
-  put_u32(hdr, kQcowMagic);
-  put_u32(hdr + 4, kQcowVersion);
-  put_u64(hdr + 8, virtual_size_);
-  put_u32(hdr + 16, static_cast<std::uint32_t>(std::countr_zero(cluster_size_)));
-  put_u32(hdr + 20, static_cast<std::uint32_t>(l1_.size()));
-  put_u64(hdr + 24, kHeaderBytes);  // L1 sits right after the header
-  put_u64(hdr + 32, backing_ != nullptr ? virtual_size_ : 0);
-  return file_->pwrite(0, hdr);
+  ByteWriter w;
+  w.u32(kQcowMagic);
+  w.u32(kQcowVersion);
+  w.u64(virtual_size_);
+  w.u32(static_cast<std::uint32_t>(std::countr_zero(cluster_size_)));
+  w.u32(static_cast<std::uint32_t>(l1_.size()));
+  w.u64(kHeaderBytes);  // L1 sits right after the header
+  w.u64(backing_ != nullptr ? virtual_size_ : 0);
+  std::string hdr = std::move(w).str();
+  hdr.resize(kHeaderBytes);  // the rest of the header is reserved, zero
+  return file_->pwrite(0, std::as_bytes(std::span(hdr)));
 }
 
 Bytes Image::allocate_at_eof(Bytes bytes) {
@@ -146,9 +144,7 @@ Result<Bytes> Image::ensure_allocated(std::uint64_t index) {
     const Bytes l2_at = allocate_at_eof(entries_per_l2_ * 8);
     l1_[l1i] = l2_at;
     l2_[l1i].assign(entries_per_l2_, 0);
-    std::byte enc[8];
-    put_u64(enc, l2_at);
-    VMSTORM_RETURN_IF_ERROR(file_->pwrite(kHeaderBytes + l1i * 8, enc));
+    VMSTORM_RETURN_IF_ERROR(write_entry(*file_, kHeaderBytes + l1i * 8, l2_at));
   }
   if (l2_[l1i][l2i] != 0) return l2_[l1i][l2i];
 
@@ -166,9 +162,7 @@ Result<Bytes> Image::ensure_allocated(std::uint64_t index) {
   }
   l2_[l1i][l2i] = host;
   ++stats_.allocated_clusters;
-  std::byte enc[8];
-  put_u64(enc, host);
-  VMSTORM_RETURN_IF_ERROR(file_->pwrite(l1_[l1i] + l2i * 8, enc));
+  VMSTORM_RETURN_IF_ERROR(write_entry(*file_, l1_[l1i] + l2i * 8, host));
   return host;
 }
 

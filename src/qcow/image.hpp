@@ -75,16 +75,6 @@ class Image {
   Result<Bytes> ensure_allocated(std::uint64_t index);
   Bytes allocate_at_eof(Bytes bytes);
 
-  struct Header {
-    std::uint32_t magic = kQcowMagic;
-    std::uint32_t version = kQcowVersion;
-    std::uint64_t virtual_size = 0;
-    std::uint32_t cluster_bits = 0;
-    std::uint32_t l1_entries = 0;
-    std::uint64_t l1_offset = 0;
-    std::uint64_t backing_size = 0;  // 0 = no backing file
-  };
-
   std::unique_ptr<ByteFile> file_;
   ByteFile* backing_ = nullptr;
   Bytes virtual_size_ = 0;

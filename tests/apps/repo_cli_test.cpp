@@ -1,12 +1,14 @@
 #include "apps/repo_cli.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <fstream>
 
 #include "blob/chunk.hpp"
 #include "obs/phases.hpp"
 #include "obs/timeline.hpp"
+#include "support/file_size_limit.hpp"
 
 namespace vmstorm::apps {
 namespace {
@@ -107,6 +109,50 @@ TEST_F(CliFixture, ErrorsAreReported) {
   EXPECT_FALSE(run_repo_cli({"upload", repo, "/nonexistent/file"}).is_ok());
   EXPECT_FALSE(run_repo_cli({"upload", repo, "--chunk"}).is_ok());
   EXPECT_FALSE(run_repo_cli({"download", repo, "1", "9", "/tmp/x"}).is_ok());
+
+  // A directory where a file is expected cannot be read: UNAVAILABLE,
+  // naming the path, from every command that reads one.
+  const std::string dir = ::testing::TempDir();
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"upload", repo, dir},
+           {"patch", repo, "1", "0", dir},
+           {"ls", dir},
+           {"critpath", dir},
+           {"engine-stats", dir},
+           {"timeline", dir}}) {
+    auto r = run_repo_cli(args);
+    ASSERT_FALSE(r.is_ok()) << args[0];
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable)
+        << args[0] << ": " << r.status().to_string();
+    EXPECT_NE(r.status().message().find(dir), std::string::npos)
+        << args[0] << ": " << r.status().to_string();
+  }
+}
+
+TEST_F(CliFixture, FailedSaveKeepsPreviousRepository) {
+  const auto exists = [](const std::string& path) {
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0;
+  };
+  const std::string src = make_file(3000, 1);
+  ASSERT_TRUE(run_repo_cli({"upload", repo, src, "--chunk", "1K"}).is_ok());
+  const std::string fresh = repo + ".fresh";
+  {
+    // Every write that would grow a file fails, as on a full disk.
+    test_support::FileSizeLimit limit(0);
+    EXPECT_FALSE(run_repo_cli({"init", fresh}).is_ok());
+    EXPECT_FALSE(run_repo_cli({"clone", repo, "1", "1"}).is_ok());
+  }
+  EXPECT_FALSE(exists(fresh));
+  EXPECT_FALSE(exists(fresh + ".tmp"));
+  EXPECT_FALSE(exists(repo + ".tmp"));
+  // The repository is the one saved before the failed clone.
+  auto ls = run_repo_cli({"ls", repo});
+  ASSERT_TRUE(ls.is_ok()) << ls.status().to_string();
+  EXPECT_NE(ls->find("1 blob(s)"), std::string::npos) << *ls;
+  EXPECT_TRUE(run_repo_cli({"stat", repo, "1"}).is_ok());
+  std::remove(src.c_str());
 }
 
 class CliTimeline : public ::testing::Test {

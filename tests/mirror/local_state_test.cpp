@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_codec.hpp"
 #include "common/rng.hpp"
+#include "support/hex.hpp"
 
 namespace vmstorm::mirror {
 namespace {
@@ -154,11 +156,29 @@ TEST(LocalState, SerializeRoundTrip) {
 /// A sidecar built word by word: the header, then whatever follows.
 std::string sidecar(Bytes image, Bytes chunk, std::uint64_t chunks,
                     std::vector<std::uint64_t> records = {}) {
-  std::vector<std::uint64_t> words{0x4d49525253543031ull, image, chunk, 3,
-                                   chunks};
-  words.insert(words.end(), records.begin(), records.end());
-  return std::string(reinterpret_cast<const char*>(words.data()),
-                     words.size() * sizeof(std::uint64_t));
+  records.insert(records.begin(),
+                 {0x4d49525253543031ull, image, chunk, 3, chunks});
+  ByteWriter w;
+  for (std::uint64_t v : records) w.u64(v);
+  return std::move(w).str();
+}
+
+TEST(LocalState, SidecarBytesArePinned) {
+  // Two chunks: chunk 0 mirrored [0, 60) with [10, 20) dirty, chunk 1
+  // untouched. Any change to the codec or the layout moves a byte here.
+  LocalState st(cfg(150, 100));
+  st.apply_fetch({0, 60});
+  st.apply_write({10, 20});
+  EXPECT_EQ(test_support::to_hex(st.serialize()),
+      "313054535252494d"  // magic "MIRRST01"
+      "9600000000000000"  // image 150 bytes
+      "6400000000000000"  // chunks of 100
+      "0300000000000000"  // both access strategies
+      "0200000000000000"  // 2 chunks:
+      "0100000000000000"  // chunk 0 dirty,
+      "010000000000000000000000000000003c00000000000000"  // mirrored [0, 60)
+      "01000000000000000a000000000000001400000000000000"  // dirty [10, 20)
+      "000000000000000000000000000000000000000000000000");  // chunk 1: clean
 }
 
 TEST(LocalState, DeserializeRejectsCorruption) {

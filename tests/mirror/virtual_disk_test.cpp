@@ -11,6 +11,7 @@
 
 #include "blob/chunk.hpp"
 #include "common/rng.hpp"
+#include "support/file_size_limit.hpp"
 
 namespace vmstorm::mirror {
 namespace {
@@ -233,6 +234,34 @@ TEST(VirtualDisk, LocalStatePersistsAcrossReopen) {
     for (std::size_t i = 0; i < 1000; ++i) EXPECT_EQ(out[i], std::byte{0xaa});
     EXPECT_FALSE(disk->local_state().dirty_chunks().empty());
   }
+}
+
+TEST(VirtualDisk, FailedCloseKeepsThePreviousSidecar) {
+  Fixture fx;
+  const std::string path = fx.fresh_path();
+  {
+    auto disk = fx.open_disk(path);
+    std::vector<std::byte> data(100, std::byte{0xaa});
+    ASSERT_TRUE(disk->pwrite(0, data).is_ok());
+    ASSERT_TRUE(disk->close().is_ok());
+    // Dirty more chunks, so the reopen below tells the two sidecars apart.
+    for (Bytes at = kChunk; at < kImage; at += 2 * kChunk) {
+      ASSERT_TRUE(disk->pwrite(at, data).is_ok());
+    }
+    test_support::FileSizeLimit limit(64);
+    const Status st = disk->close();
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.to_string();
+  }
+  struct stat st {};
+  EXPECT_NE(::stat((path + ".meta.tmp").c_str(), &st), 0);
+  // The reopen restores the state of the first close: chunk 0 dirty.
+  auto disk = fx.open_disk(path);
+  EXPECT_EQ(disk->local_state().dirty_chunks(),
+            (std::vector<std::uint64_t>{0}));
+  std::vector<std::byte> out(100);
+  ASSERT_TRUE(disk->pread(0, out).is_ok());
+  EXPECT_EQ(out, std::vector<std::byte>(100, std::byte{0xaa}));
+  EXPECT_EQ(disk->stats().remote_fetches, 0u);
 }
 
 TEST(VirtualDisk, SidecarWithoutItsMirrorFileIsRejected) {

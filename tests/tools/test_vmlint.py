@@ -421,6 +421,19 @@ def test_env_discipline_rule():
     assert got == want, (got, want)
 
 
+def test_file_io_discipline_rule():
+    bad = "src/apps/fileio_bad.cpp"
+    got = run_rule("file-io-discipline")
+    want = {
+        (bad, line_of(bad, marker), "file-io-discipline/raw-file-stream")
+        for marker in ("fileio-include", "fileio-ofstream", "fileio-freopen")
+    }
+    # fileio_good.cpp names them only in a comment, a string and a member;
+    # src/common/file_io.cpp is the helpers' own TU; tests/ is out of
+    # scope; and the fopen in fileio_bad.cpp carries an allow escape.
+    assert got == want, (got, want)
+
+
 def test_callgraph_cross_tu_blocking():
     """Blocking propagates from a co_await in one TU, through a
     header-declared function, to callers in another TU; hot-set closure
@@ -525,7 +538,8 @@ def test_cli_list_rules():
     for rule in ("determinism", "coro-capture", "layer-dag",
                  "status-discipline", "header-hygiene", "lock-across-await",
                  "unguarded-waiter", "hot-path-alloc", "span-coverage",
-                 "determinism-taint", "rng-flow", "env-read-discipline"):
+                 "determinism-taint", "rng-flow", "env-read-discipline",
+                 "file-io-discipline"):
         assert rule in proc.stdout, (rule, proc.stdout)
 
 

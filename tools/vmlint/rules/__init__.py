@@ -19,6 +19,7 @@ from rules.span_coverage import SpanCoverageRule
 from rules.determinism_taint import DeterminismTaintRule
 from rules.rng_flow import RngFlowRule
 from rules.env_discipline import EnvDisciplineRule
+from rules.file_io_discipline import FileIoDisciplineRule
 
 ALL_RULES = (
     DeterminismRule,
@@ -33,6 +34,7 @@ ALL_RULES = (
     DeterminismTaintRule,
     RngFlowRule,
     EnvDisciplineRule,
+    FileIoDisciplineRule,
 )
 
 

@@ -5,15 +5,23 @@
 # ---- Per-rule lints + framework self-test (need python3) --------------------
 find_program(VMSTORM_PYTHON3 python3)
 if(VMSTORM_PYTHON3)
-  set(VMSTORM_VMLINT_RULES
-      determinism coro-capture layer-dag status-discipline header-hygiene
-      lock-across-await unguarded-waiter hot-path-alloc span-coverage
-      determinism-taint rng-flow env-read-discipline)
-  foreach(_rule IN LISTS VMSTORM_VMLINT_RULES)
+  # One test per rule `vmlint.py --list-rules` prints ("<name>: <summary>"
+  # lines), so a rule registered in rules/__init__.py is tested here too.
+  set(_vmlint_py ${CMAKE_SOURCE_DIR}/tools/vmlint/vmlint.py)
+  execute_process(COMMAND ${VMSTORM_PYTHON3} ${_vmlint_py} --list-rules
+                  OUTPUT_VARIABLE _vmlint_listing
+                  RESULT_VARIABLE _vmlint_rc)
+  if(NOT _vmlint_rc EQUAL 0)
+    message(FATAL_ERROR "vmlint.py --list-rules failed: ${_vmlint_rc}")
+  endif()
+  set_property(DIRECTORY APPEND PROPERTY CMAKE_CONFIGURE_DEPENDS
+               ${CMAKE_SOURCE_DIR}/tools/vmlint/rules/__init__.py)
+  string(REGEX MATCHALL "(^|\n)[a-z-]+:" _vmlint_rules "${_vmlint_listing}")
+  foreach(_rule IN LISTS _vmlint_rules)
+    string(REGEX REPLACE "[\n:]" "" _rule "${_rule}")
     string(REPLACE "-" "_" _rule_id "${_rule}")
     add_test(NAME vmlint_${_rule_id}
-             COMMAND ${VMSTORM_PYTHON3}
-                     ${CMAKE_SOURCE_DIR}/tools/vmlint/vmlint.py
+             COMMAND ${VMSTORM_PYTHON3} ${_vmlint_py}
                      --root ${CMAKE_SOURCE_DIR} --rules ${_rule} --strict)
   endforeach()
   add_test(NAME vmlint_selftest
