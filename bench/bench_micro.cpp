@@ -299,24 +299,27 @@ constexpr MixPair kTraceMix[] = {
     {"blob", "push", 6, true, MixArgs::kRepo},
 };
 
-std::vector<obs::TraceArg> mix_args(MixArgs shape, Rng& rng,
-                                    obs::SpanId holder) {
+/// Calls record(args) with the args of `shape`, drawing their values from
+/// rng.
+template <typename Record>
+void with_mix_args(MixArgs shape, Rng& rng, obs::SpanId holder,
+                   Record&& record) {
   using obs::TraceArg;
   const std::uint64_t bytes = std::uint64_t{256} << rng.uniform_u64(11);
   switch (shape) {
-    case MixArgs::kNone: return {};
-    case MixArgs::kBytes: return {TraceArg::uint("bytes", bytes)};
-    case MixArgs::kHolder: return {TraceArg::uint("holder", holder)};
+    case MixArgs::kNone: return record({});
+    case MixArgs::kBytes: return record({TraceArg::uint("bytes", bytes)});
+    case MixArgs::kHolder: return record({TraceArg::uint("holder", holder)});
     case MixArgs::kTransfer:
-      return {TraceArg::uint("dst", rng.uniform_u64(110)),
-              TraceArg::uint("bytes", bytes)};
+      return record({TraceArg::uint("dst", rng.uniform_u64(110)),
+                     TraceArg::uint("bytes", bytes)});
     case MixArgs::kRepo:
-      return {TraceArg::str("bucket", "repo"),
-              TraceArg::uint("provider", rng.uniform_u64(110)),
-              TraceArg::uint("bytes", 262144)};
-    case MixArgs::kMetadata: return {TraceArg::str("bucket", "metadata")};
+      return record({TraceArg::str("bucket", "repo"),
+                     TraceArg::uint("provider", rng.uniform_u64(110)),
+                     TraceArg::uint("bytes", 262144)});
+    case MixArgs::kMetadata:
+      return record({TraceArg::str("bucket", "metadata")});
   }
-  return {};
 }
 
 /// Records `events` draws from kTraceMix on `lane` from *now on: spans nest
@@ -335,77 +338,96 @@ void record_mix(obs::Tracer& t, Rng& rng, obs::SpanId root,
     const double ts = sim::to_seconds(*now);
     const double dur = sim::to_seconds(dur_ns);
     const obs::SpanId owner = tree[rng.uniform_u64(tree.size())];
-    auto args = mix_args(p->args, rng, tree[rng.uniform_u64(tree.size())]);
-    if (p->span) {
-      const obs::SpanId id = t.new_span(owner);
-      t.complete_span(ts, dur, lane, p->cat, p->name, id, owner,
-                      std::move(args));
-      tree.push_back(id);
-    } else {
-      const bool background =
-          std::string_view(p->name) == "disk" && rng.bernoulli(0.93);
-      t.complete_in(ts, dur, lane, p->cat, p->name, background ? 0 : owner,
-                    std::move(args));
-    }
+    const obs::SpanId holder = tree[rng.uniform_u64(tree.size())];
+    with_mix_args(p->args, rng, holder, [&](obs::TraceArgs args) {
+      if (p->span) {
+        const obs::SpanId id = t.new_span(owner);
+        t.complete_span(ts, dur, lane, p->cat, p->name, id, owner, args);
+        tree.push_back(id);
+      } else {
+        const bool background =
+            std::string_view(p->name) == "disk" && rng.bernoulli(0.93);
+        t.complete_in(ts, dur, lane, p->cat, p->name, background ? 0 : owner,
+                      args);
+      }
+    });
     *now += dur_ns / 2;
   }
 }
 
-/// About 100k events: 20 VMs (the run's 110, scaled like its 557,306
-/// events) each boot and snapshot under their own root span. A VM's boot
-/// tree takes 90 % of its 5,000 events, its snapshot tree the rest, roots,
-/// clone and commit included.
+/// About 100k events into `t`: 20 VMs (the run's 110, scaled like its
+/// 557,306 events) each boot and snapshot under their own root span. A VM's
+/// boot tree takes 90 % of its 5,000 events, its snapshot tree the rest,
+/// roots, clone and commit included.
+void record_paper_mix(obs::Tracer& t) {
+  using obs::TraceArg;
+  using sim::to_seconds;
+  constexpr std::uint32_t kVms = 20;
+  constexpr int kEventsPerVm = 5000;
+  t.set_enabled(true);
+  Rng rng(2011);
+  sim::SimTime now = 0;
+  const obs::SpanId deploy = t.new_span();
+  for (std::uint32_t vm = 0; vm < kVms; ++vm) {
+    const obs::SpanId boot = t.new_span(deploy);
+    const sim::SimTime start = now;
+    record_mix(t, rng, boot, vm, kEventsPerVm * 9 / 10 - 1, &now);
+    t.complete_span(to_seconds(start), to_seconds(now - start), vm, "vm",
+                    "boot", boot, deploy, {TraceArg::uint("instance", vm)});
+  }
+  t.complete_span(0, to_seconds(now), 0, "cloud", "multideploy", deploy, 0,
+                  {TraceArg::uint("instances", kVms)});
+  const obs::SpanId phase = t.new_span();
+  const sim::SimTime phase_start = now;
+  for (std::uint32_t vm = 0; vm < kVms; ++vm) {
+    const obs::SpanId snap = t.new_span(phase);
+    const obs::SpanId clone = t.new_span(snap);
+    const obs::SpanId commit = t.new_span(snap);
+    const sim::SimTime start = now;
+    t.complete_span(to_seconds(now), 1e-3, 0, "blob", "clone", clone, snap,
+                    {TraceArg::uint("src", 1)});
+    record_mix(t, rng, commit, 0, kEventsPerVm / 10 - 3, &now);
+    const double seconds = to_seconds(now - start);
+    t.complete_span(to_seconds(start), seconds, 0, "blob", "commit", commit,
+                    snap,
+                    {TraceArg::uint("blob", vm + 2),
+                     TraceArg::uint("version", 1),
+                     TraceArg::uint("chunks", 28)});
+    t.complete_span(to_seconds(start), seconds, 0, "cloud", "snapshot", snap,
+                    phase, {TraceArg::uint("instance", vm)});
+  }
+  t.complete_span(to_seconds(phase_start), to_seconds(now - phase_start), 0,
+                  "cloud", "multisnapshot", phase, 0,
+                  {TraceArg::uint("instances", kVms)});
+}
+
 const obs::Tracer& paper_mix_trace() {
   static const obs::Tracer trace = [] {
-    using obs::TraceArg;
-    using sim::to_seconds;
-    constexpr std::uint32_t kVms = 20;
-    constexpr int kEventsPerVm = 5000;
     obs::Tracer t;
-    t.set_enabled(true);
-    Rng rng(2011);
-    sim::SimTime now = 0;
-    const obs::SpanId deploy = t.new_span();
-    for (std::uint32_t vm = 0; vm < kVms; ++vm) {
-      const obs::SpanId boot = t.new_span(deploy);
-      const sim::SimTime start = now;
-      record_mix(t, rng, boot, vm, kEventsPerVm * 9 / 10 - 1, &now);
-      t.complete_span(to_seconds(start), to_seconds(now - start), vm, "vm",
-                      "boot", boot, deploy, {TraceArg::uint("instance", vm)});
-    }
-    t.complete_span(0, to_seconds(now), 0, "cloud", "multideploy", deploy, 0,
-                    {TraceArg::uint("instances", kVms)});
-    const obs::SpanId phase = t.new_span();
-    const sim::SimTime phase_start = now;
-    for (std::uint32_t vm = 0; vm < kVms; ++vm) {
-      const obs::SpanId snap = t.new_span(phase);
-      const obs::SpanId clone = t.new_span(snap);
-      const obs::SpanId commit = t.new_span(snap);
-      const sim::SimTime start = now;
-      t.complete_span(to_seconds(now), 1e-3, 0, "blob", "clone", clone, snap,
-                      {TraceArg::uint("src", 1)});
-      record_mix(t, rng, commit, 0, kEventsPerVm / 10 - 3, &now);
-      const double seconds = to_seconds(now - start);
-      t.complete_span(to_seconds(start), seconds, 0, "blob", "commit", commit,
-                      snap,
-                      {TraceArg::uint("blob", vm + 2),
-                       TraceArg::uint("version", 1),
-                       TraceArg::uint("chunks", 28)});
-      t.complete_span(to_seconds(start), seconds, 0, "cloud", "snapshot", snap,
-                      phase, {TraceArg::uint("instance", vm)});
-    }
-    t.complete_span(to_seconds(phase_start), to_seconds(now - phase_start), 0,
-                    "cloud", "multisnapshot", phase, 0,
-                    {TraceArg::uint("instances", kVms)});
+    record_paper_mix(t);
     return t;
   }();
   return trace;
 }
 
-// ns/event = 1e9 / items_per_second on each of the three. Each splits its
-// input over the hardware threads, so the three time wall-clock ("Time")
+// ns/event = 1e9 / items_per_second on each of the four stages. Recording
+// runs on one thread, like the engine that records. The other three split
+// their input over the hardware threads, so they time wall-clock ("Time")
 // and the whole process's CPU ("CPU"): the default, the calling thread's
 // CPU, would leave out the workers' share.
+void BM_TraceRecord(benchmark::State& state) {
+  std::size_t events = 0;
+  for (auto _ : state) {
+    obs::Tracer t;
+    record_paper_mix(t);
+    events = t.size();
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_TraceRecord)->Unit(benchmark::kMillisecond);
+
 void BM_TraceJsonl(benchmark::State& state) {
   const obs::Tracer& t = paper_mix_trace();
   for (auto _ : state) {
@@ -420,29 +442,36 @@ BENCHMARK(BM_TraceJsonl)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
+// Arg 0 reads in the automatic part count, arg 1 in one part, so a slower
+// single-threaded reader shows even where the threads would hide it.
 void BM_ParseTraceJsonl(benchmark::State& state) {
   const obs::Tracer& t = paper_mix_trace();
   const std::string text = t.jsonl();
   for (auto _ : state) {
-    auto events = obs::parse_trace_jsonl(text);
-    benchmark::DoNotOptimize(events);
+    auto trace = state.range(0) == 0
+                     ? obs::parse_trace_jsonl(text)
+                     : obs::parse_trace_jsonl(
+                           text, static_cast<std::size_t>(state.range(0)));
+    benchmark::DoNotOptimize(trace);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(t.size()));
 }
 BENCHMARK(BM_ParseTraceJsonl)
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
 void BM_AnalyzeCriticalPaths(benchmark::State& state) {
-  const std::vector<obs::TraceEvent> events = paper_mix_trace().events();
+  const obs::Trace trace = paper_mix_trace().events();
   for (auto _ : state) {
-    obs::CritReport report = obs::analyze_critical_paths(events);
+    obs::CritReport report = obs::analyze_critical_paths(trace);
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(events.size()));
+                          static_cast<std::int64_t>(trace.events.size()));
 }
 BENCHMARK(BM_AnalyzeCriticalPaths)
     ->Unit(benchmark::kMillisecond)

@@ -73,12 +73,39 @@ Result<std::unique_ptr<FileSystem>> FileSystem::mount(BlockDevice& dev) {
          sb.u64(&fs->inode_blocks_) && sb.u64(&fs->data_start_) &&
          sb.u64(&fs->total_blocks_));
   if (magic != kSuperMagic) return corruption("bad imgfs superblock magic");
+  VMSTORM_RETURN_IF_ERROR(fs->check_layout(dev.size(), max_inodes));
   fs->opts_.max_inodes = static_cast<std::uint32_t>(max_inodes);
-  if (fs->total_blocks_ * fs->opts_.block_size > dev.size()) {
-    return corruption("superblock larger than device");
-  }
   VMSTORM_RETURN_IF_ERROR(fs->load_all());
   return fs;
+}
+
+Status FileSystem::check_layout(Bytes device_size,
+                                std::uint64_t max_inodes) const {
+  // Every field is checked before it sizes anything, by division, so no
+  // product can wrap.
+  const Bytes bs = opts_.block_size;
+  if (bs < kInodeDiskBytes) return corruption("imgfs block size below an inode");
+  if (total_blocks_ > device_size / bs) {
+    return corruption("superblock larger than device");
+  }
+  // Superblock, bitmap, inodes, then data, in order inside total_blocks.
+  const auto fits = [](std::uint64_t start, std::uint64_t count,
+                       std::uint64_t limit) {
+    return start <= limit && count <= limit - start;
+  };
+  if (bitmap_start_ < 1 || !fits(bitmap_start_, bitmap_blocks_, inode_start_) ||
+      !fits(inode_start_, inode_blocks_, data_start_) ||
+      data_start_ >= total_blocks_) {
+    return corruption("imgfs regions out of order");
+  }
+  // The bitmap holds a bit per data block; the inode blocks hold the inodes.
+  if (block_count(block_count(total_blocks_ - data_start_, 8), bs) >
+          bitmap_blocks_ ||
+      max_inodes > UINT32_MAX ||
+      block_count(max_inodes, bs / kInodeDiskBytes) > inode_blocks_) {
+    return corruption("imgfs bitmap or inode table too small");
+  }
+  return Status::ok();
 }
 
 Status FileSystem::load_all() {

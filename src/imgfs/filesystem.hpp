@@ -101,6 +101,9 @@ class FileSystem {
   /// Persists each listed bitmap block once (the list may repeat blocks).
   Status persist_bitmap_blocks(std::vector<std::uint64_t> blocks);
   Status persist_inode(InodeId id);
+  /// CORRUPTION unless a mounted superblock's layout fits a device of
+  /// `device_size` bytes and holds `max_inodes` inodes.
+  Status check_layout(Bytes device_size, std::uint64_t max_inodes) const;
   Status load_all();
 
   /// Allocates up to `want` contiguous blocks (first fit); returns the run.

@@ -41,21 +41,54 @@ const SpanInfo* find_span(const std::vector<SpanInfo>& spans, SpanId id) {
   return it != spans.end() && it->id == id ? &*it : nullptr;
 }
 
-const TraceArg* find_arg(const TraceEvent& ev, std::string_view key) {
-  for (const TraceArg& a : ev.args) {
+/// The ids of the strings the analyzer tests, looked up once per trace:
+/// kNoName for one the trace lacks, which no event carries.
+struct Ids {
+  explicit Ids(const NameTable& names)
+      : wait(names.find("wait")),
+        svc(names.find("svc")),
+        sim_join(names.find("sim.join")),
+        disk(names.find("disk")),
+        vm(names.find("vm")),
+        boot(names.find("boot")),
+        resume(names.find("resume")),
+        cloud(names.find("cloud")),
+        snapshot(names.find("snapshot")),
+        bucket(names.find("bucket")),
+        metadata(names.find("metadata")),
+        repo(names.find("repo")),
+        holder(names.find("holder")),
+        instance(names.find("instance")),
+        prefix(names.size(), kOther) {
+    for (NameId id = 0; id < prefix.size(); ++id) {
+      const std::string_view name = names.str(id);
+      if (name.starts_with("net.")) prefix[id] = kNet;
+      if (name.starts_with("dfs.")) prefix[id] = kDfs;
+    }
+  }
+
+  enum Prefix : std::uint8_t { kOther, kNet, kDfs };
+
+  NameId wait, svc, sim_join, disk;       ///< cost event cats and names
+  NameId vm, boot, resume, cloud, snapshot;  ///< root span cats and names
+  NameId bucket, metadata, repo;          ///< the span hint arg and values
+  NameId holder, instance;                ///< other arg keys
+  std::vector<Prefix> prefix;             ///< by name id
+};
+
+/// The first of `ev`'s args keyed `key`, or null.
+const TraceArg* find_arg(const Trace& trace, const TraceEvent& ev,
+                         NameId key) {
+  for (const TraceArg& a : trace.args_of(ev)) {
     if (a.key == key) return &a;
   }
   return nullptr;
 }
 
-bool is_root_span(const TraceEvent& ev) {
+bool is_root_span(const TraceEvent& ev, const Ids& ids) {
   if (ev.phase != 'X' || ev.id == 0 || ev.dur < 0) return false;
-  if (ev.cat == "vm") return ev.name == "boot" || ev.name == "resume";
-  return ev.cat == "cloud" && ev.name == "snapshot";
-}
-
-bool starts_with(const std::string& s, std::string_view prefix) {
-  return s.compare(0, prefix.size(), prefix) == 0;
+  if (ev.cat == ids.vm) return ev.name == ids.boot || ev.name == ids.resume;
+  return ev.cat == ids.cloud && ev.name == ids.snapshot;
 }
 
 /// One clipped cost interval competing for critical-path time.
@@ -65,28 +98,29 @@ struct Seg {
   int priority = 0;  ///< 0 = resource wait, 1 = service, 2 = join filler
   int bucket = 0;
   std::size_t index = 0;  ///< recording order, final tie-break
-  const std::string* name = nullptr;
+  NameId name = 0;
   SpanId holder = 0;
 };
 
 /// Buckets a cost event given the effective hint of its span chain. Waits
 /// are queue time no matter the resource; service time splits by what the
 /// span chain says the work was for.
-void classify(const TraceEvent& ev, Hint hint, int* priority,
+void classify(const TraceEvent& ev, const Ids& ids, Hint hint, int* priority,
               CritBucket* bucket) {
-  if (ev.cat == "wait") {
+  if (ev.cat == ids.wait) {
     *bucket = CritBucket::kQueueWait;
-    *priority = ev.name == "sim.join" ? 2 : 0;
+    *priority = ev.name == ids.sim_join ? 2 : 0;
     return;
   }
   *priority = 1;
+  const Ids::Prefix prefix = ids.prefix[ev.name];
   if (hint == Hint::kMetadata) {
     *bucket = CritBucket::kMetadata;
-  } else if (starts_with(ev.name, "net.")) {
+  } else if (prefix == Ids::kNet) {
     *bucket = CritBucket::kNetTransfer;
   } else if (hint == Hint::kRepo) {
     *bucket = CritBucket::kRepoDisk;
-  } else if (ev.name == "disk" || starts_with(ev.name, "dfs.")) {
+  } else if (ev.name == ids.disk || prefix == Ids::kDfs) {
     *bucket = CritBucket::kLocalDisk;
   } else {
     *bucket = CritBucket::kCompute;
@@ -130,8 +164,7 @@ void sweep(CritRow* row, const std::vector<Seg>& segs, CritBucket filler) {
     const CritBucket bucket =
         win != nullptr ? static_cast<CritBucket>(win->bucket) : filler;
     buckets[static_cast<std::size_t>(bucket)] += width;
-    static const std::string kNoName;
-    const std::string& name = win != nullptr ? *win->name : kNoName;
+    const NameId name = win != nullptr ? win->name : 0;
     const SpanId holder = win != nullptr ? win->holder : 0;
     if (!segments.empty()) {
       CritSegment& last = segments.back();
@@ -147,7 +180,7 @@ void sweep(CritRow* row, const std::vector<Seg>& segs, CritBucket filler) {
     seg.bucket = bucket;
     seg.name = name;
     seg.holder = holder;
-    segments.push_back(std::move(seg));
+    segments.push_back(seg);
   };
 
   double at = row->start;
@@ -175,15 +208,18 @@ const char* crit_bucket_name(CritBucket b) {
   return kBucketNames[static_cast<std::size_t>(b)];
 }
 
-CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
-  return analyze_critical_paths(events, part_count(events.size(), kCritPart));
+CritReport analyze_critical_paths(const Trace& trace) {
+  return analyze_critical_paths(trace,
+                                part_count(trace.events.size(), kCritPart));
 }
 
-CritReport analyze_critical_paths(const std::vector<TraceEvent>& events,
-                                  std::size_t parts) {
+CritReport analyze_critical_paths(const Trace& trace, std::size_t parts) {
+  const auto& events = trace.events;
   parts = std::clamp<std::size_t>(parts, 1,
                                   std::max<std::size_t>(events.size(), 1));
+  const Ids ids(trace.names);
   CritReport report;
+  report.names = trace.names;
 
   // Pass 1: one index entry per span event, and the root rows.
   std::vector<SpanInfo> spans;
@@ -192,19 +228,19 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events,
     SpanInfo& info = spans.emplace_back();
     info.id = ev.id;
     info.parent = ev.parent;
-    if (const TraceArg* a = find_arg(ev, "bucket")) {
-      if (a->s == "metadata") info.hint = Hint::kMetadata;
-      if (a->s == "repo") info.hint = Hint::kRepo;
+    if (const TraceArg* a = find_arg(trace, ev, ids.bucket)) {
+      if (a->s == ids.metadata) info.hint = Hint::kMetadata;
+      if (a->s == ids.repo) info.hint = Hint::kRepo;
     }
     ++report.spans_seen;
-    if (!is_root_span(ev)) continue;
+    if (!is_root_span(ev, ids)) continue;
     CritRow row;
-    row.kind = ev.name;
+    row.kind = trace.str(ev.name);
     row.lane = ev.lane;
     row.span = ev.id;
     row.start = ev.ts;
     row.seconds = ev.dur;
-    const TraceArg* inst = find_arg(ev, "instance");
+    const TraceArg* inst = find_arg(trace, ev, ids.instance);
     row.instance = inst != nullptr ? inst->u : ev.lane;
     info.row = static_cast<int>(report.rows.size());
     report.rows.push_back(std::move(row));
@@ -257,7 +293,7 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events,
     for (std::size_t i = range.begin; i < range.end; ++i) {
       const TraceEvent& ev = events[i];
       if (ev.phase != 'X' || ev.dur <= 0) continue;
-      if (ev.cat != "wait" && ev.cat != "svc") continue;
+      if (ev.cat != ids.wait && ev.cat != ids.svc) continue;
       if (ev.span == 0) continue;
       ++cost_events;
       const SpanInfo* res = find_span(spans, ev.span);
@@ -270,13 +306,13 @@ CritReport analyze_critical_paths(const std::vector<TraceEvent>& events,
       seg.t1 = std::min(ev.ts + ev.dur, row.start + row.seconds);
       if (seg.t1 <= seg.t0) continue;
       seg.index = i;
-      seg.name = &ev.name;
+      seg.name = ev.name;
       int priority = 0;
       CritBucket bucket = CritBucket::kCompute;
-      classify(ev, res->hint, &priority, &bucket);
+      classify(ev, ids, res->hint, &priority, &bucket);
       seg.priority = priority;
       seg.bucket = static_cast<int>(bucket);
-      if (const TraceArg* holder = find_arg(ev, "holder")) {
+      if (const TraceArg* holder = find_arg(trace, ev, ids.holder)) {
         seg.holder = holder->u;
       }
       per_row[static_cast<std::size_t>(res->row)].push_back(seg);
@@ -444,7 +480,8 @@ std::string attribution_table(const CritReport& report) {
   for (const CritSegment* s : segs) {
     t.add_row({Table::num(s->start, 4),
                Table::num(s->seconds, 4), crit_bucket_name(s->bucket),
-               s->name.empty() ? "(uncovered)" : s->name,
+               s->name == 0 ? "(uncovered)"
+                            : std::string(report.names.str(s->name)),
                s->holder != 0 ? std::to_string(s->holder) : "-"});
   }
   out += "\nSlowest instance: " + slow->kind + " #" +

@@ -19,10 +19,15 @@
 // I/O) and `compute` otherwise.
 //
 // Everything here is pure post-processing: same trace in, byte-identical
-// attribution JSON out. The input comes from Tracer::events() in process,
-// or from a jsonl() export read back by parse_trace_jsonl() (obs/trace.hpp,
-// next to the writer) for `vmstormctl critpath`; this module knows nothing
-// of the file format.
+// attribution JSON out. The input is an obs::Trace: from Tracer::events()
+// in process, or from a jsonl() export read back by parse_trace_jsonl()
+// (obs/trace.hpp, next to the writer) for `vmstormctl critpath`; this
+// module knows nothing of the file format. Events name their strings by id
+// into the trace's name table, so the analyzer looks up the ids of the
+// strings it tests ("wait", "svc", "sim.join", the root kinds, the
+// "bucket", "holder" and "instance" arg keys, and which names start with
+// "net." or "dfs.") once per trace and compares integers per event. A
+// report keeps a copy of the table, so it outlives the trace.
 //
 // Host threads: analyze_critical_paths() builds the span index on the
 // caller, then fork-joins one host thread per part of at least kCritPart
@@ -64,8 +69,9 @@ struct CritSegment {
   double start = 0;
   double seconds = 0;
   CritBucket bucket = CritBucket::kCompute;
-  std::string name;        ///< winning event name ("" for filler time)
-  SpanId holder = 0;       ///< wait tiles: span that held the resource
+  NameId name = 0;   ///< winning event's name in CritReport::names; 0 ("")
+                     ///< for filler time
+  SpanId holder = 0;  ///< wait tiles: span that held the resource
 };
 
 /// Per-root attribution: one VM instance deployment (kind "boot"),
@@ -82,6 +88,7 @@ struct CritRow {
 };
 
 struct CritReport {
+  NameTable names;  ///< the analyzed trace's, copied
   std::vector<CritRow> rows;
   std::uint64_t spans_seen = 0;
   std::uint64_t cost_events = 0;
@@ -92,15 +99,13 @@ struct CritReport {
 inline constexpr std::size_t kCritPart = std::size_t{1} << 13;
 
 /// Walks the span DAG and tiles every root span with cost intervals. The
-/// span index is built on the caller; then k = part_count(events.size(),
-/// kCritPart) threads (common/parallel.hpp) clip and classify the cost
-/// events of one index range each into per-row lists, and tile a range of
-/// rows each, a row's lists joined in range order. The `parts` overload
-/// fixes k (clamped to [1, events.size()]) for tests; every k gives the
-/// same report.
-CritReport analyze_critical_paths(const std::vector<TraceEvent>& events);
-CritReport analyze_critical_paths(const std::vector<TraceEvent>& events,
-                                  std::size_t parts);
+/// span index is built on the caller; then k = part_count(events, kCritPart)
+/// threads (common/parallel.hpp) clip and classify the cost events of one
+/// index range each into per-row lists, and tile a range of rows each, a
+/// row's lists joined in range order. The `parts` overload fixes k
+/// (clamped to [1, events]) for tests; every k gives the same report.
+CritReport analyze_critical_paths(const Trace& trace);
+CritReport analyze_critical_paths(const Trace& trace, std::size_t parts);
 
 /// Deterministic JSON for the bench artifact `attribution` section
 /// (schema vmstorm-bench-v2): bucket names, per-row breakdowns, and a

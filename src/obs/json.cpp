@@ -313,6 +313,26 @@ Status JsonLexer::read_string(std::string* out) {
   }
 }
 
+Status JsonLexer::read_string(std::string_view* out, std::string* scratch) {
+  if (!consume('"')) return fail("expected string");
+  std::size_t run = pos_;
+  while (run < text_.size()) {
+    const auto c = static_cast<unsigned char>(text_[run]);
+    if (c == '"' || c == '\\' || c < 0x20) break;
+    ++run;
+  }
+  if (run < text_.size() && text_[run] == '"') {
+    *out = text_.substr(pos_, run - pos_);
+    pos_ = run + 1;
+    return Status::ok();
+  }
+  // An escape, or an error to report: decode from the opening quote.
+  --pos_;
+  VMSTORM_RETURN_IF_ERROR(read_string(scratch));
+  *out = *scratch;
+  return Status::ok();
+}
+
 Status JsonLexer::read_number(Number* out) {
   skip_ws();
   const std::size_t start = pos_;

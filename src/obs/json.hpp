@@ -11,8 +11,9 @@
 //
 // Reading goes through JsonLexer, the only JSON tokenizer in src/ (and the
 // only place string escapes are decoded). parse_json() builds a JsonValue
-// tree on it; parse_trace_jsonl() (obs/trace.hpp) streams each trace line
-// straight into a TraceEvent with it, which is the hot reader.
+// tree on it; parse_trace_jsonl() (obs/trace.hpp) reads each trace line
+// with it into a TraceEvent, interning every string from its view into the
+// line, which is the hot reader.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +115,10 @@ class JsonLexer {
   /// Reads a string token into *out (replacing its contents), decoding
   /// escapes; \u escapes are UTF-8 encoded (BMP only).
   Status read_string(std::string* out);
+  /// Reads a string token without copying it: *out views its bytes in the
+  /// text, or, when it holds an escape, *scratch, which then holds the
+  /// decoded string as read_string(std::string*) gives it.
+  Status read_string(std::string_view* out, std::string* scratch);
   Status read_number(Number* out);
 
   Status fail(std::string_view what) const;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
+#include <cstring>
+#include <limits>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -11,53 +12,78 @@
 
 namespace vmstorm::obs {
 
-TraceArg TraceArg::str(std::string key, std::string value) {
-  TraceArg a;
-  a.key = std::move(key);
-  a.kind = Kind::kString;
-  a.s = std::move(value);
-  return a;
+namespace {
+
+/// Makes *buf at least `need` elements long, doubling from at least
+/// `floor`, by construct + swap (never push_back or resize: vmlint's
+/// hot-path-alloc rule keeps growth calls off the recording path). The
+/// first `used` elements are kept.
+template <typename Buffer>
+void grow_buffer(Buffer* buf, std::size_t used, std::size_t need,
+                 std::size_t floor) {
+  if (need <= buf->size()) return;
+  std::size_t next = std::max(buf->size() * 2, floor);
+  while (next < need) next *= 2;
+  Buffer bigger(next, typename Buffer::value_type{});
+  std::copy_n(buf->begin(), used, bigger.begin());
+  buf->swap(bigger);
 }
 
-TraceArg TraceArg::uint(std::string key, std::uint64_t value) {
-  TraceArg a;
-  a.key = std::move(key);
-  a.kind = Kind::kUint;
-  a.u = value;
-  return a;
-}
+}  // namespace
 
-TraceArg TraceArg::num(std::string key, double value) {
-  TraceArg a;
-  a.key = std::move(key);
-  a.kind = Kind::kDouble;
-  a.d = value;
-  return a;
+NameTable::NameTable() : slots_(32) { add("", key_of("")); }
+
+NameId NameTable::add(std::string_view s, const Key& key) {
+  std::string token = "\"";
+  json_escape(s, &token);
+  token += '"';
+  grow_buffer(&text_, text_used_, text_used_ + s.size() + token.size(), 256);
+  grow_buffer(&entries_, size_, size_ + 1, 16);
+  const NameId id = static_cast<NameId>(size_++);
+  Entry& e = entries_[id];
+  e.key = key;
+  e.at = text_used_;
+  e.json_len = static_cast<std::uint32_t>(token.size());
+  if (!s.empty()) std::memcpy(text_.data() + text_used_, s.data(), s.size());
+  std::memcpy(text_.data() + text_used_ + s.size(), token.data(),
+              token.size());
+  text_used_ += s.size() + token.size();
+  if (2 * size_ > slots_.size()) {
+    std::vector<NameId> bigger(slots_.size() * 2);
+    slots_.swap(bigger);
+    for (NameId i = 0; i < id; ++i) {
+      slots_[slot_of(str(i), entries_[i].key)] = i + 1;
+    }
+  }
+  slots_[slot_of(s, key)] = id + 1;
+  return id;
 }
 
 void Tracer::add_chunk() {
   // Construct + swap, not push_back/resize: the ring is on the engine's hot
   // path, where vmlint's hot-path-alloc rule keeps growth calls out. The
-  // table moves only chunk handles, so no recorded event ever moves.
+  // table moves only chunk handles, so no recorded event or arg ever moves.
   const std::size_t first = chunks_.size() * kRingChunk;
-  std::vector<TraceEvent> chunk(std::min(kRingChunk, capacity_ - first));
-  std::vector<std::vector<TraceEvent>> table(chunks_.size() + 1);
+  UninitVector<TraceEvent> fresh(std::min(kRingChunk, capacity_ - first));
+  std::vector<Chunk> table(chunks_.size() + 1);
   std::move(chunks_.begin(), chunks_.end(), table.begin());
-  table.back().swap(chunk);
+  table.back().events.swap(fresh);
   chunks_.swap(table);
 }
 
 TraceEvent& Tracer::push(double ts, double dur, char phase, std::uint32_t lane,
                          std::string_view cat, std::string_view name,
-                         std::vector<TraceArg> args) {
+                         TraceArgs args) {
   const double t0 = profiler_ != nullptr ? SelfProfiler::wall_now() : 0.0;
-  const std::size_t slot = static_cast<std::size_t>(count_ % capacity_);
-  if (count_ < capacity_) {
-    if (slot % kRingChunk == 0) add_chunk();
-  } else {
-    ++dropped_ring_;  // overwriting the oldest event
+  const std::uint64_t pass = count_ / capacity_;
+  const std::size_t slot = static_cast<std::size_t>(count_ - pass * capacity_);
+  if (slot % kRingChunk == 0) {
+    if (pass == 0) add_chunk();
+    arg_end_ = 0;  // this pass's arena of the chunk starts over
   }
-  TraceEvent& ev = chunks_[slot / kRingChunk][slot % kRingChunk];
+  if (pass != 0) ++dropped_ring_;  // overwriting the oldest event
+  Chunk& chunk = chunks_[slot / kRingChunk];
+  TraceEvent& ev = chunk.events[slot % kRingChunk];
   ev.ts = ts;
   ev.dur = dur;
   ev.phase = phase;
@@ -65,9 +91,24 @@ TraceEvent& Tracer::push(double ts, double dur, char phase, std::uint32_t lane,
   ev.id = 0;
   ev.parent = 0;
   ev.span = 0;
-  ev.cat = cat;
-  ev.name = name;
-  ev.args = std::move(args);
+  // Interned in the order the writer emits them, so a trace read back from
+  // jsonl() numbers its strings as the tracer did.
+  ev.name = names_.intern(name);
+  ev.cat = names_.intern(cat);
+  ev.args_at = static_cast<std::uint32_t>(arg_end_);
+  ev.arg_count = static_cast<std::uint32_t>(args.size());
+  if (args.size() != 0) {
+    UninitVector<TraceArg>& arena = chunk.args[pass & 1];
+    grow_buffer(&arena, arg_end_, arg_end_ + args.size(), chunk.events.size());
+    for (const TraceArg::View& a : args) {
+      TraceArg& out = arena[arg_end_++];
+      out.key = names_.intern(a.key);
+      out.kind = a.kind;
+      out.s = a.kind == TraceArg::Kind::kString ? names_.intern(a.s) : 0;
+      out.u = a.u;
+      out.d = a.d;
+    }
+  }
   ++count_;
   if (profiler_ != nullptr) {
     profiler_->charge(SelfProfiler::kTracer, SelfProfiler::wall_now() - t0);
@@ -101,12 +142,18 @@ void Tracer::ensure_sampled_slot(SpanId id) {
   sampled_bits_.swap(bigger);
 }
 
-void Tracer::set_ring_capacity(std::size_t capacity) {
-  capacity_ = capacity == 0 ? 1 : capacity;
+void Tracer::reset_ring() {
   count_ = 0;
   dropped_ring_ = 0;
-  std::vector<std::vector<TraceEvent>> empty;
-  chunks_.swap(empty);
+  std::vector<Chunk> no_chunks;
+  chunks_.swap(no_chunks);
+  arg_end_ = 0;
+  names_ = NameTable();
+}
+
+void Tracer::set_ring_capacity(std::size_t capacity) {
+  capacity_ = capacity == 0 ? 1 : capacity;
+  reset_ring();
 }
 
 void Tracer::set_sampling(double rate, std::uint64_t seed) {
@@ -121,34 +168,33 @@ void Tracer::set_sampling(double rate, std::uint64_t seed) {
 
 void Tracer::complete_span(double ts, double dur, std::uint32_t lane,
                            std::string_view cat, std::string_view name,
-                           SpanId id, SpanId parent,
-                           std::vector<TraceArg> args) {
+                           SpanId id, SpanId parent, TraceArgs args) {
   if (!enabled_) return;
   if (!span_sampled(id)) {
     ++dropped_sampling_;
     return;
   }
-  TraceEvent& ev = push(ts, dur, 'X', lane, cat, name, std::move(args));
+  TraceEvent& ev = push(ts, dur, 'X', lane, cat, name, args);
   ev.id = id;
   ev.parent = parent;
 }
 
 void Tracer::complete_in(double ts, double dur, std::uint32_t lane,
                          std::string_view cat, std::string_view name,
-                         SpanId span, std::vector<TraceArg> args) {
+                         SpanId span, TraceArgs args) {
   if (!enabled_) return;
   if (span != 0 && !span_sampled(span)) {
     ++dropped_sampling_;
     return;
   }
-  TraceEvent& ev = push(ts, dur, 'X', lane, cat, name, std::move(args));
+  TraceEvent& ev = push(ts, dur, 'X', lane, cat, name, args);
   ev.span = span;
 }
 
 void Tracer::instant(double ts, std::uint32_t lane, std::string_view cat,
-                     std::string_view name, std::vector<TraceArg> args) {
+                     std::string_view name, TraceArgs args) {
   if (!enabled_) return;
-  push(ts, -1, 'i', lane, cat, name, std::move(args));
+  push(ts, -1, 'i', lane, cat, name, args);
 }
 
 SpanId Tracer::flow_begin(double ts, std::uint32_t lane, std::string_view name,
@@ -172,21 +218,32 @@ void Tracer::flow_end(double ts, std::uint32_t lane, std::string_view name,
 }
 
 void Tracer::clear() {
-  std::vector<std::vector<TraceEvent>> empty;
-  chunks_.swap(empty);
-  count_ = 0;
-  dropped_ring_ = 0;
+  reset_ring();
   dropped_sampling_ = 0;
   std::vector<std::uint8_t> no_bits;
   sampled_bits_.swap(no_bits);
   last_id_ = 0;
 }
 
-std::vector<TraceEvent> Tracer::events() const {
-  std::vector<TraceEvent> out(size());
-  std::size_t i = 0;
-  for_each_retained(0, out.size(),
-                    [&](const TraceEvent& ev) { out[i++] = ev; });
+Trace Tracer::events() const {
+  Trace out;
+  out.names = names_;
+  const std::size_t n = size();
+  std::size_t args = 0;
+  for_each_retained(0, n, [&args](const TraceEvent& ev, const TraceArg*) {
+    args += ev.arg_count;
+  });
+  out.events.resize(n);
+  out.args.resize(args);
+  TraceEvent* to = out.events.data();
+  args = 0;
+  for_each_retained(0, n, [&](const TraceEvent& ev, const TraceArg* from) {
+    *to = ev;
+    to->args_at = static_cast<std::uint32_t>(args);
+    std::copy_n(from, ev.arg_count, out.args.data() + args);
+    args += ev.arg_count;
+    ++to;
+  });
   return out;
 }
 
@@ -198,14 +255,16 @@ void write_string(std::string_view s, std::string* out) {
   *out += '"';
 }
 
-/// Appends one event as a JSON object: a jsonl() line without its newline,
-/// or one element of chrome_json()'s traceEvents array. Keys are written as
-/// literals; values are escaped and numbers formatted as JsonWriter would.
-void write_event(const TraceEvent& ev, bool chrome, std::string* out) {
+/// Appends one event, whose args start at `args`, as a JSON object: a
+/// jsonl() line without its newline, or one element of chrome_json()'s
+/// traceEvents array. Keys are written as literals, strings as their
+/// tokens from `names`, and numbers formatted as JsonWriter would.
+void write_event(const TraceEvent& ev, const TraceArg* args,
+                 const NameTable& names, bool chrome, std::string* out) {
   *out += "{\"name\":";
-  write_string(ev.name, out);
+  *out += names.json(ev.name);
   *out += ",\"cat\":";
-  write_string(ev.cat, out);
+  *out += names.json(ev.cat);
   *out += ",\"ph\":";
   write_string(std::string_view(&ev.phase, 1), out);
   // Chrome expects microseconds; simulated seconds scale cleanly.
@@ -227,16 +286,16 @@ void write_event(const TraceEvent& ev, bool chrome, std::string* out) {
   write_id(",\"span\":", ev.span);
   // Bind the arrow head to the enclosing slice (classic flow semantics).
   if (chrome && ev.phase == 'f') *out += ",\"bp\":\"e\"";
-  if (!ev.args.empty()) {
+  if (ev.arg_count != 0) {
     char sep = '{';
     *out += ",\"args\":";
-    for (const TraceArg& a : ev.args) {
+    for (const TraceArg& a : std::span(args, ev.arg_count)) {
       *out += sep;
       sep = ',';
-      write_string(a.key, out);
+      *out += names.json(a.key);
       *out += ':';
       switch (a.kind) {
-        case TraceArg::Kind::kString: write_string(a.s, out); break;
+        case TraceArg::Kind::kString: *out += names.json(a.s); break;
         case TraceArg::Kind::kUint: json_append_number(a.u, out); break;
         case TraceArg::Kind::kDouble: json_append_number(a.d, out); break;
       }
@@ -277,16 +336,32 @@ Field field_of(std::string_view key) {
   return Field::kOther;
 }
 
-/// Appends the args object's members to *args.
-Status read_args(JsonLexer& lx, std::vector<TraceArg>* args) {
+/// One reader part's own strings and args, merged after every part is read.
+struct PartTables {
+  NameTable names;
+  UninitVector<TraceArg> args;
+  std::string scratch;  ///< the decoded form of a string with an escape
+};
+
+/// Reads a string token and interns it: from its view into the line, or
+/// from *t.scratch when it holds an escape.
+Status read_name(JsonLexer& lx, PartTables& t, NameId* out) {
+  std::string_view s;
+  VMSTORM_RETURN_IF_ERROR(lx.read_string(&s, &t.scratch));
+  *out = t.names.intern(s);
+  return Status::ok();
+}
+
+/// Appends the args object's members to t.args.
+Status read_args(JsonLexer& lx, PartTables& t) {
   if (!lx.consume('{')) return lx.fail("args must be an object");
   if (lx.consume('}')) return Status::ok();
   do {
-    TraceArg& a = args->emplace_back();
-    VMSTORM_RETURN_IF_ERROR(lx.read_string(&a.key));
+    TraceArg& a = t.args.emplace_back(TraceArg{});
+    VMSTORM_RETURN_IF_ERROR(read_name(lx, t, &a.key));
     if (!lx.consume(':')) return lx.fail("expected ':' after key");
     if (lx.peek() == '"') {
-      VMSTORM_RETURN_IF_ERROR(lx.read_string(&a.s));
+      VMSTORM_RETURN_IF_ERROR(read_name(lx, t, &a.s));
       continue;
     }
     JsonLexer::Number n;
@@ -315,30 +390,34 @@ Status read_id(JsonLexer& lx, std::string_view key, std::uint64_t* out) {
 }
 
 /// Reads one jsonl() line into *ev: the keys write_event() emits, with any
-/// other key's value skipped. The args are read into *arg_buf (cleared
-/// first) and then moved into an exact-size ev->args.
-Status read_event(JsonLexer& lx, std::vector<TraceArg>* arg_buf,
-                  TraceEvent* ev) {
-  arg_buf->clear();
+/// other key's value skipped. Strings are interned into t.names and args
+/// appended to t.args (an "args" key given twice appends both objects).
+Status read_event(JsonLexer& lx, PartTables& t, TraceEvent* ev) {
+  *ev = TraceEvent{};
+  ev->dur = -1;
+  ev->phase = 'i';
+  const std::size_t first_arg = t.args.size();
   if (!lx.consume('{')) return lx.fail("expected '{'");
   if (!lx.consume('}')) {
-    std::string key;
+    std::string_view key;
+    std::string_view ph;
     JsonLexer::Number n;
     std::uint64_t id = 0;
     do {
-      VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
+      VMSTORM_RETURN_IF_ERROR(lx.read_string(&key, &t.scratch));
       if (!lx.consume(':')) return lx.fail("expected ':' after key");
-      switch (field_of(key)) {
+      const Field field = field_of(key);
+      switch (field) {
         case Field::kName:
-          VMSTORM_RETURN_IF_ERROR(lx.read_string(&ev->name));
+          VMSTORM_RETURN_IF_ERROR(read_name(lx, t, &ev->name));
           break;
         case Field::kCat:
-          VMSTORM_RETURN_IF_ERROR(lx.read_string(&ev->cat));
+          VMSTORM_RETURN_IF_ERROR(read_name(lx, t, &ev->cat));
           break;
         case Field::kPh:
-          VMSTORM_RETURN_IF_ERROR(lx.read_string(&key));
-          if (key.size() != 1) return lx.fail("ph must be one character");
-          ev->phase = key[0];
+          VMSTORM_RETURN_IF_ERROR(lx.read_string(&ph, &t.scratch));
+          if (ph.size() != 1) return lx.fail("ph must be one character");
+          ev->phase = ph[0];
           break;
         case Field::kTs:
           VMSTORM_RETURN_IF_ERROR(lx.read_number(&n));
@@ -349,21 +428,21 @@ Status read_event(JsonLexer& lx, std::vector<TraceArg>* arg_buf,
           ev->dur = n.value;
           break;
         case Field::kLane:
-          VMSTORM_RETURN_IF_ERROR(read_id(lx, key, &id));
+          VMSTORM_RETURN_IF_ERROR(read_id(lx, "lane", &id));
           if (id > UINT32_MAX) return lx.fail("lane out of range");
           ev->lane = static_cast<std::uint32_t>(id);
           break;
         case Field::kId:
-          VMSTORM_RETURN_IF_ERROR(read_id(lx, key, &ev->id));
+          VMSTORM_RETURN_IF_ERROR(read_id(lx, "id", &ev->id));
           break;
         case Field::kParent:
-          VMSTORM_RETURN_IF_ERROR(read_id(lx, key, &ev->parent));
+          VMSTORM_RETURN_IF_ERROR(read_id(lx, "parent", &ev->parent));
           break;
         case Field::kSpan:
-          VMSTORM_RETURN_IF_ERROR(read_id(lx, key, &ev->span));
+          VMSTORM_RETURN_IF_ERROR(read_id(lx, "span", &ev->span));
           break;
         case Field::kArgs:
-          VMSTORM_RETURN_IF_ERROR(read_args(lx, arg_buf));
+          VMSTORM_RETURN_IF_ERROR(read_args(lx, t));
           break;
         case Field::kOther:
           VMSTORM_RETURN_IF_ERROR(read_json_value(lx).status());
@@ -373,8 +452,9 @@ Status read_event(JsonLexer& lx, std::vector<TraceArg>* arg_buf,
     if (!lx.consume('}')) return lx.fail("expected ',' or '}'");
   }
   if (!lx.at_end()) return lx.fail("trailing bytes after event object");
-  ev->args.assign(std::make_move_iterator(arg_buf->begin()),
-                  std::make_move_iterator(arg_buf->end()));
+  // Offsets into this part's arena; the merge moves them into place.
+  ev->args_at = static_cast<std::uint32_t>(first_arg);
+  ev->arg_count = static_cast<std::uint32_t>(t.args.size() - first_arg);
   return Status::ok();
 }
 
@@ -436,9 +516,10 @@ std::string Tracer::render(bool chrome, std::size_t parts) const {
     std::string& text = p == 0 ? out : local;
     if (p != 0) local.reserve((r.end - r.begin) * per_event);
     std::size_t i = r.begin;
-    for_each_retained(r.begin, r.end, [&](const TraceEvent& ev) {
+    for_each_retained(r.begin, r.end,
+                      [&](const TraceEvent& ev, const TraceArg* args) {
       if (chrome && i++ != 0) text += ',';
-      write_event(ev, chrome, &text);
+      write_event(ev, args, names_, chrome, &text);
       if (!chrome) text += '\n';
     });
     if (p != 0) rendered[p] = std::move(local);
@@ -448,12 +529,11 @@ std::string Tracer::render(bool chrome, std::size_t parts) const {
   return out;
 }
 
-Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text) {
+Result<Trace> parse_trace_jsonl(std::string_view text) {
   return parse_trace_jsonl(text, part_count(text.size(), kParsePart));
 }
 
-Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text,
-                                                  std::size_t parts) {
+Result<Trace> parse_trace_jsonl(std::string_view text, std::size_t parts) {
   parts = std::clamp<std::size_t>(parts, 1,
                                   std::max<std::size_t>(text.size(), 1));
   struct Part {
@@ -462,7 +542,10 @@ Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text,
     std::size_t events = 0;       ///< non-blank lines
     std::size_t first_line = 0;   ///< lines in the parts before this one
     std::size_t first_event = 0;  ///< events in the parts before this one
+    std::size_t first_arg = 0;    ///< args in the parts before this one
     Status error;                 ///< the part's first malformed line
+    PartTables tables;
+    std::vector<NameId> ids;  ///< the merged table's id of each local one
   };
   std::vector<Part> part(parts);
   std::size_t lo = 0;
@@ -497,27 +580,65 @@ Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text,
     total += pt.events;
   }
 
-  std::vector<TraceEvent> events(total);
-  fork_join(parts, [&part, &events](std::size_t p) {
+  Trace trace;
+  trace.events.resize(total);
+  fork_join(parts, [&part, &trace](std::size_t p) {
     Part& pt = part[p];
-    std::vector<TraceArg> arg_buf;
     std::size_t line_no = pt.first_line;
-    TraceEvent* ev = events.data() + pt.first_event;
+    TraceEvent* ev = trace.events.data() + pt.first_event;
     for_each_line(pt.text, [&](std::string_view line) {
       ++line_no;
       if (blank_line(line)) return true;
       JsonLexer lx(line);
-      const Status st = read_event(lx, &arg_buf, ev++);
+      const Status st = read_event(lx, pt.tables, ev++);
       if (st.is_ok()) return true;
       pt.error = Status(st.code(), "line " + std::to_string(line_no) + ": " +
                                        st.message());
       return false;
     });
   });
-  for (const Part& pt : part) {
+  std::size_t args = 0;
+  for (Part& pt : part) {
     if (!pt.error.is_ok()) return pt.error;
+    pt.first_arg = args;
+    args += pt.tables.args.size();
   }
-  return events;
+  if (args > std::numeric_limits<std::uint32_t>::max()) {
+    return invalid_argument("trace holds more than 2^32 - 1 args");
+  }
+
+  // Part 0's table and arena become the trace's. Interning the other
+  // parts' strings in part order numbers each string by its first
+  // appearance in the text; then each later part copies its args into
+  // place and maps its ids and offsets.
+  trace.names = std::move(part[0].tables.names);
+  trace.args = std::move(part[0].tables.args);
+  trace.args.resize(args);
+  for (std::size_t p = 1; p < parts; ++p) {
+    Part& pt = part[p];
+    pt.ids.resize(pt.tables.names.size());
+    for (NameId id = 0; id < pt.ids.size(); ++id) {
+      pt.ids[id] = trace.names.intern(pt.tables.names.str(id));
+    }
+  }
+  fork_join(parts, [&part, &trace](std::size_t p) {
+    if (p == 0) return;  // already in place
+    Part& pt = part[p];
+    TraceArg* to = trace.args.data() + pt.first_arg;
+    std::copy(pt.tables.args.begin(), pt.tables.args.end(), to);
+    const std::vector<NameId>& ids = pt.ids;
+    for (TraceArg& a : std::span(to, pt.tables.args.size())) {
+      a.key = ids[a.key];
+      a.s = ids[a.s];  // 0 ("") for a number
+    }
+    for (TraceEvent& ev :
+         std::span(trace.events.data() + pt.first_event, pt.events)) {
+      ev.cat = ids[ev.cat];
+      ev.name = ids[ev.name];
+      ev.args_at += static_cast<std::uint32_t>(pt.first_arg);
+    }
+  });
+  return trace;
 }
 
 }  // namespace vmstorm::obs

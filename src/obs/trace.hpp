@@ -17,11 +17,26 @@
 // together with Chrome flow events ('s' at the releaser, 'f' at the resumed
 // waiter, same id). Instant events mark milestones.
 //
+// Event layout: a TraceEvent is a trivially copyable 64-byte record. Its
+// cat and name are ids into a NameTable, which holds each distinct string
+// once beside its JSON token (id 0 is ""), and its args are an (offset,
+// count) range of a flat array of TraceArgs, whose key and string value
+// are ids too. Recording sites pass cat, name and args as views (string
+// literals throughout src/); the tracer interns them, which for a string
+// the table already holds is a hash and a compare. So recording allocates
+// nothing per event, only when the ring reaches a new chunk, a string is
+// new or an args arena doubles, and the exports write each string's
+// token as stored. The ring, Tracer::events() and parse_trace_jsonl()
+// each hold events with a table and an args array of their own (Trace).
+//
 // Bounded recording: events live in a ring of ring_capacity() slots, stored
 // as fixed-size chunks that are allocated as the ring first reaches them
 // (small runs never pay for a big ring, and growth never moves a recorded
 // event). Once the ring is full the oldest event is overwritten and
-// counted in dropped_ring(). Per-root-span sampling (set_sampling) keeps a
+// counted in dropped_ring(). Each chunk keeps its events' args in two
+// arenas that alternate by pass over the ring, so a ring that wraps in the
+// middle of a chunk still holds every retained event's own args; names are
+// kept until clear(). Per-root-span sampling (set_sampling) keeps a
 // deterministic, seed-derived subset of span/cost events at scale; every
 // suppressed event is counted in dropped_sampling(). Together these are the
 // trace.dropped_* gauges exported by Cloud::collect_metrics().
@@ -47,16 +62,23 @@
 // and fork-join one host thread per part (common/parallel.hpp), at most
 // one per hardware thread, each part at least kExportPart events or
 // kParsePart bytes; an input under two parts, such as every export of a
-// tracer that stayed disabled, starts no thread. Each part renders or parses its own
-// contiguous range into its own string or slice, and the parts join in
+// tracer that stayed disabled, starts no thread. Each part renders or
+// parses its own contiguous range into its own string or slice (a reader
+// part into its own name table and args arena too), and the parts join in
 // index order, so the bytes and events cannot depend on the thread count.
 // Once a thread has run, the rest of the process pays for it: glibc's
 // malloc locks its arena and shared_ptr counts atomically from then on.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.hpp"
@@ -68,34 +90,217 @@ class SelfProfiler;
 /// Span / flow identifier. 0 means "none"; allocated ids start at 1.
 using SpanId = std::uint64_t;
 
-/// One typed argument attached to a trace event; numbers stay numbers in
-/// the JSON export.
-struct TraceArg {
-  enum class Kind { kString, kUint, kDouble };
+/// Index of a string in a NameTable. Id 0 is "" in every table.
+using NameId = std::uint32_t;
 
-  std::string key;
-  Kind kind = Kind::kString;
-  std::string s;
-  std::uint64_t u = 0;
-  double d = 0;
+/// What NameTable::find() returns for a string the table does not hold; no
+/// event or arg carries it.
+inline constexpr NameId kNoName = ~NameId{0};
 
-  static TraceArg str(std::string key, std::string value);
-  static TraceArg uint(std::string key, std::uint64_t value);
-  static TraceArg num(std::string key, double value);
+/// Interned strings. Each distinct string is stored once, beside its JSON
+/// token (quoted and escaped, as the exports write it), under a dense id in
+/// first-seen order; id 0 is "". A lookup keys a string by its length and
+/// its first and last 8 bytes, which are the whole string up to 16 bytes,
+/// so interning a short name it already holds is a hash, a probe and three
+/// compares, inline, with no allocation. The tables grow by construct +
+/// swap, because the tracer interns on the engine's hot path.
+class NameTable {
+ public:
+  NameTable();
+
+  /// The id of `s`, added when new. `s` must not view this table's own
+  /// text, which adding a string may move.
+  NameId intern(std::string_view s) {
+    const Key key = key_of(s);
+    const NameId slot = slots_[slot_of(s, key)];
+    return slot != 0 ? slot - 1 : add(s, key);
+  }
+  /// The id of `s`, or kNoName.
+  NameId find(std::string_view s) const {
+    const NameId slot = slots_[slot_of(s, key_of(s))];
+    return slot != 0 ? slot - 1 : kNoName;
+  }
+  /// The string and its JSON token. Both views last until the next
+  /// intern() of a new string.
+  std::string_view str(NameId id) const {
+    const Entry& e = entries_[id];
+    return {text_.data() + e.at, e.key.len};
+  }
+  std::string_view json(NameId id) const {
+    const Entry& e = entries_[id];
+    return {text_.data() + e.at + e.key.len, e.json_len};
+  }
+  std::size_t size() const { return size_; }
+
+ private:
+  /// A string's length with its first and last 8 bytes. Shorter strings
+  /// pack all their bytes into `head`, so equal keys mean equal strings up
+  /// to 16 bytes; longer ones compare the bytes between too.
+  struct Key {
+    std::uint64_t head = 0;
+    std::uint64_t tail = 0;
+    std::size_t len = 0;
+
+    std::uint64_t hash() const {
+      const std::uint64_t h =
+          (head ^ std::rotl(tail, 29) ^ len) * 0x9e3779b97f4a7c15ull;
+      return h ^ (h >> 32);
+    }
+  };
+  struct Entry {
+    Key key;
+    std::size_t at = 0;  ///< the string, then its JSON token, in text_
+    std::uint32_t json_len = 0;
+  };
+
+  static Key key_of(std::string_view s) {
+    Key k;
+    k.len = s.size();
+    const char* p = s.data();
+    if (k.len >= 8) {
+      std::memcpy(&k.head, p, 8);
+      std::memcpy(&k.tail, p + k.len - 8, 8);
+    } else if (k.len >= 4) {
+      std::uint32_t first = 0;
+      std::uint32_t last = 0;
+      std::memcpy(&first, p, 4);
+      std::memcpy(&last, p + k.len - 4, 4);
+      k.head = first | std::uint64_t{last} << 32;
+    } else if (k.len != 0) {
+      const auto byte = [p](std::size_t i) {
+        return std::uint64_t{static_cast<unsigned char>(p[i])};
+      };
+      k.head = byte(0) | byte(k.len / 2) << 8 | byte(k.len - 1) << 16;
+    }
+    return k;
+  }
+
+  /// The slot holding `s`'s id + 1, or the empty slot where it belongs.
+  std::size_t slot_of(std::string_view s, const Key& key) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = key.hash() & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == 0) return i;
+      const Entry& e = entries_[slots_[i] - 1];
+      if (e.key.head == key.head && e.key.tail == key.tail &&
+          e.key.len == key.len &&
+          (key.len <= 16 || std::memcmp(text_.data() + e.at + 8,
+                                        s.data() + 8, key.len - 16) == 0)) {
+        return i;
+      }
+    }
+  }
+
+  /// Stores a string the table lacks and indexes it, keeping the slots at
+  /// most half full.
+  NameId add(std::string_view s, const Key& key);
+
+  std::string text_;            ///< text_used_ bytes in use
+  std::size_t text_used_ = 0;
+  std::vector<Entry> entries_;  ///< size_ in use
+  std::size_t size_ = 0;
+  std::vector<NameId> slots_;   ///< open addressing: id + 1, 0 when empty
 };
 
+/// One typed argument of a trace event; numbers stay numbers in the JSON
+/// export. The key, and a string value, are ids into the name table of the
+/// trace that holds the arg. Like TraceEvent, its members have no default:
+/// TraceArg{} is all zeros, a string arg with key "" and value "".
+struct TraceArg {
+  enum class Kind : std::uint8_t { kString, kUint, kDouble };
+
+  /// An argument as a recording site spells it: key and string value are
+  /// views (string literals at every site in src/), which the tracer
+  /// interns when it records the event.
+  struct View {
+    std::string_view key;
+    Kind kind = Kind::kString;
+    std::string_view s;
+    std::uint64_t u = 0;
+    double d = 0;
+  };
+
+  static constexpr View str(std::string_view key, std::string_view value) {
+    return {key, Kind::kString, value, 0, 0};
+  }
+  static constexpr View uint(std::string_view key, std::uint64_t value) {
+    return {key, Kind::kUint, {}, value, 0};
+  }
+  static constexpr View num(std::string_view key, double value) {
+    return {key, Kind::kDouble, {}, 0, value};
+  }
+
+  std::uint64_t u;
+  double d;
+  NameId key;
+  NameId s;  ///< kString: the value
+  Kind kind;
+};
+
+/// The args of one recording call, spelled `{TraceArg::uint("bytes", n)}`.
+using TraceArgs = std::initializer_list<TraceArg::View>;
+
+/// One trace event: 64 bytes with no pointer, so a ring slot, a parsed
+/// event and a copy are plain stores. Strings are ids into the name table
+/// of the trace that holds the event, and its args are the arg_count
+/// entries from args_at of that trace's args array. No member has a
+/// default, so a vector of events can be sized without writing them
+/// (UninitVector below): TraceEvent{} is all zeros, and an instant event
+/// has dur -1.
 struct TraceEvent {
-  double ts = 0;        ///< simulated seconds
-  double dur = -1;      ///< >= 0 for complete ('X') events
-  char phase = 'i';     ///< 'X' complete, 'i' instant, 's'/'f' flow
-                        ///< start/finish
-  std::uint32_t lane = 0;  ///< rendered as the Chrome tid (node/instance id)
-  SpanId id = 0;        ///< span events: own id; flow events: arrow binding
-  SpanId parent = 0;    ///< span events: enclosing span's id
-  SpanId span = 0;      ///< cost events: span this interval belongs to
-  std::string cat;
-  std::string name;
-  std::vector<TraceArg> args;
+  double ts;           ///< simulated seconds
+  double dur;          ///< >= 0 for complete ('X') events, else -1
+  SpanId id;           ///< span events: own id; flow events: arrow binding
+  SpanId parent;       ///< span events: enclosing span's id
+  SpanId span;         ///< cost events: span this interval belongs to
+  std::uint32_t lane;  ///< rendered as the Chrome tid (node/instance id)
+  NameId cat;
+  NameId name;
+  std::uint32_t args_at;
+  std::uint32_t arg_count;
+  char phase;  ///< 'X' complete, 'i' instant, 's'/'f' flow start/finish
+};
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+              std::is_trivially_default_constructible_v<TraceEvent> &&
+              sizeof(TraceEvent) <= 64);
+static_assert(std::is_trivially_copyable_v<TraceArg> &&
+              std::is_trivially_default_constructible_v<TraceArg>);
+
+/// std::allocator, except that sizing a vector default-initializes its
+/// elements, which for TraceEvent and TraceArg writes nothing: the trace
+/// reader sizes its arrays at once, and each part then writes (and pages
+/// in) its own slice on its own thread. Copies construct as usual
+/// (allocator_traits falls back to std::construct_at).
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+template <typename T>
+using UninitVector = std::vector<T, UninitAllocator<T>>;
+
+/// Events with the strings and args they refer to: what Tracer::events()
+/// and parse_trace_jsonl() return and analyze_critical_paths() reads. One
+/// vector of events, one of args and one name table, whatever the count.
+struct Trace {
+  NameTable names;
+  UninitVector<TraceArg> args;
+  UninitVector<TraceEvent> events;
+
+  std::string_view str(NameId id) const { return names.str(id); }
+  std::span<const TraceArg> args_of(const TraceEvent& ev) const {
+    return {args.data() + ev.args_at, ev.arg_count};
+  }
 };
 
 class Tracer {
@@ -142,17 +347,17 @@ class Tracer {
   /// counted) when span `id` is sampled out.
   void complete_span(double ts, double dur, std::uint32_t lane,
                      std::string_view cat, std::string_view name, SpanId id,
-                     SpanId parent, std::vector<TraceArg> args = {});
+                     SpanId parent, TraceArgs args = {});
 
   /// A leaf cost interval (service time or queue wait) attributed to the
   /// enclosing span `span`. Suppressed (and counted) when that span is
   /// sampled out.
   void complete_in(double ts, double dur, std::uint32_t lane,
                    std::string_view cat, std::string_view name, SpanId span,
-                   std::vector<TraceArg> args = {});
+                   TraceArgs args = {});
 
   void instant(double ts, std::uint32_t lane, std::string_view cat,
-               std::string_view name, std::vector<TraceArg> args = {});
+               std::string_view name, TraceArgs args = {});
 
   /// Chrome flow arrow across coroutines: 's' at the releasing side (returns
   /// the arrow id), 'f' at the resumed waiter (pass that id back).
@@ -176,14 +381,15 @@ class Tracer {
   /// any that were later overwritten.
   std::uint64_t recorded_total() const { return count_; }
 
-  /// Events currently retained, oldest first. Built from the ring on each
-  /// call; prefer jsonl()/chrome_json() for exports.
-  std::vector<TraceEvent> events() const;
+  /// Events currently retained, oldest first, with a copy of the name
+  /// table and their args in one array. Built from the ring on each call;
+  /// prefer jsonl()/chrome_json() for exports.
+  Trace events() const;
   std::size_t size() const {
     return count_ < capacity_ ? static_cast<std::size_t>(count_) : capacity_;
   }
-  /// Drops recorded events and resets drop counters and span ids.
-  /// Ring capacity and the sampling config survive.
+  /// Drops recorded events, their args and names, and resets drop counters
+  /// and span ids. Ring capacity and the sampling config survive.
   void clear();
 
   /// Host-side profiler charged for time spent recording (selfprof's
@@ -206,22 +412,38 @@ class Tracer {
   std::string chrome_json(std::size_t parts) const;
 
  private:
+  /// kRingChunk slots of the ring (the last chunk holds what is left of
+  /// the cap), with the args of the events in them. Pass p over the ring
+  /// appends its args to args[p % 2], which starts over each time a pass
+  /// enters the chunk: the events of pass p - 1 that the chunk still holds
+  /// keep theirs in the other arena, and pass p - 2's are all gone.
+  struct Chunk {
+    UninitVector<TraceEvent> events;
+    UninitVector<TraceArg> args[2];
+  };
+
   TraceEvent& push(double ts, double dur, char phase, std::uint32_t lane,
                    std::string_view cat, std::string_view name,
-                   std::vector<TraceArg> args);
+                   TraceArgs args);
   void add_chunk();
   void ensure_sampled_slot(SpanId id);
+  void reset_ring();
   std::string render(bool chrome, std::size_t parts) const;
-  /// Calls fn on retained events [from, to), counted from the oldest.
+  /// Calls fn(event, its first arg) on retained events [from, to), counted
+  /// from the oldest.
   template <typename Fn>
   void for_each_retained(std::size_t from, std::size_t to, Fn&& fn) const {
-    const std::size_t oldest =
-        count_ > capacity_ ? static_cast<std::size_t>(count_ % capacity_) : 0;
-    std::size_t slot =
-        from < capacity_ - oldest ? oldest + from : from - (capacity_ - oldest);
+    const std::uint64_t first = count_ - size() + from;
+    std::uint64_t pass = first / capacity_;
+    std::size_t slot = static_cast<std::size_t>(first - pass * capacity_);
     for (std::size_t i = from; i < to; ++i) {
-      fn(chunks_[slot / kRingChunk][slot % kRingChunk]);
-      if (++slot == capacity_) slot = 0;
+      const Chunk& chunk = chunks_[slot / kRingChunk];
+      const TraceEvent& ev = chunk.events[slot % kRingChunk];
+      fn(ev, chunk.args[pass & 1].data() + ev.args_at);
+      if (++slot == capacity_) {
+        slot = 0;
+        ++pass;
+      }
     }
   }
 
@@ -230,11 +452,14 @@ class Tracer {
 
   // Ring sink. Event number n lives in slot n % capacity_, which is entry
   // slot % kRingChunk of chunks_[slot / kRingChunk]; chunks_ gains one
-  // chunk each time the first pass reaches a chunk boundary.
+  // chunk each time the first pass reaches a chunk boundary. arg_end_ is
+  // where the next event's args go in the current chunk's arena.
   std::size_t capacity_ = kDefaultRingCapacity;
   std::uint64_t count_ = 0;  ///< events accepted (monotone)
   std::uint64_t dropped_ring_ = 0;
-  std::vector<std::vector<TraceEvent>> chunks_;
+  std::vector<Chunk> chunks_;
+  std::size_t arg_end_ = 0;
+  NameTable names_;
 
   // Per-root-span sampling. sampled_bits_[id] is the keep/drop decision for
   // span id (1 byte per allocated id, grown by doubling; absent = kept).
@@ -251,7 +476,7 @@ class Tracer {
 /// parts is read on the caller's thread alone.
 inline constexpr std::size_t kParsePart = std::size_t{1} << 20;
 
-/// Reads a jsonl() export back into events, one per line that is not blank
+/// Reads a jsonl() export back into a Trace, one event per line that is not blank
 /// (a blank line holds only spaces, tabs and '\r', so CRLF text reads like
 /// LF text), so `vmstormctl critpath` reproduces in-process attribution
 /// byte-for-byte (numbers round-trip through shortest-form representation;
@@ -264,12 +489,16 @@ inline constexpr std::size_t kParsePart = std::size_t{1} << 20;
 /// line boundaries: part p starts after the first '\n' at or past byte
 /// part_range(text.size(), k, p).begin (common/parallel.hpp). Each part
 /// counts its lines on its own thread, the event vector is sized once, and
-/// each part then parses its lines into its own slice of it. The first
+/// each part then parses its lines into its own slice of it, interning
+/// strings into a name table of its own (a string without escapes straight
+/// from its view into the line) and appending args to an arena of its own.
+/// The caller then interns the parts' tables into part 0's in part order,
+/// which gives every string the id of its first appearance in the text,
+/// and each part moves its args into place and maps its ids. The first
 /// malformed line in file order is reported, so every k gives the same
 /// result; the `parts` overload fixes k (clamped to [1, text.size()]) for
 /// tests.
-Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text);
-Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text,
-                                                  std::size_t parts);
+Result<Trace> parse_trace_jsonl(std::string_view text);
+Result<Trace> parse_trace_jsonl(std::string_view text, std::size_t parts);
 
 }  // namespace vmstorm::obs

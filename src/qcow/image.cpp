@@ -26,9 +26,11 @@ Result<std::unique_ptr<Image>> Image::create(std::unique_ptr<ByteFile> file,
                                              Bytes virtual_size,
                                              Bytes cluster_size,
                                              ByteFile* backing) {
-  if (virtual_size == 0 || cluster_size == 0 ||
+  // A cluster holds at least one 8-byte L2 entry.
+  if (virtual_size == 0 || cluster_size < 8 ||
       (cluster_size & (cluster_size - 1)) != 0) {
-    return invalid_argument("virtual size must be > 0, cluster size a power of two");
+    return invalid_argument(
+        "virtual size must be > 0, cluster size a power of two >= 8");
   }
   if (backing != nullptr && backing->size() < virtual_size) {
     return invalid_argument("backing file smaller than virtual size");
@@ -64,10 +66,25 @@ Result<std::unique_ptr<Image>> Image::open(std::unique_ptr<ByteFile> file,
          h.u64(&backing_size));
   if (magic != kQcowMagic) return corruption("bad qcow magic");
   if (version != kQcowVersion) return corruption("bad qcow version");
+  // Every field is checked before it sizes anything: a cluster size create
+  // can write (8 bytes to 2^63), an L1 table of the length create gives the
+  // virtual size (lookups index it by guest offset), inside the file.
+  if (cluster_bits < 3 || cluster_bits > 63) {
+    return corruption("qcow cluster_bits out of range");
+  }
+  const Bytes cluster_size = Bytes{1} << cluster_bits;
+  if (l1_entries != block_count(block_count(img->virtual_size_, cluster_size),
+                                cluster_size / 8)) {
+    return corruption("qcow L1 table does not match the virtual size");
+  }
+  if (l1_offset > file->size() ||
+      std::uint64_t{l1_entries} * 8 > file->size() - l1_offset) {
+    return corruption("qcow L1 table past the end of the file");
+  }
   img->file_ = std::move(file);
   img->backing_ = backing;
-  img->cluster_size_ = Bytes{1} << cluster_bits;
-  img->entries_per_l2_ = img->cluster_size_ / 8;
+  img->cluster_size_ = cluster_size;
+  img->entries_per_l2_ = cluster_size / 8;
   if (backing_size == 0 && backing != nullptr) {
     return invalid_argument("image was created without a backing file");
   }
@@ -86,9 +103,15 @@ Result<std::unique_ptr<Image>> Image::open(std::unique_ptr<ByteFile> file,
 }
 
 Status Image::load_tables() {
-  std::vector<std::byte> raw(entries_per_l2_ * 8);
+  std::vector<std::byte> raw;
+  const Bytes file_size = file_->size();
   for (std::size_t i = 0; i < l1_.size(); ++i) {
     if (l1_[i] == 0) continue;
+    // The table is one cluster; it too must lie inside the file.
+    if (l1_[i] > file_size || cluster_size_ > file_size - l1_[i]) {
+      return corruption("qcow L2 table past the end of the file");
+    }
+    raw.resize(cluster_size_);
     VMSTORM_RETURN_IF_ERROR(file_->pread(l1_[i], raw));
     ByteReader in(raw);
     l2_[i].resize(entries_per_l2_);

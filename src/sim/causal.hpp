@@ -69,18 +69,18 @@ class SpanScope {
 
   /// Records the span over [open time, now) and restores the parent.
   void finish(std::uint32_t lane, std::string_view cat, std::string_view name,
-              std::vector<obs::TraceArg> args = {}) {
-    finish_at(engine_.now_seconds(), lane, cat, name, std::move(args));
+              obs::TraceArgs args = {}) {
+    finish_at(engine_.now_seconds(), lane, cat, name, args);
   }
 
   /// Records the span over [open time, end) and restores the parent: a
   /// phase ends with its slowest instance, not when run() has drained the
   /// background flushers.
   void finish_at(double end, std::uint32_t lane, std::string_view cat,
-                 std::string_view name, std::vector<obs::TraceArg> args = {}) {
+                 std::string_view name, obs::TraceArgs args = {}) {
     if (tracer_ == nullptr) return;
     tracer_->complete_span(start_, end - start_, lane, cat, name, id_, parent_,
-                           std::move(args));
+                           args);
     engine_.set_current_span(parent_);
     tracer_ = nullptr;
   }

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "blob/chunk.hpp"
+#include "common/byte_codec.hpp"
 #include "common/rng.hpp"
 
 namespace vmstorm::imgfs {
@@ -297,6 +298,46 @@ TEST(FileSystem, FailedGrowReturnsItsBlocks) {
 TEST(ImgFs, MountRejectsUnformattedDevice) {
   MemDevice dev(1_MiB);
   EXPECT_FALSE(FileSystem::mount(dev).is_ok());
+
+  // A formatted device's superblock, nine u64 fields: magic, block size,
+  // max inodes, bitmap start and blocks, inode start and blocks, data
+  // start, total blocks. Each tampered copy below is CORRUPTION, checked
+  // before the fields size anything.
+  ASSERT_TRUE(FileSystem::format(dev, small_opts()).is_ok());
+  std::vector<std::byte> raw(72);
+  ASSERT_TRUE(dev.pread(0, raw).is_ok());
+  std::uint64_t good[9];
+  ByteReader in(raw);
+  for (std::uint64_t& f : good) ASSERT_TRUE(in.u64(&f));
+  ASSERT_TRUE(FileSystem::mount(dev).is_ok());
+  enum { kBlockSize = 1, kMaxInodes, kBitmapStart, kBitmapBlocks, kInodeStart,
+         kInodeBlocks, kDataStart, kTotalBlocks };
+  const std::vector<std::pair<const char*, std::vector<std::pair<int, std::uint64_t>>>>
+      cases = {
+          // total_blocks * block_size wraps to 0; data start past the end.
+          {"block size 2^63", {{kBlockSize, std::uint64_t{1} << 63},
+                               {kTotalBlocks, 2},
+                               {kDataStart, 3}}},
+          {"block size below an inode", {{kBlockSize, 128}}},
+          {"more blocks than the device", {{kTotalBlocks, good[kTotalBlocks] + 1}}},
+          {"data start past the end", {{kDataStart, good[kTotalBlocks]}}},
+          {"bitmap over the superblock", {{kBitmapStart, 0}}},
+          {"bitmap over the inodes", {{kBitmapBlocks, good[kBitmapBlocks] + 1}}},
+          {"inodes over the data", {{kInodeBlocks, good[kInodeBlocks] + 1}}},
+          {"bitmap too small", {{kBitmapBlocks, 0}, {kBitmapStart, 1}}},
+          {"more inodes than their blocks", {{kMaxInodes, std::uint64_t{1} << 40}}},
+      };
+  for (const auto& [what, fields] : cases) {
+    std::uint64_t sb[9];
+    std::copy(std::begin(good), std::end(good), sb);
+    for (const auto& [field, value] : fields) sb[field] = value;
+    ByteWriter w;
+    for (std::uint64_t f : sb) w.u64(f);
+    ASSERT_TRUE(dev.pwrite(0, std::as_bytes(std::span(w.str()))).is_ok());
+    auto fs = FileSystem::mount(dev);
+    EXPECT_EQ(fs.status().code(), StatusCode::kCorruption)
+        << what << ": " << fs.status().to_string();
+  }
 }
 
 TEST(ImgFs, ListReportsFiles) {

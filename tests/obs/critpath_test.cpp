@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 
 #include "blob/sim_cluster.hpp"
 #include "blob/store.hpp"
+#include "cloud/cloud.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "mirror/sim_disk.hpp"
@@ -25,6 +27,7 @@
 #include "sim/causal.hpp"
 #include "sim/engine.hpp"
 #include "storage/disk.hpp"
+#include "util/bench_util.hpp"
 
 namespace vmstorm {
 namespace {
@@ -37,15 +40,15 @@ double bucket_sum(const obs::CritRow& row) {
   return std::accumulate(row.buckets.begin(), row.buckets.end(), 0.0);
 }
 
-TEST(Critpath, ExactHandBuiltPath) {
-  // Root boot span [0, 10):
-  //   [0, 4)  NIC service           -> net_transfer
-  //   [4, 7)  disk queue wait       -> queue_wait (outranks the overlapping
-  //                                    service below in [6, 7))
-  //   [6, 9)  disk service under a repo-hinted child span -> repo_disk in
-  //                                    the uncontested [7, 9)
-  //   [9, 10) uncovered             -> boot_init filler
-  obs::Tracer t;
+// Root boot span [0, 10):
+//   [0, 4)  NIC service           -> net_transfer
+//   [4, 7)  disk queue wait       -> queue_wait (outranks the overlapping
+//                                    service below in [6, 7))
+//   [6, 9)  disk service under a repo-hinted child span -> repo_disk in
+//                                    the uncontested [7, 9)
+//   [9, 10) uncovered             -> boot_init filler
+// Returns the root's span id.
+obs::SpanId record_hand_built_path(obs::Tracer& t) {
   t.set_enabled(true);
   const obs::SpanId root = t.new_span();
   const obs::SpanId child = t.new_span();
@@ -57,6 +60,12 @@ TEST(Critpath, ExactHandBuiltPath) {
                   {obs::TraceArg::str("bucket", "repo")});
   t.complete_span(0.0, 10.0, 0, "vm", "boot", root, 0,
                   {obs::TraceArg::uint("instance", 7)});
+  return root;
+}
+
+TEST(Critpath, ExactHandBuiltPath) {
+  obs::Tracer t;
+  const obs::SpanId root = record_hand_built_path(t);
 
   const obs::CritReport report = obs::analyze_critical_paths(t.events());
   ASSERT_EQ(report.rows.size(), 1u);
@@ -72,19 +81,40 @@ TEST(Critpath, ExactHandBuiltPath) {
   EXPECT_DOUBLE_EQ(bucket_sum(row), row.seconds);
 
   // The exact critical path, in order, with the wait's holder preserved.
+  const auto name = [&report](const obs::CritSegment& seg) {
+    return report.names.str(seg.name);
+  };
   ASSERT_EQ(row.segments.size(), 4u);
-  EXPECT_EQ(row.segments[0].name, "net.tx");
+  EXPECT_EQ(name(row.segments[0]), "net.tx");
   EXPECT_EQ(row.segments[0].bucket, obs::CritBucket::kNetTransfer);
   EXPECT_DOUBLE_EQ(row.segments[0].seconds, 4.0);
-  EXPECT_EQ(row.segments[1].name, "disk");
+  EXPECT_EQ(name(row.segments[1]), "disk");
   EXPECT_EQ(row.segments[1].bucket, obs::CritBucket::kQueueWait);
   EXPECT_DOUBLE_EQ(row.segments[1].seconds, 3.0);
   EXPECT_EQ(row.segments[1].holder, 42u);
-  EXPECT_EQ(row.segments[2].name, "disk");
+  EXPECT_EQ(name(row.segments[2]), "disk");
   EXPECT_EQ(row.segments[2].bucket, obs::CritBucket::kRepoDisk);
   EXPECT_DOUBLE_EQ(row.segments[2].seconds, 2.0);
   EXPECT_EQ(row.segments[3].bucket, obs::CritBucket::kBootInit);
   EXPECT_DOUBLE_EQ(row.segments[3].seconds, 1.0);
+  EXPECT_EQ(name(row.segments[3]), "");
+}
+
+TEST(Critpath, ReportOutlivesItsTrace) {
+  // The report keeps its own copy of the name table: rendering it after
+  // the trace is gone reads no freed string (the asan preset checks).
+  obs::Tracer t;
+  record_hand_built_path(t);
+  auto trace = std::make_unique<obs::Trace>(t.events());
+  t.clear();
+  const obs::CritReport report = obs::analyze_critical_paths(*trace);
+  const std::string before = obs::attribution_table(report);
+  trace.reset();
+  const std::string table = obs::attribution_table(report);
+  EXPECT_EQ(table, before);
+  for (const char* name : {"net.tx", "disk", "(uncovered)"}) {
+    EXPECT_NE(table.find(name), std::string::npos) << name;
+  }
 }
 
 TEST(Critpath, SnapshotRootFillsUncoveredAsCompute) {
@@ -238,10 +268,61 @@ TEST(Critpath, JsonlRoundTripMatchesInProcessAnalysis) {
   const ScenarioOut out = run_contention_scenario();
   auto parsed = obs::parse_trace_jsonl(out.jsonl);
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  EXPECT_FALSE(parsed->empty());
+  EXPECT_FALSE(parsed->events.empty());
   const obs::CritReport reparsed = obs::analyze_critical_paths(*parsed);
   EXPECT_EQ(reparsed.rows.size(), out.report.rows.size());
   EXPECT_EQ(obs::attribution_json(reparsed), out.attribution);
+}
+
+TEST(Critpath, PaperRunRoundTripsAtEveryPartCount) {
+  // perfbench's paper_ours_traced run cut to 16 VMs: the §5.1 testbed
+  // config with the boot trace at a quarter of its volume, traced.
+  const std::size_t vms = 16;
+  vm::BootTraceParams tp = bench::paper_boot_params();
+  tp.read_volume /= 4;
+  tp.write_volume /= 4;
+  tp.cpu_seconds /= 4;
+  cloud::Cloud c(bench::paper_cloud_config(vms), cloud::Strategy::kOurs);
+  c.obs().trace.set_enabled(true);
+  c.multideploy(vms, tp);
+  ASSERT_TRUE(c.multisnapshot().is_ok());
+  const obs::Trace recorded = c.obs().trace.events();
+  const std::string jsonl = c.trace_jsonl();
+  ASSERT_GE(jsonl.size(), 4 * obs::kParsePart);
+  const std::string want = obs::attribution_json(
+      obs::analyze_critical_paths(recorded));
+  for (std::size_t parts : {1, 2, 3, 4, 7}) {
+    SCOPED_TRACE(std::to_string(parts) + " parts");
+    auto parsed = obs::parse_trace_jsonl(jsonl, parts);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    // The reader numbers strings as the tracer interned them, so the
+    // events, args and tables are equal field by field.
+    ASSERT_EQ(parsed->names.size(), recorded.names.size());
+    for (obs::NameId id = 0; id < recorded.names.size(); ++id) {
+      ASSERT_EQ(parsed->names.str(id), recorded.names.str(id)) << id;
+    }
+    ASSERT_EQ(parsed->events.size(), recorded.events.size());
+    for (std::size_t i = 0; i < recorded.events.size(); ++i) {
+      const obs::TraceEvent& g = parsed->events[i];
+      const obs::TraceEvent& w = recorded.events[i];
+      ASSERT_TRUE(g.ts == w.ts && g.dur == w.dur && g.id == w.id &&
+                  g.parent == w.parent && g.span == w.span &&
+                  g.lane == w.lane && g.cat == w.cat && g.name == w.name &&
+                  g.args_at == w.args_at && g.arg_count == w.arg_count &&
+                  g.phase == w.phase)
+          << "event " << i;
+    }
+    ASSERT_EQ(parsed->args.size(), recorded.args.size());
+    for (std::size_t a = 0; a < recorded.args.size(); ++a) {
+      const obs::TraceArg& g = parsed->args[a];
+      const obs::TraceArg& w = recorded.args[a];
+      ASSERT_TRUE(g.key == w.key && g.kind == w.kind && g.s == w.s &&
+                  g.u == w.u && g.d == w.d)
+          << "arg " << a;
+    }
+    EXPECT_EQ(obs::attribution_json(obs::analyze_critical_paths(*parsed)),
+              want);
+  }
 }
 
 TEST(Critpath, AttributionTableRendersAllBuckets) {
@@ -319,32 +400,45 @@ TEST(Critpath, RepeatedSpanIdKeepsItsRootRowAndTakesTheLastHint) {
 
 /// 60,448 events: 48 roots (boots, resumes, snapshots), 400 child spans
 /// under earlier spans, some with a bucket hint, and 60,000 cost events
-/// under random spans (a few unknown), shuffled so every root's costs are
-/// spread over every part. Times sit on a 10 ms grid, so many segments of
-/// one bucket start and end together and recording order breaks the tie.
-std::vector<obs::TraceEvent> shuffled_trace() {
+/// under random spans (a few unknown), recorded in shuffled order so every
+/// root's costs are spread over every part. Times sit on a 10 ms grid, so
+/// many segments of one bucket start and end together and recording order
+/// breaks the tie.
+obs::Trace shuffled_trace() {
   constexpr std::size_t kRoots = 48;
   constexpr std::size_t kChildren = 400;
   constexpr std::size_t kCosts = 60000;
+  enum class Arg { kNone, kInstance, kRepo, kMetadata, kHolder };
+  struct Event {
+    double ts = 0;
+    double dur = 0;
+    std::uint32_t lane = 0;
+    obs::SpanId id = 0;  ///< a span's own id; 0 for a cost event
+    obs::SpanId parent = 0;
+    obs::SpanId span = 0;
+    const char* cat = "";
+    const char* name = "";
+    Arg arg = Arg::kNone;
+    std::uint64_t value = 0;  ///< kInstance's or kHolder's
+  };
   Rng rng(2011);
   const auto grid = [&rng](std::uint64_t steps) {
     return static_cast<double>(rng.uniform_u64(steps)) * 0.01;
   };
-  std::vector<obs::TraceEvent> events;
+  std::vector<Event> events;
   for (std::size_t r = 0; r < kRoots; ++r) {
-    obs::TraceEvent& ev = events.emplace_back();
-    ev.phase = 'X';
+    Event& ev = events.emplace_back();
     ev.id = r + 1;
     ev.lane = static_cast<std::uint32_t>(r % 5);
     ev.ts = grid(100);
     ev.dur = 0.5 + grid(200);
     ev.cat = r % 3 == 2 ? "cloud" : "vm";
     ev.name = r % 3 == 0 ? "boot" : r % 3 == 1 ? "resume" : "snapshot";
-    ev.args.push_back(obs::TraceArg::uint("instance", r / 3));
+    ev.arg = Arg::kInstance;
+    ev.value = r / 3;
   }
   for (std::size_t c = 0; c < kChildren; ++c) {
-    obs::TraceEvent& ev = events.emplace_back();
-    ev.phase = 'X';
+    Event& ev = events.emplace_back();
     ev.id = kRoots + 1 + c;
     ev.parent = 1 + rng.uniform_u64(kRoots + c);
     ev.ts = grid(300);
@@ -352,36 +446,59 @@ std::vector<obs::TraceEvent> shuffled_trace() {
     ev.cat = "blob";
     ev.name = "fetch";
     switch (rng.uniform_u64(3)) {
-      case 0: ev.args.push_back(obs::TraceArg::str("bucket", "repo")); break;
-      case 1:
-        ev.args.push_back(obs::TraceArg::str("bucket", "metadata"));
-        break;
+      case 0: ev.arg = Arg::kRepo; break;
+      case 1: ev.arg = Arg::kMetadata; break;
       default: break;
     }
   }
   static constexpr const char* kNames[] = {"disk", "net.tx", "dfs.read",
                                            "rpc",  "sim.join", "sem"};
   for (std::size_t i = 0; i < kCosts; ++i) {
-    obs::TraceEvent& ev = events.emplace_back();
-    ev.phase = 'X';
+    Event& ev = events.emplace_back();
     ev.cat = rng.bernoulli(0.4) ? "wait" : "svc";
     ev.name = kNames[rng.uniform_u64(std::size(kNames))];
     ev.span = 1 + rng.uniform_u64(kRoots + kChildren + 8);
     ev.ts = grid(350);
     ev.dur = 0.01 + grid(30);
     if (rng.bernoulli(0.5)) {
-      ev.args.push_back(obs::TraceArg::uint("holder", rng.uniform_u64(50)));
+      ev.arg = Arg::kHolder;
+      ev.value = rng.uniform_u64(50);
     }
   }
   for (std::size_t i = events.size() - 1; i > 0; --i) {
     std::swap(events[i], events[rng.uniform_u64(i + 1)]);
   }
-  return events;
+  obs::Tracer t;
+  t.set_enabled(true);
+  for (const Event& ev : events) {
+    const auto record = [&](obs::TraceArgs args) {
+      if (ev.id != 0) {
+        t.complete_span(ev.ts, ev.dur, ev.lane, ev.cat, ev.name, ev.id,
+                        ev.parent, args);
+      } else {
+        t.complete_in(ev.ts, ev.dur, ev.lane, ev.cat, ev.name, ev.span, args);
+      }
+    };
+    switch (ev.arg) {
+      case Arg::kNone: record({}); break;
+      case Arg::kInstance:
+        record({obs::TraceArg::uint("instance", ev.value)});
+        break;
+      case Arg::kRepo: record({obs::TraceArg::str("bucket", "repo")}); break;
+      case Arg::kMetadata:
+        record({obs::TraceArg::str("bucket", "metadata")});
+        break;
+      case Arg::kHolder:
+        record({obs::TraceArg::uint("holder", ev.value)});
+        break;
+    }
+  }
+  return t.events();
 }
 
 TEST(Critpath, EveryPartCountGivesTheSameAttribution) {
-  const std::vector<obs::TraceEvent> events = shuffled_trace();
-  ASSERT_GE(events.size(), 7 * obs::kCritPart);
+  const obs::Trace events = shuffled_trace();
+  ASSERT_GE(events.events.size(), 7 * obs::kCritPart);
   const obs::CritReport want = obs::analyze_critical_paths(events, 1);
   ASSERT_EQ(want.rows.size(), 48u);
   const std::string json = obs::attribution_json(want);

@@ -16,6 +16,82 @@
 namespace vmstorm::obs {
 namespace {
 
+/// An arg with its strings spelled out, for comparing traces whose name
+/// tables number the same strings differently.
+struct FlatArg {
+  std::string key;
+  TraceArg::Kind kind = TraceArg::Kind::kString;
+  std::string s;
+  std::uint64_t u = 0;
+  double d = 0;
+};
+
+/// An event with its strings and args spelled out.
+struct FlatEvent {
+  double ts = 0;
+  double dur = -1;
+  char phase = 'i';
+  std::uint32_t lane = 0;
+  SpanId id = 0;
+  SpanId parent = 0;
+  SpanId span = 0;
+  std::string cat;
+  std::string name;
+  std::vector<FlatArg> args;
+};
+
+std::vector<FlatEvent> flatten(const Trace& trace) {
+  std::vector<FlatEvent> out;
+  for (const TraceEvent& ev : trace.events) {
+    FlatEvent& f = out.emplace_back();
+    f.ts = ev.ts;
+    f.dur = ev.dur;
+    f.phase = ev.phase;
+    f.lane = ev.lane;
+    f.id = ev.id;
+    f.parent = ev.parent;
+    f.span = ev.span;
+    f.cat = trace.str(ev.cat);
+    f.name = trace.str(ev.name);
+    for (const TraceArg& a : trace.args_of(ev)) {
+      f.args.push_back({std::string(trace.str(a.key)), a.kind,
+                        std::string(trace.str(a.s)), a.u, a.d});
+    }
+  }
+  return out;
+}
+
+/// Events equal field by field, strings compared by content.
+void expect_same_events(const std::vector<FlatEvent>& got,
+                        const std::vector<FlatEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const FlatEvent& g = got[i];
+    const FlatEvent& w = want[i];
+    EXPECT_EQ(g.name, w.name) << i;
+    EXPECT_EQ(g.cat, w.cat) << i;
+    EXPECT_EQ(g.phase, w.phase) << i;
+    EXPECT_EQ(g.ts, w.ts) << i;
+    EXPECT_EQ(g.dur, w.dur) << i;
+    EXPECT_EQ(g.lane, w.lane) << i;
+    EXPECT_EQ(g.id, w.id) << i;
+    EXPECT_EQ(g.parent, w.parent) << i;
+    EXPECT_EQ(g.span, w.span) << i;
+    ASSERT_EQ(g.args.size(), w.args.size()) << i;
+    for (std::size_t a = 0; a < w.args.size(); ++a) {
+      EXPECT_EQ(g.args[a].key, w.args[a].key) << i;
+      EXPECT_EQ(g.args[a].kind, w.args[a].kind) << i;
+      EXPECT_EQ(g.args[a].s, w.args[a].s) << i;
+      EXPECT_EQ(g.args[a].u, w.args[a].u) << i;
+      EXPECT_EQ(g.args[a].d, w.args[a].d) << i;
+    }
+  }
+}
+
+void expect_same_events(const Trace& got, const Trace& want) {
+  expect_same_events(flatten(got), flatten(want));
+}
+
 TEST(Tracer, DisabledRecordsNothing) {
   Tracer t;
   EXPECT_FALSE(t.enabled());
@@ -33,16 +109,24 @@ TEST(Tracer, RecordsEventsWhenEnabled) {
   t.complete_in(1.5, 0.25, 1, "svc", "disk", root);
   t.instant(4.0, 0, "cloud", "snapshot_start");
   ASSERT_EQ(t.size(), 3u);
-  const std::vector<TraceEvent> evs = t.events();
+  const Trace trace = t.events();
+  const auto& evs = trace.events;
   const TraceEvent& e = evs[0];
   EXPECT_EQ(e.phase, 'X');
   EXPECT_DOUBLE_EQ(e.ts, 1.0);
   EXPECT_DOUBLE_EQ(e.dur, 0.5);
   EXPECT_EQ(e.lane, 3u);
-  EXPECT_EQ(e.name, "transfer");
+  EXPECT_EQ(trace.str(e.cat), "net");
+  EXPECT_EQ(trace.str(e.name), "transfer");
   EXPECT_EQ(e.id, root);
-  ASSERT_EQ(e.args.size(), 2u);
-  EXPECT_EQ(e.args[0].kind, TraceArg::Kind::kUint);
+  ASSERT_EQ(e.arg_count, 2u);
+  const std::span<const TraceArg> args = trace.args_of(e);
+  EXPECT_EQ(args[0].kind, TraceArg::Kind::kUint);
+  EXPECT_EQ(trace.str(args[0].key), "bytes");
+  EXPECT_EQ(args[0].u, 1024u);
+  EXPECT_EQ(args[1].kind, TraceArg::Kind::kString);
+  EXPECT_EQ(trace.str(args[1].s), "n2");
+  EXPECT_EQ(trace.args.size(), 2u);
   EXPECT_EQ(evs[1].phase, 'X');
   EXPECT_EQ(evs[1].span, root);
   EXPECT_EQ(evs[2].phase, 'i');
@@ -93,24 +177,62 @@ TEST(Tracer, ClearResets) {
   EXPECT_EQ(t.new_span(), 1u);
 }
 
+/// Records event number i of a sequence in which every event has args of
+/// its own: 0 to 3 of them (so a slot's new args outnumber its old ones as
+/// often as not), each holding i.
+void record_numbered(Tracer& t, std::size_t i) {
+  const double ts = static_cast<double>(i);
+  const std::uint32_t lane = static_cast<std::uint32_t>(i % 5);
+  const std::string note = "note" + std::to_string(i % 11);
+  switch (i % 4) {
+    case 0: t.instant(ts, lane, "c", "e"); break;
+    case 1: t.instant(ts, lane, "c", "e", {TraceArg::uint("i", i)}); break;
+    case 2:
+      t.complete_in(ts, 0.5, lane, "svc", "disk", i + 1,
+                    {TraceArg::uint("bytes", i), TraceArg::str("note", note)});
+      break;
+    default:
+      t.complete_span(ts, 0.25, lane, "blob", "fetch", i + 1, i,
+                      {TraceArg::str("bucket", note), TraceArg::uint("i", i),
+                       TraceArg::num("half", ts / 2)});
+      break;
+  }
+}
+
+/// The last `n` lines of `jsonl`.
+std::string last_lines(const std::string& jsonl, std::size_t n) {
+  std::size_t at = jsonl.size();
+  for (std::size_t i = 0; i <= n && at != 0; ++i) {
+    at = jsonl.rfind('\n', at - 1);
+    if (at == std::string::npos) return jsonl;
+  }
+  return jsonl.substr(at + 1);
+}
+
 TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
   Tracer t;
   t.set_enabled(true);
   t.set_ring_capacity(4);
   EXPECT_EQ(t.ring_capacity(), 4u);
   for (int i = 0; i < 10; ++i) {
-    t.instant(static_cast<double>(i), 0, "c", "e" + std::to_string(i));
+    t.instant(static_cast<double>(i), 0, "c", "e" + std::to_string(i),
+              {TraceArg::uint("i", static_cast<std::uint64_t>(i))});
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.recorded_total(), 10u);
   EXPECT_EQ(t.dropped_ring(), 6u);
   EXPECT_EQ(t.dropped_total(), 6u);
-  // The retained window is the newest 4 events, oldest first.
-  const std::vector<TraceEvent> evs = t.events();
-  ASSERT_EQ(evs.size(), 4u);
-  for (std::size_t i = 0; i < evs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(evs[i].ts, static_cast<double>(6 + i));
-    EXPECT_EQ(evs[i].name, "e" + std::to_string(6 + i));
+  // The retained window is the newest 4 events, oldest first, each with
+  // its own arg.
+  const Trace trace = t.events();
+  ASSERT_EQ(trace.events.size(), 4u);
+  ASSERT_EQ(trace.args.size(), 4u);
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const TraceEvent& ev = trace.events[i];
+    EXPECT_DOUBLE_EQ(ev.ts, static_cast<double>(6 + i));
+    EXPECT_EQ(trace.str(ev.name), "e" + std::to_string(6 + i));
+    ASSERT_EQ(ev.arg_count, 1u);
+    EXPECT_EQ(trace.args_of(ev)[0].u, 6 + i);
   }
   // Exports see exactly the retained window.
   std::size_t lines = 0;
@@ -118,6 +240,27 @@ TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
     if (ch == '\n') ++lines;
   }
   EXPECT_EQ(lines, 4u);
+
+  // Neither clear() nor set_ring_capacity() leaves an arg or a name of the
+  // old events behind: what follows exports as in a fresh tracer.
+  Tracer fresh;
+  fresh.set_enabled(true);
+  fresh.instant(1.0, 2, "c", "after", {TraceArg::str("k", "v")});
+  for (const bool resize : {false, true}) {
+    SCOPED_TRACE(resize ? "set_ring_capacity" : "clear");
+    if (resize) {
+      t.set_ring_capacity(4);
+    } else {
+      t.clear();
+    }
+    const Trace empty = t.events();
+    EXPECT_TRUE(empty.events.empty());
+    EXPECT_TRUE(empty.args.empty());
+    EXPECT_EQ(empty.names.size(), 1u);  // just ""
+    t.instant(1.0, 2, "c", "after", {TraceArg::str("k", "v")});
+    EXPECT_EQ(t.jsonl(), fresh.jsonl());
+    EXPECT_EQ(t.events().names.size(), fresh.events().names.size());
+  }
 }
 
 TEST(Tracer, ChunkedRingWrapKeepsNewestWindowOldestFirst) {
@@ -135,7 +278,8 @@ TEST(Tracer, ChunkedRingWrapKeepsNewestWindowOldestFirst) {
     EXPECT_EQ(t.size(), cap);
     EXPECT_EQ(t.recorded_total(), total);
     EXPECT_EQ(t.dropped_ring(), total - cap);
-    const std::vector<TraceEvent> evs = t.events();
+    const Trace trace = t.events();
+    const auto& evs = trace.events;
     ASSERT_EQ(evs.size(), cap);
     for (std::size_t i = 0; i < cap; ++i) {
       ASSERT_EQ(evs[i].ts, static_cast<double>(total - cap + i)) << i;
@@ -144,6 +288,36 @@ TEST(Tracer, ChunkedRingWrapKeepsNewestWindowOldestFirst) {
     EXPECT_EQ(static_cast<std::size_t>(
                   std::count(jsonl.begin(), jsonl.end(), '\n')),
               cap);
+  }
+
+  // Events with args of their own, into rings whose last wrap lands inside
+  // a chunk, after three passes: each slot's args were rewritten by later
+  // passes, with more or fewer args than the slot held before. Every
+  // export shows each retained event's own args, like the same window
+  // recorded unbounded.
+  for (const std::size_t ring :
+       {std::size_t{1}, Tracer::kRingChunk - 1, Tracer::kRingChunk + 3,
+        3 * Tracer::kRingChunk + 5}) {
+    SCOPED_TRACE("capacity " + std::to_string(ring));
+    const std::size_t total = 2 * ring + ring / 2 + 3;
+    Tracer wrapped;
+    Tracer unbounded;
+    Tracer window;  // only the newest `ring` events of the sequence
+    wrapped.set_ring_capacity(ring);
+    for (Tracer* t : {&wrapped, &unbounded, &window}) t->set_enabled(true);
+    for (std::size_t i = 0; i < total; ++i) {
+      record_numbered(wrapped, i);
+      record_numbered(unbounded, i);
+      if (i >= total - ring) record_numbered(window, i);
+    }
+    ASSERT_EQ(wrapped.size(), ring);
+    ASSERT_EQ(wrapped.dropped_ring(), total - ring);
+    const std::string want = last_lines(unbounded.jsonl(), ring);
+    EXPECT_EQ(wrapped.jsonl(), want);
+    EXPECT_EQ(wrapped.jsonl(3), want);
+    EXPECT_EQ(window.jsonl(), want);
+    EXPECT_EQ(wrapped.chrome_json(), window.chrome_json());
+    expect_same_events(wrapped.events(), window.events());
   }
 }
 
@@ -196,10 +370,10 @@ TEST(Tracer, SamplingIsDeterministicSeededSubset) {
   EXPECT_FALSE(full.sampling_active());
   EXPECT_EQ(full.dropped_sampling(), 0u);
   EXPECT_EQ(full.recorded_total(), 128u);
-  const std::vector<TraceEvent> all = full.events();
-  for (const TraceEvent& e : a.events()) {
+  const std::vector<FlatEvent> all = flatten(full.events());
+  for (const FlatEvent& e : flatten(a.events())) {
     bool found = false;
-    for (const TraceEvent& f : all) {
+    for (const FlatEvent& f : all) {
       if (f.id == e.id && f.ts == e.ts && f.name == e.name) {
         found = true;
         break;
@@ -217,10 +391,12 @@ TEST(Tracer, FlowEventsCarrySharedId) {
   EXPECT_NE(id, 0u);
   t.flow_end(2.0, 3, "wake", id);
   ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.events()[0].phase, 's');
-  EXPECT_EQ(t.events()[1].phase, 'f');
-  EXPECT_EQ(t.events()[0].id, id);
-  EXPECT_EQ(t.events()[1].id, id);
+  const Trace trace = t.events();
+  const auto& evs = trace.events;
+  EXPECT_EQ(evs[0].phase, 's');
+  EXPECT_EQ(evs[1].phase, 'f');
+  EXPECT_EQ(evs[0].id, id);
+  EXPECT_EQ(evs[1].id, id);
   // Chrome requires binding point "enclosing" on the flow-finish side.
   const std::string j = t.chrome_json();
   EXPECT_NE(j.find("\"ph\":\"s\""), std::string::npos);
@@ -229,32 +405,6 @@ TEST(Tracer, FlowEventsCarrySharedId) {
 }
 
 // ---- parse_trace_jsonl: the inverse of jsonl() ----------------------------
-
-void expect_same_events(const std::vector<TraceEvent>& got,
-                        const std::vector<TraceEvent>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const TraceEvent& g = got[i];
-    const TraceEvent& w = want[i];
-    EXPECT_EQ(g.name, w.name) << i;
-    EXPECT_EQ(g.cat, w.cat) << i;
-    EXPECT_EQ(g.phase, w.phase) << i;
-    EXPECT_EQ(g.ts, w.ts) << i;
-    EXPECT_EQ(g.dur, w.dur) << i;
-    EXPECT_EQ(g.lane, w.lane) << i;
-    EXPECT_EQ(g.id, w.id) << i;
-    EXPECT_EQ(g.parent, w.parent) << i;
-    EXPECT_EQ(g.span, w.span) << i;
-    ASSERT_EQ(g.args.size(), w.args.size()) << i;
-    for (std::size_t a = 0; a < w.args.size(); ++a) {
-      EXPECT_EQ(g.args[a].key, w.args[a].key) << i;
-      EXPECT_EQ(g.args[a].kind, w.args[a].kind) << i;
-      EXPECT_EQ(g.args[a].s, w.args[a].s) << i;
-      EXPECT_EQ(g.args[a].u, w.args[a].u) << i;
-      EXPECT_EQ(g.args[a].d, w.args[a].d) << i;
-    }
-  }
-}
 
 TEST(TraceJsonl, RoundTripKeepsIdsAndUintArgsAbove2To53) {
   // 2^53 + 1 is the first integer a double cannot hold: ids and uint args
@@ -274,8 +424,8 @@ TEST(TraceJsonl, RoundTripKeepsIdsAndUintArgsAbove2To53) {
   auto parsed = parse_trace_jsonl(t.jsonl());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   expect_same_events(*parsed, t.events());
-  EXPECT_EQ((*parsed)[0].id, big);
-  EXPECT_EQ((*parsed)[1].args[0].u, big + 2);
+  EXPECT_EQ(parsed->events[0].id, big);
+  EXPECT_EQ(parsed->args_of(parsed->events[1])[0].u, big + 2);
 }
 
 TEST(TraceJsonl, MalformedLineFailsNamingTheLine) {
@@ -326,9 +476,9 @@ TEST(TraceJsonl, DecodesWideEscapesAndSkipsBlankLinesAndUnknownKeys) {
       R"("pid":0,"tid":4,"id":3})"
       "\n\n");
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  ASSERT_EQ(parsed->size(), 1u);
-  const TraceEvent& e = (*parsed)[0];
-  EXPECT_EQ(e.name, "caf\xc3\xa9");  // UTF-8
+  ASSERT_EQ(parsed->events.size(), 1u);
+  const TraceEvent& e = parsed->events[0];
+  EXPECT_EQ(parsed->str(e.name), "caf\xc3\xa9");  // UTF-8
   EXPECT_EQ(e.phase, 'f');
   EXPECT_EQ(e.lane, 0u);
   EXPECT_EQ(e.id, 3u);
@@ -345,7 +495,7 @@ TEST(TraceJsonl, CrlfTextWithWhitespaceOnlyLinesReadsLikeItsLfForm) {
   const std::string lf = t.jsonl();
   auto want = parse_trace_jsonl(lf);
   ASSERT_TRUE(want.is_ok()) << want.status().to_string();
-  ASSERT_EQ(want->size(), 8u);
+  ASSERT_EQ(want->events.size(), 8u);
   // The same lines ending in "\r\n", with a blank line after the second
   // and a line of spaces and a tab after the fifth: ten lines in all.
   std::string crlf;
@@ -375,10 +525,11 @@ TEST(TraceJsonl, CrlfTextWithWhitespaceOnlyLinesReadsLikeItsLfForm) {
 
 // ---- The event writer against a JsonWriter reference ----------------------
 
-void reference_event(JsonWriter& w, const TraceEvent& ev, bool chrome) {
+void reference_event(JsonWriter& w, const Trace& trace, const TraceEvent& ev,
+                     bool chrome) {
   w.begin_object();
-  w.key("name").value(ev.name);
-  w.key("cat").value(ev.cat);
+  w.key("name").value(trace.str(ev.name));
+  w.key("cat").value(trace.str(ev.cat));
   w.key("ph").value(std::string_view(&ev.phase, 1));
   if (chrome) {
     w.key("ts").value(ev.ts * 1e6);
@@ -394,12 +545,12 @@ void reference_event(JsonWriter& w, const TraceEvent& ev, bool chrome) {
   if (ev.parent != 0) w.key("parent").value(ev.parent);
   if (ev.span != 0) w.key("span").value(ev.span);
   if (chrome && ev.phase == 'f') w.key("bp").value("e");
-  if (!ev.args.empty()) {
+  if (ev.arg_count != 0) {
     w.key("args").begin_object();
-    for (const TraceArg& a : ev.args) {
-      w.key(a.key);
+    for (const TraceArg& a : trace.args_of(ev)) {
+      w.key(trace.str(a.key));
       switch (a.kind) {
-        case TraceArg::Kind::kString: w.value(a.s); break;
+        case TraceArg::Kind::kString: w.value(trace.str(a.s)); break;
         case TraceArg::Kind::kUint: w.value(a.u); break;
         case TraceArg::Kind::kDouble: w.value(a.d); break;
       }
@@ -409,23 +560,25 @@ void reference_event(JsonWriter& w, const TraceEvent& ev, bool chrome) {
   w.end_object();
 }
 
-std::string reference_jsonl(const std::vector<TraceEvent>& events) {
+std::string reference_jsonl(const Trace& trace) {
   std::string out;
-  for (const TraceEvent& ev : events) {
+  for (const TraceEvent& ev : trace.events) {
     JsonWriter w;
-    reference_event(w, ev, /*chrome=*/false);
+    reference_event(w, trace, ev, /*chrome=*/false);
     out += w.str();
     out += '\n';
   }
   return out;
 }
 
-std::string reference_chrome_json(const std::vector<TraceEvent>& events) {
+std::string reference_chrome_json(const Trace& trace) {
   JsonWriter w;
   w.begin_object();
   w.key("displayTimeUnit").value("ms");
   w.key("traceEvents").begin_array();
-  for (const TraceEvent& ev : events) reference_event(w, ev, /*chrome=*/true);
+  for (const TraceEvent& ev : trace.events) {
+    reference_event(w, trace, ev, /*chrome=*/true);
+  }
   w.end_array();
   w.end_object();
   return w.take();
@@ -461,8 +614,8 @@ std::uint64_t random_u64(Rng& rng) {
 
 /// A random event for record(); *finite is cleared when it carries a
 /// non-finite double, which the exports render as null.
-TraceEvent random_event(Rng& rng, bool* finite) {
-  TraceEvent ev;
+FlatEvent random_event(Rng& rng, bool* finite) {
+  FlatEvent ev;
   ev.phase = "Xisf"[rng.uniform_u64(4)];
   ev.ts = random_double(rng);
   ev.dur = random_double(rng);
@@ -484,15 +637,21 @@ TraceEvent random_event(Rng& rng, bool* finite) {
                                   ? rng.uniform_u64(4)
                                   : 0;
   for (std::uint64_t i = 0; i < nargs; ++i) {
+    FlatArg& a = ev.args.emplace_back();
     switch (rng.uniform_u64(3)) {
       case 0:
-        ev.args.push_back(TraceArg::str(random_text(rng), random_text(rng)));
+        a.key = random_text(rng);
+        a.s = random_text(rng);
         break;
       case 1:
-        ev.args.push_back(TraceArg::uint(random_text(rng), random_u64(rng)));
+        a.key = random_text(rng);
+        a.kind = TraceArg::Kind::kUint;
+        a.u = random_u64(rng);
         break;
       default:
-        ev.args.push_back(TraceArg::num(random_text(rng), random_double(rng)));
+        a.key = random_text(rng);
+        a.kind = TraceArg::Kind::kDouble;
+        a.d = random_double(rng);
         break;
     }
   }
@@ -504,26 +663,39 @@ TraceEvent random_event(Rng& rng, bool* finite) {
     if (ev.args.empty()) {
       ev.ts = bad;
     } else {
-      ev.args.back() = TraceArg::num("bad", bad);
+      ev.args.back() = {"bad", TraceArg::Kind::kDouble, "", 0, bad};
     }
   }
   return ev;
 }
 
-void record(Tracer& t, const TraceEvent& ev) {
+void record(Tracer& t, const FlatEvent& ev, TraceArgs args) {
   switch (ev.phase) {
     case 'X':
       if (ev.id != 0) {
         t.complete_span(ev.ts, ev.dur, ev.lane, ev.cat, ev.name, ev.id,
-                        ev.parent, ev.args);
+                        ev.parent, args);
       } else {
         t.complete_in(ev.ts, ev.dur, ev.lane, ev.cat, ev.name, ev.span,
-                      ev.args);
+                      args);
       }
       break;
-    case 'i': t.instant(ev.ts, ev.lane, ev.cat, ev.name, ev.args); break;
+    case 'i': t.instant(ev.ts, ev.lane, ev.cat, ev.name, args); break;
     case 's': t.flow_begin(ev.ts, ev.lane, ev.name); break;
     default: t.flow_end(ev.ts, ev.lane, ev.name, ev.id); break;
+  }
+}
+
+/// Records `ev` through the tracer's public calls, spelling its 0 to 3
+/// args as a recording site does.
+void record(Tracer& t, const FlatEvent& ev) {
+  std::vector<TraceArg::View> a;
+  for (const FlatArg& f : ev.args) a.push_back({f.key, f.kind, f.s, f.u, f.d});
+  switch (a.size()) {
+    case 0: return record(t, ev, {});
+    case 1: return record(t, ev, {a[0]});
+    case 2: return record(t, ev, {a[0], a[1]});
+    default: return record(t, ev, {a[0], a[1], a[2]});
   }
 }
 
@@ -539,7 +711,7 @@ TEST(TraceExport, EventWriterMatchesJsonWriterAndRoundTrips) {
   for (Tracer* t : {&all, &finite, &wrapped}) t->set_enabled(true);
   for (std::size_t i = 0; i < kEvents; ++i) {
     bool is_finite = true;
-    const TraceEvent ev = random_event(rng, &is_finite);
+    const FlatEvent ev = random_event(rng, &is_finite);
     record(all, ev);
     record(wrapped, ev);
     if (is_finite) record(finite, ev);
@@ -547,7 +719,7 @@ TEST(TraceExport, EventWriterMatchesJsonWriterAndRoundTrips) {
   ASSERT_LT(finite.size(), all.size());
   ASSERT_GT(wrapped.dropped_ring(), 0u);
   for (const Tracer* t : {&all, &wrapped}) {
-    const std::vector<TraceEvent> recorded = t->events();
+    const Trace recorded = t->events();
     const std::string jsonl = reference_jsonl(recorded);
     const std::string chrome = reference_chrome_json(recorded);
     EXPECT_EQ(t->jsonl(), jsonl);
@@ -598,7 +770,7 @@ std::string split_text() {
   events.set_enabled(true);
   while (events.size() < kSlots + kSlots / 8) {
     bool is_finite = true;
-    const TraceEvent ev = random_event(rng, &is_finite);
+    const FlatEvent ev = random_event(rng, &is_finite);
     if (is_finite) record(events, ev);
   }
   const std::string lines = events.jsonl();
@@ -623,8 +795,8 @@ std::string split_text() {
 }
 
 /// The reference: each non-blank line parsed on its own.
-std::vector<TraceEvent> parse_line_by_line(std::string_view text) {
-  std::vector<TraceEvent> out;
+std::vector<FlatEvent> parse_line_by_line(std::string_view text) {
+  std::vector<FlatEvent> out;
   std::size_t pos = 0;
   while (pos < text.size()) {
     const std::size_t nl = text.find('\n', pos);
@@ -633,8 +805,8 @@ std::vector<TraceEvent> parse_line_by_line(std::string_view text) {
     if (line.empty()) continue;
     auto one = parse_trace_jsonl(line);
     EXPECT_TRUE(one.is_ok()) << one.status().to_string();
-    if (!one.is_ok() || one->size() != 1) return {};
-    out.push_back(std::move((*one)[0]));
+    if (!one.is_ok() || one->events.size() != 1) return {};
+    out.push_back(flatten(*one)[0]);
   }
   return out;
 }
@@ -651,17 +823,85 @@ TEST(TraceJsonl, PartsCutAtLineBoundariesReadLikeOneLineAtATime) {
           << parts << " parts, cut " << p;
     }
   }
-  const std::vector<TraceEvent> want = parse_line_by_line(text);
+  const std::vector<FlatEvent> want = parse_line_by_line(text);
   ASSERT_EQ(want.size(), kSlots);
   auto got = parse_trace_jsonl(text);
   ASSERT_TRUE(got.is_ok()) << got.status().to_string();
-  expect_same_events(*got, want);
+  expect_same_events(flatten(*got), want);
   for (std::size_t parts : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                             std::size_t{4}, std::size_t{7}}) {
     SCOPED_TRACE(std::to_string(parts) + " parts");
     got = parse_trace_jsonl(text, parts);
     ASSERT_TRUE(got.is_ok()) << got.status().to_string();
-    expect_same_events(*got, want);
+    expect_same_events(flatten(*got), want);
+  }
+}
+
+TEST(TraceJsonl, PartsInternEachStringByItsFirstAppearanceInTheText) {
+  // Names in their JSON spellings: the empty string, one that needs an
+  // escape, and "é" both escaped and raw, which read as one string.
+  static constexpr const char* kSpellings[] = {
+      R"("")",    R"("a\"b")",   R"("\u00e9")", "\"\xc3\xa9\"",
+      R"("disk")", R"("net.tx")", R"("wait")"};
+  std::vector<std::size_t> order(std::size(kSpellings));
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  // 84 lines in blocks of 12, each block with its own order, so the parts
+  // of every count below meet the names in different first-seen orders.
+  Rng rng(11);
+  std::string text;
+  for (std::size_t i = 0; i < 84; ++i) {
+    if (i % 12 == 0) {
+      for (std::size_t k = order.size() - 1; k > 0; --k) {
+        std::swap(order[k], order[rng.uniform_u64(k + 1)]);
+      }
+    }
+    const auto pick = [&](std::size_t k) {
+      return kSpellings[order[(i + k) % order.size()]];
+    };
+    const std::string n = std::to_string(i);
+    text += std::string("{\"name\":") + pick(0) + ",\"cat\":" + pick(1) +
+            ",\"ph\":\"X\",\"ts\":" + n + ",\"dur\":1,\"lane\":" + n +
+            ",\"span\":" + n + ",\"args\":{" + pick(2) + ":" + pick(3) +
+            ",\"n\":" + n + "}}\n";
+  }
+  const std::vector<FlatEvent> want = parse_line_by_line(text);
+  ASSERT_EQ(want.size(), 84u);
+  auto one = parse_trace_jsonl(text, 1);
+  ASSERT_TRUE(one.is_ok()) << one.status().to_string();
+  expect_same_events(flatten(*one), want);
+  // Six strings and the key "n", each once; "" is id 0.
+  const NameTable& names = one->names;
+  ASSERT_EQ(names.size(), 7u);
+  EXPECT_EQ(names.str(0), "");
+  EXPECT_EQ(names.json(0), R"("")");
+  EXPECT_EQ(names.json(names.find("a\"b")), R"("a\"b")");
+  EXPECT_EQ(names.json(names.find("\xc3\xa9")), "\"\xc3\xa9\"");
+  EXPECT_EQ(names.find("absent"), kNoName);
+  for (std::size_t parts : {2, 3, 4, 7}) {
+    SCOPED_TRACE(std::to_string(parts) + " parts");
+    auto got = parse_trace_jsonl(text, parts);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    expect_same_events(flatten(*got), want);
+    // Merged in part order, the tables number every string as one part
+    // does, so the ids themselves agree.
+    ASSERT_EQ(got->names.size(), names.size());
+    for (NameId id = 0; id < names.size(); ++id) {
+      EXPECT_EQ(got->names.str(id), names.str(id)) << id;
+      EXPECT_EQ(got->names.json(id), names.json(id)) << id;
+    }
+    ASSERT_EQ(got->args.size(), one->args.size());
+    for (std::size_t i = 0; i < one->events.size(); ++i) {
+      const TraceEvent& g = got->events[i];
+      const TraceEvent& w = one->events[i];
+      EXPECT_EQ(g.name, w.name) << i;
+      EXPECT_EQ(g.cat, w.cat) << i;
+      EXPECT_EQ(g.args_at, w.args_at) << i;
+      EXPECT_EQ(g.arg_count, w.arg_count) << i;
+    }
+    for (std::size_t a = 0; a < one->args.size(); ++a) {
+      EXPECT_EQ(got->args[a].key, one->args[a].key) << a;
+      EXPECT_EQ(got->args[a].s, one->args[a].s) << a;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "blob/chunk.hpp"
+#include "common/byte_codec.hpp"
 #include "common/rng.hpp"
 
 namespace vmstorm::qcow {
@@ -19,6 +20,30 @@ std::unique_ptr<MemFile> raw_backing(Bytes size, std::uint64_t seed) {
   return std::make_unique<MemFile>(make_bytes(size, seed));
 }
 
+/// The bytes of an image file with a hand-written 64-byte header (no
+/// backing file), followed by `l1` as the L1 table.
+std::vector<std::byte> image_bytes(Bytes virtual_size,
+                                   std::uint32_t cluster_bits,
+                                   std::uint32_t l1_entries,
+                                   std::uint64_t l1_offset,
+                                   std::vector<std::uint64_t> l1) {
+  ByteWriter w;
+  w.u32(kQcowMagic);
+  w.u32(kQcowVersion);
+  w.u64(virtual_size);
+  w.u32(cluster_bits);
+  w.u32(l1_entries);
+  w.u64(l1_offset);
+  w.u64(0);  // no backing file
+  std::string bytes = std::move(w).str();
+  bytes.resize(64);
+  ByteWriter table;
+  for (std::uint64_t e : l1) table.u64(e);
+  bytes += table.str();
+  const auto raw = std::as_bytes(std::span(bytes));
+  return {raw.begin(), raw.end()};
+}
+
 TEST(QcowImage, CreateValidatesArguments) {
   EXPECT_FALSE(Image::create(std::make_unique<MemFile>(), 0, 512).is_ok());
   EXPECT_FALSE(Image::create(std::make_unique<MemFile>(), 1024, 0).is_ok());
@@ -27,6 +52,13 @@ TEST(QcowImage, CreateValidatesArguments) {
   EXPECT_FALSE(
       Image::create(std::make_unique<MemFile>(), 1024, 512, small_backing.get())
           .is_ok());
+  // A cluster holds at least one 8-byte L2 entry: 4 bytes would give an
+  // L2 table of no entries (and a division by zero).
+  EXPECT_EQ(Image::create(std::make_unique<MemFile>(), 1_MiB, 4)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Image::create(std::make_unique<MemFile>(), 1_MiB, 8).is_ok());
 }
 
 TEST(QcowImage, FreshImageReadsZeros) {
@@ -158,6 +190,30 @@ TEST(QcowImage, OpenRejectsGarbageAndMismatchedBacking) {
   }
   // Created with backing, opened without.
   EXPECT_FALSE(Image::open(std::make_unique<MemFile>(persisted)).is_ok());
+
+  // Headers whose fields would size or shift past what the file holds are
+  // CORRUPTION, checked before anything is allocated. With 512-byte
+  // clusters (cluster_bits 9) an L1 entry maps 64 clusters, 32 KiB.
+  constexpr Bytes kL1Span = 64 * 512;
+  ASSERT_TRUE(Image::open(std::make_unique<MemFile>(
+                              image_bytes(kL1Span, 9, 1, 64, {0})))
+                  .is_ok());
+  const std::pair<const char*, std::vector<std::byte>> bad[] = {
+      {"2^32 - 1 L1 entries in a 64-byte file",
+       image_bytes(0xffffffffull * kL1Span, 9, 0xffffffffu, 64, {})},
+      {"L1 table past the end", image_bytes(2 * kL1Span, 9, 2, 64, {0})},
+      {"L1 offset past the end", image_bytes(kL1Span, 9, 1, 1u << 20, {0})},
+      {"L1 table shorter than the virtual size",
+       image_bytes(2 * kL1Span, 9, 1, 64, {0})},
+      {"cluster_bits 64", image_bytes(kL1Span, 64, 1, 64, {0})},
+      {"cluster_bits 2", image_bytes(kL1Span, 2, 1, 64, {0})},
+      {"L2 table past the end", image_bytes(kL1Span, 9, 1, 64, {64})},
+  };
+  for (const auto& [what, bytes] : bad) {
+    const Status st = Image::open(std::make_unique<MemFile>(bytes)).status();
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << what << ": " << st.to_string();
+  }
 }
 
 TEST(QcowImage, HostFileGrowsOnlyWithAllocation) {

@@ -60,8 +60,9 @@ TEST(SpanScope, NestedScopesRestoreInOrderAcrossCoAwait) {
   }
   // Recorded: each parent [0, 2) and its finished child [0, 1) under it.
   ASSERT_EQ(t.rec.trace.size(), 4u);
-  for (const obs::TraceEvent& ev : t.rec.trace.events()) {
-    const bool is_parent = ev.name == "parent";
+  const obs::Trace trace = t.rec.trace.events();
+  for (const obs::TraceEvent& ev : trace.events) {
+    const bool is_parent = trace.str(ev.name) == "parent";
     EXPECT_EQ(ev.parent == 0, is_parent);
     EXPECT_DOUBLE_EQ(ev.dur, is_parent ? 2.0 : 1.0);
   }
